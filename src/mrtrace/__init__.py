@@ -69,7 +69,6 @@ from .compute_patterns import (
     job_feature_vectors,
     kmeans,
     name_breakdown,
-    select_k,
     summarize_clusters,
 )
 from .synthesis import (

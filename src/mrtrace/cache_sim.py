@@ -13,7 +13,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .columns import columns
 from .errors import NoData, UnsortedStream
 from .trace import Trace
 
@@ -67,7 +66,7 @@ def access_stream(trace: Trace) -> list[AccessEvent]:
     emit the event for that side. Events are time-sorted with a stable
     tie-break on job order, reads before writes.
     """
-    cols = columns(trace)
+    cols = trace.columns
     events: list[tuple[int, int, int, AccessEvent]] = []
 
     in_ok = cols.input_hash_present & ~np.isnan(cols.input_bytes)

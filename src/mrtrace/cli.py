@@ -31,6 +31,7 @@ from .report import (
     write_tsv_atomic,
 )
 from .synthesis import (
+    REQUIRED_FIELDS,
     SyntheticJob,
     SyntheticWorkload,
     build_workload_model,
@@ -38,7 +39,7 @@ from .synthesis import (
     synthesize,
     workload_to_trace,
 )
-from .trace import parse_trace, serialize_trace, validate
+from .trace import parse_trace, serialize_trace
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -253,32 +254,17 @@ def _cmd_synthesize(args) -> int:
 def _workload_from_trace_file(path: Path) -> SyntheticWorkload:
     trace = parse_trace(path, "jsonl", label=path.stem)
     start = trace.span[0]
+    needed = [f for f in REQUIRED_FIELDS if f != "duration"]  # a missing duration reads as 0
     jobs = []
     for r in trace.records:
-        missing = [
-            f for f in ("input_bytes", "shuffle_bytes", "output_bytes",
-                        "map_tasks", "reduce_tasks", "map_task_seconds", "reduce_task_seconds")
-            if getattr(r, f) is None
-        ]
+        missing = [f for f in needed if getattr(r, f) is None]
         if missing:
             raise MRTraceError(
                 f"workload job {r.job_id} is missing {missing}; not a replayable workload"
             )
-        jobs.append(
-            SyntheticJob(
-                submit_offset=r.submit_time - start,
-                input_bytes=r.input_bytes,
-                shuffle_bytes=r.shuffle_bytes,
-                output_bytes=r.output_bytes,
-                map_tasks=r.map_tasks,
-                reduce_tasks=r.reduce_tasks,
-                map_task_seconds=r.map_task_seconds,
-                reduce_task_seconds=r.reduce_task_seconds,
-                duration=r.duration if r.duration is not None else 0,
-                source_job_id=r.job_id,
-                name=r.name,
-            )
-        )
+        jobs.append(SyntheticJob(submit_offset=r.submit_time - start, duration=r.duration or 0,
+                                 source_job_id=r.job_id, name=r.name,
+                                 **{f: getattr(r, f) for f in needed}))
     return SyntheticWorkload(
         jobs=jobs,
         target_machine_count=1,

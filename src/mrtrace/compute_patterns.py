@@ -10,7 +10,6 @@ from typing import Optional
 
 import numpy as np
 
-from .columns import columns
 from .errors import KTooLarge, NoData
 from .trace import Trace
 
@@ -104,34 +103,32 @@ def name_breakdown(trace: Trace, weighting: str, min_fraction: float = 0.0) -> N
     """
     if weighting not in ("jobs", "io_bytes", "task_time"):
         raise ValueError(f"unknown weighting {weighting!r}")
-    records = trace.records
-    if not any(r.name is not None for r in records):
+    cols = trace.columns
+    if (cols.name_codes < 0).all():
         raise NoData("trace contains no job names")
 
-    memo: dict[str, str] = {}
-    weights: dict[str, float] = {}
-    for r in records:
-        if weighting == "jobs":
-            w = 1.0
-        elif weighting == "io_bytes":
-            if r.input_bytes is None or r.shuffle_bytes is None or r.output_bytes is None:
-                continue
-            w = float(r.input_bytes + r.shuffle_bytes + r.output_bytes)
-        else:
-            if r.map_task_seconds is None or r.reduce_task_seconds is None:
-                continue
-            w = r.map_task_seconds + r.reduce_task_seconds
-        name = r.name or ""
-        token = memo.get(name)
-        if token is None:
-            token = memo[name] = first_word(r.name)
-        weights[token] = weights.get(token, 0.0) + w
-
-    total = sum(weights.values())
+    if weighting == "jobs":
+        w = np.ones(len(cols))
+    elif weighting == "io_bytes":
+        w = cols.input_bytes + cols.shuffle_bytes + cols.output_bytes
+    else:
+        w = cols.map_task_seconds + cols.reduce_task_seconds
+    keep = ~np.isnan(w)
+    # One token per distinct name; the extra last slot is code -1, no name.
+    tokens, token_of_name = np.unique([first_word(n) for n in cols.names + (None,)],
+                                      return_inverse=True)
+    job_token = token_of_name[cols.name_codes[keep]]
+    weights = np.bincount(job_token, weights=w[keep], minlength=tokens.size)
+    # Tokens in order of first use, so the total adds up in the same order
+    # as a running per-job sum would.
+    used, first = np.unique(job_token, return_index=True)
+    used = used[np.argsort(first)]
+    total = sum(weights[used].tolist())
     if total <= 0:
         raise NoData(f"no job carries the fields needed for weighting={weighting}")
 
-    ranked = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = sorted(zip(tokens[used].tolist(), weights[used].tolist()),
+                    key=lambda kv: (-kv[1], kv[0]))
     entries = []
     other = 0.0
     for token, w in ranked:
@@ -150,7 +147,7 @@ def job_feature_vectors(trace: Trace) -> JobFeatureMatrix:
     (population) variance; the sizes span many orders of magnitude, so raw
     Euclidean distance would be meaningless.
     """
-    cols = columns(trace)
+    cols = trace.columns
     stacked = np.stack(
         [getattr(cols, name) for name in FEATURE_NAMES],
         axis=1,
@@ -172,7 +169,7 @@ def job_feature_vectors(trace: Trace) -> JobFeatureMatrix:
         stds=stds_adj,
         zero_variance_dims=tuple(np.array(FEATURE_NAMES)[zero_var]),
     )
-    job_ids = np.asarray([r.job_id for r in trace.records])[complete]
+    job_ids = cols.job_id[complete]
     return JobFeatureMatrix(
         rows=rows,
         raw=raw,
@@ -182,21 +179,9 @@ def job_feature_vectors(trace: Trace) -> JobFeatureMatrix:
     )
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # ||x - c||^2 via expansion; clamp tiny negatives from cancellation.
-    d2 = (
-        (points * points).sum(axis=1)[:, None]
-        - 2.0 * points @ centroids.T
-        + (centroids * centroids).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
-
-
-def _nearest(points, centroids, x_norms=None):
+def _nearest(points, centroids, x_norms):
     """Assignment to the closest centroid (ties to the lowest index) and
     the squared distance to it. x_norms is the reusable per-point norm."""
-    if x_norms is None:
-        x_norms = (points * points).sum(axis=1)
     d2 = points @ centroids.T
     d2 *= -2.0
     d2 += x_norms[:, None]
@@ -245,7 +230,8 @@ def kmeans(matrix: JobFeatureMatrix, k: int, seed: int) -> ClusterModel:
     rng = np.random.default_rng(seed)
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
-    d2 = _sq_dists(points, centroids[:1])[:, 0]
+    x_norms = (points * points).sum(axis=1)
+    d2 = _nearest(points, centroids[:1], x_norms)[1]
     for j in range(1, k):
         total = d2.sum()
         if total > 0:
@@ -253,9 +239,8 @@ def kmeans(matrix: JobFeatureMatrix, k: int, seed: int) -> ClusterModel:
         else:
             idx = rng.integers(n)
         centroids[j] = points[idx]
-        d2 = np.minimum(d2, _sq_dists(points, centroids[j : j + 1])[:, 0])
+        d2 = np.minimum(d2, _nearest(points, centroids[j : j + 1], x_norms)[1])
 
-    x_norms = (points * points).sum(axis=1)
     prev = None
     converged = False
     for _ in range(100):
@@ -320,17 +305,6 @@ def elbow_fit(
             return best
         best = nxt
     return best
-
-
-def select_k(
-    matrix: JobFeatureMatrix,
-    k_max: int,
-    improvement_threshold: float = 0.10,
-    seed: int = 42,
-    restarts: int = 5,
-) -> int:
-    """Elbow-selected cluster count (see elbow_fit)."""
-    return elbow_fit(matrix, k_max, improvement_threshold, seed, restarts).k
 
 
 def summarize_clusters(trace: Trace, model: ClusterModel) -> ClusterSummary:

@@ -10,7 +10,6 @@ from typing import Optional
 
 import numpy as np
 
-from .columns import columns
 from .errors import InsufficientData, NoData
 from .trace import Trace
 
@@ -102,7 +101,7 @@ def data_size_cdf(trace: Trace, dimension: str) -> EmpiricalCDF:
     Jobs missing the dimension are excluded; they can be counted by the
     caller as record_count - sample_count.
     """
-    col = columns(trace).bytes_column(dimension)
+    col = trace.columns.bytes_column(dimension)
     vals = col[~np.isnan(col)]
     if vals.size == 0:
         raise NoData(f"no record carries {dimension}_bytes")
@@ -115,7 +114,7 @@ def access_frequency_rank(trace: Trace, side: str) -> RankedAccessTable:
     Each job counts as one access of its path. Ties in count are broken
     by digest value so the ranking is deterministic.
     """
-    cols = columns(trace)
+    cols = trace.columns
     hashes, present = cols.hash_column(side)
     if not present.any():
         raise NoData(f"no record carries {side}_path_hash")
@@ -159,11 +158,7 @@ def fit_zipf(table: RankedAccessTable) -> ZipfFit:
     intercept = ym - slope * xm
     resid = y - (slope * x + intercept)
     ss_res = float(resid @ resid)
-    ss_tot = float(dy @ dy)
-    if ss_tot == 0.0:
-        r2 = 1.0  # constant counts: the flat line fits exactly
-    else:
-        r2 = 1.0 - ss_res / ss_tot
+    r2 = 1.0 - ss_res / float(dy @ dy)
     return ZipfFit(slope=abs(slope), intercept=intercept,
                    r_squared=min(max(r2, 0.0), 1.0), n_points=n)
 
@@ -183,9 +178,11 @@ def _file_sizes(trace: Trace, side: str):
     """Distinct digests with file size = max bytes observed for the digest.
 
     Only jobs carrying both the path hash and the byte count participate;
-    returns (digests, max_sizes, per_job_group_index, n_jobs).
+    returns (digests, max_sizes, per_job_group_index, n_jobs). Raises
+    NoData when the files hold 0 bytes in total, since no fraction of
+    stored bytes is defined then.
     """
-    cols = columns(trace)
+    cols = trace.columns
     hashes, present = cols.hash_column(side)
     sizes = cols.bytes_column(side)
     mask = present & ~np.isnan(sizes)
@@ -195,6 +192,8 @@ def _file_sizes(trace: Trace, side: str):
     digests, inverse = np.unique(hashes, return_inverse=True)
     max_size = np.zeros(digests.size)
     np.maximum.at(max_size, inverse, sizes)
+    if not max_size.any():
+        raise NoData(f"every {side} file is 0 bytes")
     return digests, max_size, inverse, int(hashes.size)
 
 
@@ -241,44 +240,30 @@ def reaccess_intervals(trace: Trace) -> ReaccessStats:
     fraction counts jobs whose input path appeared earlier in the trace
     as any input or output.
     """
-    cols = columns(trace)
+    cols = trace.columns
     if not cols.input_hash_present.any():
         raise NoData("no record carries input_path_hash")
 
-    last_touch: dict[int, int] = {}
-    seen: set[int] = set()
-    gaps: list[int] = []
-    jobs_with_input = 0
-    reaccess_jobs = 0
+    # Every touch as (digest, job, write after read): sorted, the entry
+    # before a read of the same digest is the latest earlier touch of it.
+    readers = np.flatnonzero(cols.input_hash_present)
+    writers = np.flatnonzero(cols.output_hash_present)
+    job = np.concatenate([readers, writers])
+    is_write = np.arange(job.size) >= readers.size
+    digest = np.concatenate([cols.input_path_hash[readers], cols.output_path_hash[writers]])
+    order = np.lexsort((is_write, job, digest))
+    job, digest, is_write = job[order], digest[order], is_write[order]
+    reread = ~is_write[1:] & (digest[1:] == digest[:-1])
+    # Jobs are in submit order, so each gap is >= 0 and the uint64
+    # difference is exact for any int64 submit times.
+    t = cols.submit_time.view(np.uint64)
+    gaps = t[job[1:][reread]] - t[job[:-1][reread]]
 
-    in_hash = cols.input_path_hash
-    in_present = cols.input_hash_present
-    out_hash = cols.output_path_hash
-    out_present = cols.output_hash_present
-    submit = cols.submit_time
-
-    for i in range(len(submit)):
-        t = int(submit[i])
-        if in_present[i]:
-            h = int(in_hash[i])
-            jobs_with_input += 1
-            if h in seen:
-                reaccess_jobs += 1
-            prev = last_touch.get(h)
-            if prev is not None:
-                gaps.append(t - prev)
-            last_touch[h] = t
-            seen.add(h)
-        if out_present[i]:
-            h = int(out_hash[i])
-            last_touch[h] = t
-            seen.add(h)
-
-    if gaps:
-        cdf = EmpiricalCDF.from_samples(np.asarray(gaps, dtype=np.float64))
+    if gaps.size:
+        cdf = EmpiricalCDF.from_samples(gaps)
     else:
         cdf = EmpiricalCDF(values=np.empty(0), fractions=np.empty(0), sample_count=0)
     return ReaccessStats(
         interval_cdf=cdf,
-        reaccess_job_fraction=reaccess_jobs / jobs_with_input,
+        reaccess_job_fraction=int(reread.sum()) / readers.size,
     )

@@ -20,9 +20,8 @@ from . import __version__
 from . import compute_patterns as cp
 from . import data_access as da
 from . import temporal as ts
-from .columns import columns
 from .errors import MRTraceError
-from .trace import FNV64_OFFSET_BASIS, HASH_ALGORITHM, OPTIONAL_FIELDS, Trace
+from .trace import FNV64_OFFSET_BASIS, HASH_ALGORITHM, Trace
 
 DEFAULT_SEED = 42
 DEFAULT_BUCKET_WIDTH = 3600
@@ -80,17 +79,17 @@ def _format_cell(c) -> str:
     return str(c)
 
 
-def _cdf_rows(cdf: da.EmpiricalCDF):
-    """CDF points for plotting, decimated past MAX_PLOT_POINTS.
+def _plot_rows(*columns: np.ndarray) -> list[tuple]:
+    """Rows of parallel columns for plotting, decimated past MAX_PLOT_POINTS.
 
     Figures cannot resolve millions of steps; decimation keeps the first
-    and last point so the curve still spans [min, 1.0].
+    and last point so a curve still spans its full range.
     """
-    values, fractions = cdf.values, cdf.fractions
-    if values.size > MAX_PLOT_POINTS:
-        idx = np.unique(np.linspace(0, values.size - 1, MAX_PLOT_POINTS).astype(np.int64))
-        values, fractions = values[idx], fractions[idx]
-    return list(zip(values.tolist(), fractions.tolist()))
+    n = columns[0].size
+    if n > MAX_PLOT_POINTS:
+        idx = np.unique(np.linspace(0, n - 1, MAX_PLOT_POINTS).astype(np.int64))
+        columns = [c[idx] for c in columns]
+    return list(zip(*(c.tolist() for c in columns)))
 
 
 def _cdf_section(cdf: da.EmpiricalCDF, excluded: int) -> dict:
@@ -142,7 +141,7 @@ class ReportBuilder:
             "span": list(t.span),
             "span_hours": (t.span[1] - t.span[0]) / 3600.0,
         }
-        self.sections["missing_fields"] = self._missing_counts()
+        self.sections["missing_fields"] = t.columns.missing_counts()
 
         for dim in ("input", "shuffle", "output"):
             self._run(f"data_sizes.{dim}", lambda d=dim: self._data_sizes(d))
@@ -151,9 +150,8 @@ class ReportBuilder:
             self._run(f"access_vs_size.{side}", lambda s=side: self._access_vs_size(s))
             self._run(f"eighty_x.{side}", lambda s=side: self._eighty_x(s))
         self._run("reaccess", self._reaccess)
-        for dim in ("jobs_submitted", "data_size_bytes", "compute_time_task_seconds"):
+        for dim in ts.DIMENSIONS:
             self._run(f"time_series.{dim}", lambda d=dim: self._series_section(d))
-        self._run("time_series.occupancy_slots", self._occupancy_section)
         self._run("burstiness", self._burstiness)
         self._run("correlations", self._correlations)
         self._run("periodogram", self._periodogram)
@@ -182,34 +180,16 @@ class ReportBuilder:
         self.sections["skipped"] = self.skips
         return self.sections
 
-    def _missing_counts(self) -> dict:
-        cols = columns(self.trace)
-        out = {}
-        for name in OPTIONAL_FIELDS:
-            if name == "name":
-                out[name] = sum(1 for r in self.trace.records if r.name is None)
-            elif name.endswith("_path_hash"):
-                present = getattr(cols, name.replace("_path", "").replace("hash", "hash_present"))
-                out[name] = int((~present).sum())
-            else:
-                out[name] = int(np.isnan(getattr(cols, name)).sum())
-        return out
-
     def _data_sizes(self, dim: str) -> dict:
         cdf = da.data_size_cdf(self.trace, dim)
-        self.plots[f"fig1_{dim}.tsv"] = _cdf_rows(cdf)
+        self.plots[f"fig1_{dim}.tsv"] = _plot_rows(cdf.values, cdf.fractions)
         out = {"operation": "data_size_cdf", "dimension": dim}
         out.update(_cdf_section(cdf, len(self.trace.records) - cdf.sample_count))
         return out
 
     def _zipf(self, side: str) -> dict:
         table = da.access_frequency_rank(self.trace, side)
-        ranks = np.arange(1, len(table) + 1)
-        counts = table.counts
-        if len(table) > MAX_PLOT_POINTS:
-            idx = np.unique(np.linspace(0, len(table) - 1, MAX_PLOT_POINTS).astype(np.int64))
-            ranks, counts = ranks[idx], counts[idx]
-        self.plots[f"fig2_{side}.tsv"] = list(zip(ranks.tolist(), counts.tolist()))
+        self.plots[f"fig2_{side}.tsv"] = _plot_rows(np.arange(1, len(table) + 1), table.counts)
         out = {"operation": "access_frequency_rank + fit_zipf", "side": side,
                "n_files": len(table), "n_accesses": int(table.counts.sum())}
         for label, tbl in (("full", table), ("tail_trimmed", da.tail_trimmed(table))):
@@ -228,8 +208,8 @@ class ReportBuilder:
     def _access_vs_size(self, side: str) -> dict:
         jobs_cdf, bytes_cdf = da.access_vs_size_curves(self.trace, side)
         fig = "fig3" if side == "input" else "fig4"
-        self.plots[f"{fig}_{side}_jobs.tsv"] = _cdf_rows(jobs_cdf)
-        self.plots[f"{fig}_{side}_bytes.tsv"] = _cdf_rows(bytes_cdf)
+        self.plots[f"{fig}_{side}_jobs.tsv"] = _plot_rows(jobs_cdf.values, jobs_cdf.fractions)
+        self.plots[f"{fig}_{side}_bytes.tsv"] = _plot_rows(bytes_cdf.values, bytes_cdf.fractions)
         return {
             "operation": "access_vs_size_curves",
             "side": side,
@@ -244,17 +224,17 @@ class ReportBuilder:
 
     def _reaccess(self) -> dict:
         stats = da.reaccess_intervals(self.trace)
-        self.plots["fig5_reaccess_intervals.tsv"] = _cdf_rows(stats.interval_cdf)
+        gaps = stats.interval_cdf
+        self.plots["fig5_reaccess_intervals.tsv"] = _plot_rows(gaps.values, gaps.fractions)
         self.plots["fig6_preexisting_input.tsv"] = [
             (self.trace.label, stats.reaccess_job_fraction)
         ]
         out = {
             "operation": "reaccess_intervals",
             "reaccess_job_fraction": stats.reaccess_job_fraction,
-            "interval_count": stats.interval_cdf.sample_count,
+            "interval_count": gaps.sample_count,
         }
-        if stats.interval_cdf.sample_count:
-            gaps = stats.interval_cdf
+        if gaps.sample_count:
             out["within_6h_fraction"] = gaps.fraction_at(6 * 3600)
             out["median_interval_seconds"] = float(
                 gaps.values[np.searchsorted(gaps.fractions, 0.5)]
@@ -271,16 +251,8 @@ class ReportBuilder:
         self.plots[f"fig7_{dim}.tsv"] = list(
             zip(range(len(series)), series.values.tolist())
         )
-        out = {"operation": "bucket_time_series", "dimension": dim}
-        out.update(_series_stats(series))
-        return out
-
-    def _occupancy_section(self) -> dict:
-        series = self._series("occupancy_slots")
-        self.plots["fig7_occupancy_slots.tsv"] = list(
-            zip(range(len(series)), series.values.tolist())
-        )
-        out = {"operation": "occupancy_series", "dimension": "occupancy_slots"}
+        operation = "occupancy_series" if dim == "occupancy_slots" else "bucket_time_series"
+        out = {"operation": operation, "dimension": dim}
         out.update(_series_stats(series))
         return out
 
@@ -306,15 +278,11 @@ class ReportBuilder:
         if not curves:
             raise MRTraceError("no dimension supports a burstiness curve")
         if "compute_time_task_seconds" in curves:
-            self.plots["fig8_tasktime.tsv"] = [
-                (r, p) for r, p in curves["compute_time_task_seconds"].points
-            ]
+            self.plots["fig8_tasktime.tsv"] = curves["compute_time_task_seconds"].points
         buckets = max(24, len(self._series("jobs_submitted")))
         for kind, tag in (("range_equals_mean", "sine_mean"), ("range_equals_tenth_of_mean", "sine_tenth")):
             ref = ts.sine_reference(kind, buckets)
-            self.plots[f"fig8_{tag}.tsv"] = [
-                (r, p) for r, p in ts.burstiness_curve(ref).points
-            ]
+            self.plots[f"fig8_{tag}.tsv"] = ts.burstiness_curve(ref).points
         return out
 
     def _correlations(self) -> dict:

@@ -12,6 +12,7 @@ from typing import Optional
 
 import numpy as np
 
+from .columns import NUMERIC, TraceColumns
 from .errors import NoCompleteJobs, NoData, SpanTooLong
 from .trace import JobRecord, Trace, hash_path
 
@@ -236,31 +237,21 @@ def workload_to_trace(workload: SyntheticWorkload, label: Optional[str] = None) 
     pre-population plan (one file per distinct source job) and each job
     writes its own output path.
     """
-    if not workload.jobs:
+    jobs = workload.jobs
+    if not jobs:
         raise NoData("workload has no jobs")
-    records = []
-    for i, job in enumerate(workload.jobs):
-        records.append(
-            JobRecord(
-                job_id=i,
-                submit_time=job.submit_offset,
-                name=job.name,
-                duration=job.duration,
-                input_bytes=job.input_bytes,
-                shuffle_bytes=job.shuffle_bytes,
-                output_bytes=job.output_bytes,
-                map_task_seconds=job.map_task_seconds,
-                reduce_task_seconds=job.reduce_task_seconds,
-                map_tasks=job.map_tasks,
-                reduce_tasks=job.reduce_tasks,
-                input_path_hash=hash_path(f"synthetic/input/{job.source_job_id}"),
-                output_path_hash=hash_path(f"synthetic/output/{i}"),
-            )
-        )
-    span = (0, max(r.submit_time for r in records))
+    submit = [job.submit_offset for job in jobs]
+    columns = TraceColumns.from_fields([
+        range(len(jobs)),
+        submit,
+        [job.name for job in jobs],
+        *([getattr(job, f) for job in jobs] for f in NUMERIC),  # SyntheticJob shares the names
+        [hash_path(f"synthetic/input/{job.source_job_id}") for job in jobs],
+        [hash_path(f"synthetic/output/{i}") for i in range(len(jobs))],
+    ])
     return Trace(
         label=label or f"synthetic:{workload.source_label}",
         machine_count=workload.target_machine_count,
-        records=records,
-        span=span,
+        columns=columns,
+        span=(0, max(submit)),
     )

@@ -10,7 +10,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .columns import columns
 from .errors import InvalidBucketWidth, MedianZero, NoData, TooShort, ZeroVariance
 from .trace import Trace
 
@@ -72,7 +71,7 @@ def bucket_time_series(trace: Trace, dimension: str, bucket_width: int = HOUR_SE
     """
     if bucket_width <= 0:
         raise InvalidBucketWidth(f"bucket_width must be positive, got {bucket_width}")
-    cols = columns(trace)
+    cols = trace.columns
     start, end = trace.span
     n = _bucket_count(start, end, bucket_width)
     idx = _bucket_index(cols.submit_time, start, bucket_width)
@@ -105,7 +104,7 @@ def occupancy_series(trace: Trace, bucket_width: int = HOUR_SECONDS) -> TimeSeri
     """
     if bucket_width <= 0:
         raise InvalidBucketWidth(f"bucket_width must be positive, got {bucket_width}")
-    cols = columns(trace)
+    cols = trace.columns
     total_ts = cols.map_task_seconds + cols.reduce_task_seconds
     mask = ~np.isnan(total_ts) & ~np.isnan(cols.duration)
     if not mask.any():

@@ -1,8 +1,10 @@
-"""Canonical trace data model: job records, parsing, validation, serialization.
+"""Trace files and the Trace type: parsing, validation, serialization.
 
 A trace file is JSON Lines (one job per line) or CSV with a header row.
 Only job_id and submit_time are required; every other dimension may be
-missing and is then left as None, never zero-filled.
+missing and is then left missing, never zero-filled. A parsed Trace
+stores its jobs as columns (see columns.py); Trace.records presents them
+as JobRecords.
 """
 
 from __future__ import annotations
@@ -10,10 +12,15 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Optional
 
+import numpy as np
+
+from .columns import NUMERIC, ROW_FIELDS, JobRecord, RecordView, TraceColumns
 from .errors import (
     EmptyPath,
     EmptyTrace,
@@ -38,47 +45,44 @@ FIELD_NAMES = (
     "output_path_hash",
 )
 
-OPTIONAL_FIELDS = tuple(f for f in FIELD_NAMES if f not in ("job_id", "submit_time"))
-
 # FNV-1a with the standard 64-bit offset basis; the basis acts as a fixed
 # seed so digests are reproducible across runs and recorded in reports.
 HASH_ALGORITHM = "fnv1a64"
 FNV64_OFFSET_BASIS = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
-
-
-@dataclass(frozen=True, slots=True)
-class JobRecord:
-    """Per-job summary: identifiers, sizes, durations, task times, path digests."""
-
-    job_id: int
-    submit_time: int
-    name: Optional[str] = None
-    duration: Optional[int] = None
-    input_bytes: Optional[int] = None
-    shuffle_bytes: Optional[int] = None
-    output_bytes: Optional[int] = None
-    map_task_seconds: Optional[float] = None
-    reduce_task_seconds: Optional[float] = None
-    map_tasks: Optional[int] = None
-    reduce_tasks: Optional[int] = None
-    input_path_hash: Optional[int] = None
-    output_path_hash: Optional[int] = None
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+# Integer fields live in float64 columns, which hold every integer up to
+# 2**53 exactly.
+_MAX_EXACT = 1 << 53
 
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Ordered job records plus cluster metadata.
+    """Jobs of one workload, stored as columns, plus cluster metadata.
 
-    Immutable after construction; identity equality so instances can key
-    weak caches of derived columns.
+    Immutable after construction. Construction checks that jobs are sorted
+    by submit_time and that span covers every submit time, and raises
+    ValueError otherwise; every analysis relies on both.
     """
 
     label: str
     machine_count: int
-    records: list[JobRecord]
+    columns: TraceColumns
     span: tuple[int, int]
+
+    def __post_init__(self):
+        submit = self.columns.submit_time
+        if np.any(submit[1:] < submit[:-1]):
+            raise ValueError("records not sorted by submit_time")
+        lo, hi = self.span
+        if submit.size and not (lo <= submit[0] and submit[-1] <= hi):
+            raise ValueError(f"span {self.span} does not cover every submit time")
+
+    @property
+    def records(self) -> RecordView:
+        """The jobs as read-only JobRecords, built from the columns on access."""
+        return RecordView(self.columns)
 
 
 @dataclass
@@ -110,11 +114,15 @@ def _coerce_nonneg(obj, key, line_no, as_int):
     t = type(v)
     if (t is not int and t is not float) or not v >= 0:
         raise MalformedRecord(line_no, f"{key} must be a non-negative number, got {v!r}")
+    limit = _MAX_EXACT if as_int else sys.float_info.max  # the float limit rejects inf
+    if not v <= limit:
+        raise MalformedRecord(line_no, f"{key} must be at most {limit!r}, got {v!r}")
     return int(v) if as_int else float(v)
 
 
-def _record_from_obj(obj: dict, line_no: int) -> JobRecord:
-    """Build a JobRecord from a decoded jsonl object, checking types and signs."""
+def _record_values(obj: dict, line_no: int) -> tuple:
+    """Check a decoded line's types, signs and ranges; return its values
+    in JobRecord field order, None for a missing field."""
     if not obj.keys() <= _KEY_SET:
         unknown = sorted(obj.keys() - _KEY_SET)
         raise MalformedRecord(line_no, f"unknown field(s) {unknown}")
@@ -124,14 +132,19 @@ def _record_from_obj(obj: dict, line_no: int) -> JobRecord:
         raise MissingRequiredField(line_no, "job_id")
     if type(job_id) is not int or job_id < 0:
         raise MalformedRecord(line_no, f"job_id must be a non-negative integer, got {job_id!r}")
+    if job_id > _I64_MAX:
+        raise MalformedRecord(line_no, f"job_id must fit in int64, got {job_id!r}")
 
     submit = obj.get("submit_time")
     if submit is None:
         raise MissingRequiredField(line_no, "submit_time")
     t = type(submit)
-    if t is not int:
-        if t is not float:
-            raise MalformedRecord(line_no, f"submit_time must be a number, got {submit!r}")
+    if t is not int and t is not float:
+        raise MalformedRecord(line_no, f"submit_time must be a number, got {submit!r}")
+    # Also rejects NaN and infinities.
+    if not _I64_MIN <= submit <= _I64_MAX:
+        raise MalformedRecord(line_no, f"submit_time must be finite and fit in int64, got {submit!r}")
+    if t is float:
         submit = int(submit)
 
     name = obj.get("name")
@@ -143,7 +156,7 @@ def _record_from_obj(obj: dict, line_no: int) -> JobRecord:
         if v is not None and (type(v) is not int or not 0 <= v <= _U64):
             raise MalformedRecord(line_no, f"{key} must be a 64-bit unsigned integer, got {v!r}")
 
-    return JobRecord(
+    return (
         job_id,
         submit,
         name,
@@ -167,11 +180,11 @@ def _iter_jsonl(lines: Iterable[str]):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedRecord(line_no, f"invalid JSON ({exc.msg})") from exc
+        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+            raise MalformedRecord(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(obj, dict):
             raise MalformedRecord(line_no, "line is not a JSON object")
-        yield _record_from_obj(obj, line_no)
+        yield _record_values(obj, line_no)
 
 
 def _iter_csv(lines: Iterable[str]):
@@ -199,7 +212,7 @@ def _iter_csv(lines: Iterable[str]):
                     obj[col] = float(cell) if "." in cell or "e" in cell or "E" in cell else int(cell)
                 except ValueError:
                     raise MalformedRecord(line_no, f"non-numeric value {cell!r} in column {col}")
-        yield _record_from_obj(obj, line_no)
+        yield _record_values(obj, line_no)
 
 
 def _open_lines(source, fmt: str):
@@ -214,6 +227,20 @@ def _open_lines(source, fmt: str):
             data = data.decode("utf-8")
         return io.StringIO(data)
     raise TypeError(f"unsupported trace source {type(source)!r}")
+
+
+def _read_fields(source, fmt: str) -> tuple[list, ...]:
+    """One list per JobRecord field, holding every line's checked value."""
+    values = tuple([] for _ in ROW_FIELDS)
+    appends = tuple(v.append for v in values)
+    fh = _open_lines(source, fmt)
+    try:
+        for row in _iter_jsonl(fh) if fmt == "jsonl" else _iter_csv(fh):
+            for append, v in zip(appends, row):
+                append(v)
+    finally:
+        fh.close()
+    return values
 
 
 def parse_trace(
@@ -235,21 +262,17 @@ def parse_trace(
     if machine_count < 1:
         raise ValueError("machine_count must be positive")
 
-    fh = _open_lines(source, fmt)
-    try:
-        it = _iter_jsonl(fh) if fmt == "jsonl" else _iter_csv(fh)
-        records = list(it)
-    finally:
-        fh.close()
-
-    if not records:
+    cols = TraceColumns.from_fields(_read_fields(source, fmt))
+    if not len(cols):
         raise EmptyTrace("trace contains no records")
 
-    records.sort(key=lambda r: r.submit_time)
-    lo, hi = records[0].submit_time, records[-1].submit_time
+    cols = cols.take(np.argsort(cols.submit_time, kind="stable"))
     if span is None:
-        span = (lo, hi)
-    return Trace(label=label, machine_count=machine_count, records=records, span=span)
+        span = (int(cols.submit_time[0]), int(cols.submit_time[-1]))
+    return Trace(label=label, machine_count=machine_count, columns=cols, span=span)
+
+
+_FILE_ORDER = itemgetter(*(ROW_FIELDS.index(k) for k in FIELD_NAMES))
 
 
 def serialize_trace(trace: Trace, dest) -> None:
@@ -257,12 +280,8 @@ def serialize_trace(trace: Trace, dest) -> None:
     own = isinstance(dest, (str, Path))
     fh = open(dest, "w", encoding="utf-8") if own else dest
     try:
-        for r in trace.records:
-            obj = {}
-            for key in FIELD_NAMES:
-                v = getattr(r, key)
-                if v is not None:
-                    obj[key] = v
+        for row in trace.columns.tuples():
+            obj = {k: v for k, v in zip(FIELD_NAMES, _FILE_ORDER(row)) if v is not None}
             fh.write(json.dumps(obj, separators=(",", ":")))
             fh.write("\n")
     finally:
@@ -270,47 +289,36 @@ def serialize_trace(trace: Trace, dest) -> None:
             fh.close()
 
 
+def _truthy(col: np.ndarray) -> np.ndarray:
+    """Present and nonzero."""
+    return (col != 0) & ~np.isnan(col)
+
+
 def validate(trace: Trace) -> ValidationReport:
-    """Report per-field missing counts and invariant violations; pure, never mutates."""
-    missing = {name: 0 for name in OPTIONAL_FIELDS}
-    anomalies: list[tuple[int, str]] = []
-    seen_ids: set[int] = set()
-    prev_submit = None
-    lo, hi = trace.span
+    """Report per-field missing counts and invariant violations; pure, never mutates.
 
-    for r in trace.records:
-        for name in OPTIONAL_FIELDS:
-            if getattr(r, name) is None:
-                missing[name] += 1
-
-        if r.job_id in seen_ids:
-            anomalies.append((r.job_id, "duplicate job_id"))
-        else:
-            seen_ids.add(r.job_id)
-
-        if prev_submit is not None and r.submit_time < prev_submit:
-            anomalies.append((r.job_id, "records not sorted by submit_time"))
-        prev_submit = r.submit_time
-        if not lo <= r.submit_time <= hi:
-            anomalies.append((r.job_id, f"submit_time {r.submit_time} outside span {trace.span}"))
-
-        if r.duration is not None and r.duration < 0:
-            anomalies.append((r.job_id, "negative duration"))
-        for name in ("input_bytes", "shuffle_bytes", "output_bytes",
-                     "map_task_seconds", "reduce_task_seconds", "map_tasks", "reduce_tasks"):
-            v = getattr(r, name)
-            if v is not None and v < 0:
-                anomalies.append((r.job_id, f"negative {name}"))
-
-        if r.map_tasks == 0 and r.map_task_seconds:
-            anomalies.append((r.job_id, "map_tasks=0 but map_task_seconds>0"))
-        if r.reduce_tasks == 0 and r.reduce_task_seconds:
-            anomalies.append((r.job_id, "reduce_tasks=0 but reduce_task_seconds>0"))
-        if r.reduce_tasks == 0 and r.shuffle_bytes:
-            anomalies.append((r.job_id, "map-only job (reduce_tasks=0) but shuffle_bytes>0"))
-
+    Anomalies are listed job by job in trace order, each job's in the
+    order of the checks below.
+    """
+    cols = trace.columns
+    duplicate = np.ones(len(cols), dtype=bool)
+    duplicate[np.unique(cols.job_id, return_index=True)[1]] = False
+    checks = [(duplicate, "duplicate job_id")]
+    checks += [(getattr(cols, name) < 0, f"negative {name}") for name in NUMERIC]
+    checks += [
+        ((cols.map_tasks == 0) & _truthy(cols.map_task_seconds),
+         "map_tasks=0 but map_task_seconds>0"),
+        ((cols.reduce_tasks == 0) & _truthy(cols.reduce_task_seconds),
+         "reduce_tasks=0 but reduce_task_seconds>0"),
+        ((cols.reduce_tasks == 0) & _truthy(cols.shuffle_bytes),
+         "map-only job (reduce_tasks=0) but shuffle_bytes>0"),
+    ]
+    rows, kinds = np.nonzero(np.stack([mask for mask, _ in checks], axis=1))
+    anomalies = [
+        (job_id, checks[k][1]) for job_id, k in zip(cols.job_id[rows].tolist(), kinds.tolist())
+    ]
     return ValidationReport(
-        record_count=len(trace.records),
-        missing_field_counts=missing,
+        record_count=len(cols),
+        missing_field_counts=cols.missing_counts(),
         anomalies=anomalies,
     )

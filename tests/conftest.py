@@ -7,6 +7,7 @@ import random
 import pytest
 
 from mrtrace import JobRecord, Trace
+from mrtrace.columns import TraceColumns
 
 
 def rec(job_id, submit_time, **kw):
@@ -17,7 +18,8 @@ def make_trace(records, label="test", machines=1, span=None):
     records = sorted(records, key=lambda r: r.submit_time)
     if span is None:
         span = (records[0].submit_time, records[-1].submit_time)
-    return Trace(label=label, machine_count=machines, records=list(records), span=span)
+    return Trace(label=label, machine_count=machines, columns=TraceColumns.from_records(records),
+                 span=span)
 
 
 def full_rec(job_id, submit_time, *, name="job", duration=60, input_bytes=1000,

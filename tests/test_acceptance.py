@@ -98,7 +98,7 @@ def test_criterion_04_clustering_recovery():
     gaps = [np.linalg.norm(centers[a] - centers[b]) for a, b in ((0, 1), (0, 2), (1, 2))]
     assert min(gaps) >= 8 * within
 
-    assert mt.select_k(matrix, k_max=10, seed=42) == 3
+    assert mt.elbow_fit(matrix, k_max=10, seed=42).k == 3
 
     models = [mt.fit_best(matrix, 3, seed=42) for _ in range(3)]
     for m in models[1:]:
@@ -107,7 +107,7 @@ def test_criterion_04_clustering_recovery():
 
     agreement = best_permutation_agreement(models[0].assignments.tolist(), labels, 3)
     assert agreement >= 0.99
-    ok(4, f"3 planted job types: select_k = 3, {agreement:.1%} label agreement, 3 reruns identical")
+    ok(4, f"3 planted job types: elbow k = 3, {agreement:.1%} label agreement, 3 reruns identical")
 
 
 def test_criterion_05_eighty_x_exhaustive():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from mrtrace.cli import main
-from conftest import mixed_workload_trace, trace_to_jsonl
+from conftest import make_trace, mixed_workload_trace, trace_to_jsonl
 
 
 @pytest.fixture
@@ -37,11 +38,8 @@ class TestAnalyze:
         assert a.read_bytes() == b.read_bytes()
 
     def test_nameless_trace_skips_names_section(self, tmp_path):
-        t = mixed_workload_trace(n_jobs=100, seed=61)
-        t.records[:] = [
-            type(r)(**{**{f: getattr(r, f) for f in r.__dataclass_fields__}, "name": None})
-            for r in t.records
-        ]
+        named = mixed_workload_trace(n_jobs=100, seed=61)
+        t = make_trace([dataclasses.replace(r, name=None) for r in named.records])
         path = trace_to_jsonl(t, tmp_path / "noname.jsonl")
         out = tmp_path / "r.json"
         code = main(["analyze", "--trace", str(path), "--out", str(out)])

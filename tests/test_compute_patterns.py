@@ -8,12 +8,12 @@ import pytest
 from mrtrace import (
     KTooLarge,
     NoData,
+    elbow_fit,
     first_word,
     fit_best,
     job_feature_vectors,
     kmeans,
     name_breakdown,
-    select_k,
     summarize_clusters,
 )
 from mrtrace.compute_patterns import FEATURE_NAMES, UNNAMED
@@ -233,7 +233,7 @@ class TestSelectK:
     def test_three_planted_clusters(self):
         trace, _ = planted_clusters(n_per=100)
         m = job_feature_vectors(trace)
-        assert select_k(m, k_max=8, seed=5) == 3
+        assert elbow_fit(m, k_max=8, seed=5).k == 3
         # Brute-force variance table: the elbow rule picks the first k whose
         # k+1 refit improves by < 10%.
         rv = {k: fit_best(m, k, 5).residual_variance for k in range(1, 6)}
@@ -243,7 +243,7 @@ class TestSelectK:
     def test_identical_points_give_one(self):
         t = make_trace([full_rec(i, i) for i in range(20)])
         m = job_feature_vectors(t)
-        assert select_k(m, k_max=5, seed=0) == 1
+        assert elbow_fit(m, k_max=5, seed=0).k == 1
 
     def test_variance_non_increasing_in_k(self):
         trace, _ = planted_clusters(n_per=60)

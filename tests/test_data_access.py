@@ -1,8 +1,11 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrtrace import (
     InsufficientData,
@@ -15,8 +18,9 @@ from mrtrace import (
     reaccess_intervals,
     tail_trimmed,
 )
+from mrtrace.cli import main
 from mrtrace.data_access import EmpiricalCDF, RankedAccessTable
-from conftest import make_trace, rec
+from conftest import full_rec, make_trace, rec, trace_to_jsonl
 
 GB = 10**9
 
@@ -242,7 +246,65 @@ class TestEightyX:
         assert xs == sorted(xs)
 
 
+def test_zero_byte_side_is_no_data(tmp_path):
+    # Six jobs read three 0-byte input files; their outputs have bytes.
+    t = make_trace([full_rec(i, i * 60, input_bytes=0, input_path_hash=i % 3,
+                             output_path_hash=100 + i) for i in range(6)])
+    with pytest.raises(NoData):
+        eighty_x_rule(t, "input")
+    with pytest.raises(NoData):
+        access_vs_size_curves(t, "input")
+    assert eighty_x_rule(t, "output") == pytest.approx(5 / 6 * 100)
+
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--trace", str(trace_to_jsonl(t, tmp_path / "t.jsonl")),
+                 "--out", str(out)]) == 0
+    skipped = {s["section"] for s in json.loads(out.read_text())["skipped"]}
+    assert {"access_vs_size.input", "eighty_x.input"} <= skipped
+    assert not skipped & {"access_vs_size.output", "eighty_x.output"}
+
+
+def reaccess_oracle(records):
+    """Per-job loop over records in trace order: the gap from the latest
+    touch of a path to each later read of it, and the re-reading share."""
+    last_touch = {}
+    gaps = []
+    jobs_with_input = reaccess_jobs = 0
+    for r in records:
+        if r.input_path_hash is not None:
+            jobs_with_input += 1
+            prev = last_touch.get(r.input_path_hash)
+            if prev is not None:
+                reaccess_jobs += 1
+                gaps.append(r.submit_time - prev)
+            last_touch[r.input_path_hash] = r.submit_time
+        if r.output_path_hash is not None:
+            last_touch[r.output_path_hash] = r.submit_time
+    return sorted(gaps), reaccess_jobs / jobs_with_input
+
+
 class TestReaccess:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(-5, 5) | st.sampled_from([-(2**63), 2**63 - 1]),
+        st.none() | st.integers(0, 3) | st.just(2**64 - 1),
+        st.none() | st.integers(0, 3) | st.just(2**64 - 1),
+    ), min_size=1, max_size=12))
+    def test_matches_per_job_loop(self, jobs):
+        t = make_trace([rec(i, ts, input_path_hash=a, output_path_hash=b)
+                        for i, (ts, a, b) in enumerate(jobs)])
+        if not any(a is not None for _, a, _ in jobs):
+            with pytest.raises(NoData):
+                reaccess_intervals(t)
+            return
+        gaps, fraction = reaccess_oracle(t.records)
+        stats = reaccess_intervals(t)
+        assert stats.reaccess_job_fraction == fraction
+        assert stats.interval_cdf.sample_count == len(gaps)
+        if gaps:
+            expected = EmpiricalCDF.from_samples(np.asarray(gaps, dtype=np.float64))
+            assert stats.interval_cdf.points == expected.points
+
     def test_rereads_of_one_file(self):
         t = make_trace([rec(i, ts, input_path_hash=1) for i, ts in enumerate((0, 3600, 7200))])
         stats = reaccess_intervals(t)

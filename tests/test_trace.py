@@ -7,13 +7,17 @@ import pytest
 from mrtrace import (
     EmptyPath,
     EmptyTrace,
+    JobRecord,
     MalformedRecord,
     MissingRequiredField,
+    Trace,
     hash_path,
     parse_trace,
     serialize_trace,
     validate,
 )
+from mrtrace.cli import main
+from mrtrace.columns import TraceColumns
 from conftest import full_rec, make_trace, rec
 
 
@@ -110,7 +114,86 @@ class TestParse:
         buf = io.StringIO()
         serialize_trace(t1, buf)
         t2 = parse_trace(buf.getvalue().encode())
-        assert t2.records == t1.records
+        assert list(t2.records) == list(t1.records)
+
+
+# (field, literal) pairs that are valid JSON or CSV but no column can hold:
+# non-finite values, integers past int64, and integer fields past 2**53,
+# where float64 columns stop being exact.
+NON_REPRESENTABLE = [
+    ("submit_time", "NaN"),
+    ("submit_time", "Infinity"),
+    ("submit_time", "1e400"),
+    ("submit_time", "100000000000000000000"),
+    ("job_id", "9223372036854775808"),
+    ("duration", "1e400"),
+    ("map_task_seconds", "Infinity"),
+    ("reduce_task_seconds", "1e400"),
+    ("input_bytes", "9007199254740993"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("field,literal", NON_REPRESENTABLE)
+def test_non_representable_number_is_malformed(tmp_path, capsys, fmt, field, literal):
+    good = {"job_id": "1", "submit_time": "0"}
+    bad = {"job_id": "2", "submit_time": "5", field: literal}
+    if fmt == "jsonl":
+        text = "".join("{" + ",".join(f'"{k}":{v}' for k, v in row.items()) + "}\n"
+                       for row in (good, bad))
+        bad_line = 2
+    else:
+        keys = list(bad)
+        text = "\n".join(",".join(row.get(k, "") for k in keys) for row in (
+            dict(zip(keys, keys)), good, bad)) + "\n"
+        bad_line = 3
+    with pytest.raises(MalformedRecord) as ei:
+        parse_trace(text.encode(), fmt)
+    assert ei.value.line_no == bad_line
+    assert field in ei.value.reason
+
+    path = tmp_path / f"bad.{fmt}"
+    path.write_text(text)
+    assert main(["analyze", "--trace", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"line {bad_line}" in err and "Traceback" not in err
+
+
+def test_overlong_integer_literal_is_malformed():
+    with pytest.raises(MalformedRecord) as ei:
+        parse_trace(jl({"job_id": 1, "submit_time": 0}) + b'\n{"job_id":2,"submit_time":' + b"1" * 5000 + b"}")
+    assert ei.value.line_no == 2
+
+
+def test_largest_exact_values_are_kept():
+    line = {"job_id": 2**63 - 1, "submit_time": -(2**63), "input_bytes": 2**53,
+            "input_path_hash": 2**64 - 1, "map_task_seconds": 1.7e308}
+    t = parse_trace(jl(line))
+    assert t.records[0] == JobRecord(**line)
+
+
+class TestTraceInvariants:
+    def test_unsorted_records_rejected(self):
+        with pytest.raises(ValueError, match="sorted"):
+            Trace("t", 1, TraceColumns.from_records([rec(1, 10), rec(2, 5)]), span=(5, 10))
+
+    def test_span_must_cover_submit_times(self):
+        with pytest.raises(ValueError, match="span"):
+            make_trace([rec(1, 5), rec(2, 10)], span=(5, 9))
+
+    def test_digest_must_fit_uint64(self):
+        with pytest.raises(ValueError):
+            make_trace([rec(1, 5, input_path_hash=2**64)])
+
+    def test_records_view(self):
+        records = [full_rec(i, i, name=None if i % 2 else f"n{i}") for i in range(5)]
+        t = make_trace(records)
+        assert len(t.records) == 5
+        assert t.records[-1] == records[-1]
+        assert t.records[1:4] == records[1:4]
+        with pytest.raises(IndexError):
+            t.records[5]
+        assert list(t.records) == records
 
 
 class TestValidate:
