@@ -18,7 +18,6 @@ from .errors import (
     SpanTooLong,
     TooShort,
     UnsortedStream,
-    UnsortedWorkload,
     ZeroVariance,
 )
 from .trace import (
@@ -73,13 +72,11 @@ from .compute_patterns import (
 )
 from .synthesis import (
     DataPlan,
-    SyntheticJob,
     SyntheticWorkload,
     WorkloadModel,
     build_workload_model,
     data_prepopulation_plan,
     synthesize,
-    workload_to_trace,
 )
 from .replay_sim import SimConfig, SimResult, sim_occupancy_series, simulate
 from .cache_sim import (

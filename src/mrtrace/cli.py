@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Optional
 
 from . import compute_patterns as cp
 from . import temporal as ts
@@ -30,15 +31,7 @@ from .report import (
     write_report,
     write_tsv_atomic,
 )
-from .synthesis import (
-    REQUIRED_FIELDS,
-    SyntheticJob,
-    SyntheticWorkload,
-    build_workload_model,
-    data_prepopulation_plan,
-    synthesize,
-    workload_to_trace,
-)
+from .synthesis import build_workload_model, data_prepopulation_plan, synthesize
 from .trace import parse_trace, serialize_trace
 
 USAGE_ERROR = 1
@@ -62,12 +55,42 @@ def _default_seed() -> int:
     return 42
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _admission(text: str) -> tuple[str, Optional[int]]:
+    if text == "all":
+        return "all", None
+    if text.startswith("size:"):
+        return "size_at_most", _positive_int(text[5:])
+    raise argparse.ArgumentTypeError(f'expected "all" or "size:<bytes>", got {text!r}')
+
+
+def _eviction(text: str) -> tuple[str, Optional[int]]:
+    if text == "lru":
+        return "lru", None
+    if text.startswith("ttl:"):
+        return "idle_ttl", _positive_int(text[4:])
+    raise argparse.ArgumentTypeError(f'expected "lru" or "ttl:<seconds>", got {text!r}')
+
+
+def _capacities(text: str) -> list[int]:
+    return [_positive_int(c) for c in text.split(",")]
+
+
 def _add_trace_args(p: _Parser):
     p.add_argument("--trace", required=True, help="trace file (jsonl or csv)")
     p.add_argument("--format", choices=("jsonl", "csv"), default=None,
                    help="trace format; default inferred from extension")
     p.add_argument("--label", default=None, help="workload label (default: file stem)")
-    p.add_argument("--machines", type=int, default=1, help="cluster machine count")
+    p.add_argument("--machines", type=_positive_int, default=1, help="cluster machine count")
 
 
 def _load_trace(args):
@@ -87,8 +110,8 @@ def build_parser() -> _Parser:
     p.add_argument("--plots", help="directory for per-figure TSV plot data")
     p.add_argument("--bucket-width", type=int, default=DEFAULT_BUCKET_WIDTH)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
-    p.add_argument("--cluster-sample", type=int, default=DEFAULT_CLUSTER_SAMPLE_CAP,
+    p.add_argument("--k-max", type=_positive_int, default=DEFAULT_K_MAX)
+    p.add_argument("--cluster-sample", type=_positive_int, default=DEFAULT_CLUSTER_SAMPLE_CAP,
                    help="subsample cap for k-means on very large traces")
 
     p = sub.add_parser("burstiness", help="percentile-to-median curve for one dimension")
@@ -101,7 +124,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cluster", help="k-means job typing with elbow k selection")
     _add_trace_args(p)
-    p.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
+    p.add_argument("--k-max", type=_positive_int, default=DEFAULT_K_MAX)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="cluster summary JSON; default stdout")
     p.add_argument("--table", help="aligned-column text table output path")
@@ -113,20 +136,20 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synthesize", help="build a scaled-down synthetic workload")
     _add_trace_args(p)
-    p.add_argument("--target-machines", type=int, required=True)
-    p.add_argument("--target-span", type=int, default=None,
+    p.add_argument("--target-machines", type=_positive_int, required=True)
+    p.add_argument("--target-span", type=_positive_int, default=None,
                    help="seconds of workload to produce (default: source span)")
     p.add_argument("--mode", default="sampled", choices=("sampled", "replay_scaled"))
-    p.add_argument("--window-width", type=int, default=DEFAULT_BUCKET_WIDTH)
+    p.add_argument("--window-width", type=_positive_int, default=DEFAULT_BUCKET_WIDTH)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="synthetic workload jsonl")
     p.add_argument("--data-plan", help="pre-population plan TSV (file_id, size_bytes)")
 
     p = sub.add_parser("simulate", help="replay a workload on a slot-based cluster model")
     p.add_argument("--workload", required=True, help="workload jsonl (canonical schema)")
-    p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--map-slots", type=int, default=2)
-    p.add_argument("--reduce-slots", type=int, default=2)
+    p.add_argument("--nodes", type=_positive_int, required=True)
+    p.add_argument("--map-slots", type=_positive_int, default=2)
+    p.add_argument("--reduce-slots", type=_positive_int, default=2)
     p.add_argument("--scheduler", default="fifo", choices=("fifo", "fair"))
     p.add_argument("--bucket-width", type=int, default=DEFAULT_BUCKET_WIDTH)
     p.add_argument("--out", help="result JSON; default stdout")
@@ -134,12 +157,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cachesim", help="trace-driven storage cache simulation")
     _add_trace_args(p)
-    p.add_argument("--capacity", type=int, required=True, help="cache capacity in bytes")
-    p.add_argument("--admission", default="all",
+    p.add_argument("--capacity", type=_positive_int, required=True, help="cache capacity in bytes")
+    p.add_argument("--admission", type=_admission, default="all",
                    help='"all" or "size:<bytes>" for size-threshold admission')
-    p.add_argument("--eviction", default="lru",
+    p.add_argument("--eviction", type=_eviction, default="lru",
                    help='"lru" or "ttl:<seconds>" for idle-time eviction')
-    p.add_argument("--sweep", default=None,
+    p.add_argument("--sweep", type=_capacities, default=None,
                    help="comma-separated capacities; emits a TSV sweep instead")
     p.add_argument("--out", help="report JSON or sweep TSV; default stdout")
 
@@ -235,9 +258,8 @@ def _cmd_synthesize(args) -> int:
     span = trace.span[1] - trace.span[0]
     target_span = args.target_span if args.target_span is not None else max(span, 1)
     workload = synthesize(model, args.target_machines, target_span, args.mode, seed)
-    synth_trace = workload_to_trace(workload)
     buf = io.StringIO()
-    serialize_trace(synth_trace, buf)
+    serialize_trace(workload.jobs, buf)
     write_atomic(Path(args.out), buf.getvalue())
     if args.data_plan:
         plan = data_prepopulation_plan(workload)
@@ -251,40 +273,16 @@ def _cmd_synthesize(args) -> int:
     return 0
 
 
-def _workload_from_trace_file(path: Path) -> SyntheticWorkload:
-    trace = parse_trace(path, "jsonl", label=path.stem)
-    start = trace.span[0]
-    needed = [f for f in REQUIRED_FIELDS if f != "duration"]  # a missing duration reads as 0
-    jobs = []
-    for r in trace.records:
-        missing = [f for f in needed if getattr(r, f) is None]
-        if missing:
-            raise MRTraceError(
-                f"workload job {r.job_id} is missing {missing}; not a replayable workload"
-            )
-        jobs.append(SyntheticJob(submit_offset=r.submit_time - start, duration=r.duration or 0,
-                                 source_job_id=r.job_id, name=r.name,
-                                 **{f: getattr(r, f) for f in needed}))
-    return SyntheticWorkload(
-        jobs=jobs,
-        target_machine_count=1,
-        scale_factor=1.0,
-        seed=0,
-        mode="file",
-        source_label=trace.label,
-        window_width=DEFAULT_BUCKET_WIDTH,
-    )
-
-
 def _cmd_simulate(args) -> int:
-    workload = _workload_from_trace_file(Path(args.workload))
+    path = Path(args.workload)
+    trace = parse_trace(path, "jsonl", label=path.stem)
     config = SimConfig(
         nodes=args.nodes,
         map_slots_per_node=args.map_slots,
         reduce_slots_per_node=args.reduce_slots,
         scheduler=args.scheduler,
     )
-    result = simulate(workload, config)
+    result = simulate(trace, config)
     out = {
         "jobs": len(result.job_timings),
         "makespan_seconds": result.makespan,
@@ -303,24 +301,10 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_cache_config(args, capacity: int) -> CacheConfig:
-    admission, threshold = "all", None
-    if args.admission != "all":
-        if not args.admission.startswith("size:"):
-            raise MRTraceError(f"bad admission spec {args.admission!r}")
-        admission, threshold = "size_at_most", int(args.admission[5:])
-    eviction, ttl = "lru", None
-    if args.eviction != "lru":
-        if not args.eviction.startswith("ttl:"):
-            raise MRTraceError(f"bad eviction spec {args.eviction!r}")
-        eviction, ttl = "idle_ttl", int(args.eviction[4:])
-    return CacheConfig(
-        capacity_bytes=capacity,
-        admission=admission,
-        size_threshold=threshold,
-        eviction=eviction,
-        idle_ttl=ttl,
-    )
+def _cache_config(args, capacity: int) -> CacheConfig:
+    (admission, threshold), (eviction, ttl) = args.admission, args.eviction
+    return CacheConfig(capacity_bytes=capacity, admission=admission, size_threshold=threshold,
+                       eviction=eviction, idle_ttl=ttl)
 
 
 def _cmd_cachesim(args) -> int:
@@ -328,12 +312,12 @@ def _cmd_cachesim(args) -> int:
     stream = access_stream(trace)
     if args.sweep:
         rows = [("capacity_bytes", "hit_rate_by_accesses", "hit_rate_by_bytes")]
-        for cap in (int(c) for c in args.sweep.split(",")):
-            report = simulate_cache(stream, _parse_cache_config(args, cap))
+        for cap in args.sweep:
+            report = simulate_cache(stream, _cache_config(args, cap))
             rows.append((cap, f"{report.hit_rate_by_accesses:.9g}", f"{report.hit_rate_by_bytes:.9g}"))
         _emit_tsv(rows, args.out)
         return 0
-    report = simulate_cache(stream, _parse_cache_config(args, args.capacity))
+    report = simulate_cache(stream, _cache_config(args, args.capacity))
     _emit_json(
         {
             "accesses": report.accesses,

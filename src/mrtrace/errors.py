@@ -67,9 +67,5 @@ class SpanTooLong(MRTraceError):
     """Requested replay span exceeds the source trace span."""
 
 
-class UnsortedWorkload(MRTraceError):
-    """Synthetic jobs must be sorted by submit offset."""
-
-
 class UnsortedStream(MRTraceError):
     """Access events must be sorted by time."""

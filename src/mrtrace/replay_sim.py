@@ -1,9 +1,11 @@
-"""Discrete-event replay of a synthetic workload on a slot-based cluster.
+"""Discrete-event replay of a workload trace on a slot-based cluster.
 
-Time is simulated in integer microseconds so event ordering is exact.
-Task durations are uniform within a job (total task-seconds divided by
-task count), the simulator's central approximation, and reduces start
-only after all of a job's maps finish.
+A workload is a Trace, synthetic or parsed from a file; each job is
+submitted at its offset from the start of the trace's span. Time is
+simulated in integer microseconds so event ordering is exact. Task
+durations are uniform within a job (total task-seconds divided by task
+count), the simulator's central approximation, and reduces start only
+after all of a job's maps finish.
 """
 
 from __future__ import annotations
@@ -14,11 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsortedWorkload
-from .synthesis import SyntheticWorkload
+from .errors import MRTraceError
+from .synthesis import REQUIRED_FIELDS
 from .temporal import TimeSeries
+from .trace import Trace
 
 US = 1_000_000
+
+# Every dimension a replayable job carries except duration, which the
+# simulator does not read.
+_REPLAY_FIELDS = tuple(f for f in REQUIRED_FIELDS if f != "duration")
 
 _MAP = 0
 _REDUCE = 1
@@ -103,16 +110,31 @@ class _RunQueue:
         return self.cursor
 
 
-def simulate(workload: SyntheticWorkload, config: SimConfig) -> SimResult:
-    """Run the workload to completion and report per-job times and slot usage."""
-    offsets = [j.submit_offset for j in workload.jobs]
-    if any(b < a for a, b in zip(offsets, offsets[1:])):
-        raise UnsortedWorkload("jobs must be sorted by submit_offset")
+def simulate(trace: Trace, config: SimConfig) -> SimResult:
+    """Run the trace's jobs to completion, each submitted at its offset
+    from the start of the trace's span, and report per-job times and slot
+    usage. Raises MRTraceError when a job lacks a dimension replay needs."""
+    cols = trace.columns
+    missing = np.isnan([getattr(cols, f) for f in _REPLAY_FIELDS])
+    bad = np.flatnonzero(missing.any(axis=0))
+    if bad.size:
+        i = bad[0]
+        fields = [f for f, m in zip(_REPLAY_FIELDS, missing[:, i]) if m]
+        raise MRTraceError(
+            f"workload job {cols.job_id[i]} is missing {fields}; not a replayable workload"
+        )
 
+    # Python ints: microsecond times of int64 submit times overflow int64.
+    start = trace.span[0]
     jobs = [
-        _Job(i, j.submit_offset * US, j.map_tasks, j.reduce_tasks,
-             j.map_task_seconds, j.reduce_task_seconds)
-        for i, j in enumerate(workload.jobs)
+        _Job(i, (t - start) * US, maps, reduces, map_ts, reduce_ts)
+        for i, (t, maps, reduces, map_ts, reduce_ts) in enumerate(zip(
+            cols.submit_time.tolist(),
+            cols.map_tasks.astype(np.int64).tolist(),
+            cols.reduce_tasks.astype(np.int64).tolist(),
+            cols.map_task_seconds.tolist(),
+            cols.reduce_task_seconds.tolist(),
+        ))
     ]
 
     free = {

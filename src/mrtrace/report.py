@@ -137,7 +137,7 @@ class ReportBuilder:
             "tool_version": __version__,
             "label": t.label,
             "machine_count": t.machine_count,
-            "record_count": len(t.records),
+            "record_count": len(t),
             "span": list(t.span),
             "span_hours": (t.span[1] - t.span[0]) / 3600.0,
         }
@@ -184,7 +184,7 @@ class ReportBuilder:
         cdf = da.data_size_cdf(self.trace, dim)
         self.plots[f"fig1_{dim}.tsv"] = _plot_rows(cdf.values, cdf.fractions)
         out = {"operation": "data_size_cdf", "dimension": dim}
-        out.update(_cdf_section(cdf, len(self.trace.records) - cdf.sample_count))
+        out.update(_cdf_section(cdf, len(self.trace) - cdf.sample_count))
         return out
 
     def _zipf(self, side: str) -> dict:

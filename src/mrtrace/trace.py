@@ -79,6 +79,9 @@ class Trace:
         if submit.size and not (lo <= submit[0] and submit[-1] <= hi):
             raise ValueError(f"span {self.span} does not cover every submit time")
 
+    def __len__(self) -> int:
+        return len(self.columns)
+
     @property
     def records(self) -> RecordView:
         """The jobs as read-only JobRecords, built from the columns on access."""

@@ -29,7 +29,7 @@ from conftest import full_rec, make_trace, mixed_workload_trace, rec
 from test_cache_sim import NaiveCache, run_both
 from test_compute_patterns import best_permutation_agreement, planted_clusters
 from test_data_access import brute_force_eighty_x, reading_jobs
-from test_synthesis import job_tuple, ks_distance
+from test_synthesis import included_records, job_tuples, ks_distance
 from test_temporal import pearson_oracle, triple_trace
 
 
@@ -139,9 +139,10 @@ def test_criterion_06_synthesis_fidelity():
     assert sampled.scale_factor == 1.0
     dims = ("input_bytes", "shuffle_bytes", "output_bytes",
             "duration", "map_task_seconds", "reduce_task_seconds")
+    source, synthetic = included_records(model), list(sampled.jobs.records)
     for dim in dims:
-        src = [getattr(r, dim) for r in model.included]
-        syn = [getattr(j, dim) for j in sampled.jobs]
+        src = [getattr(r, dim) for r in source]
+        syn = [getattr(j, dim) for j in synthetic]
         assert ks_distance(src, syn) <= 0.05, dim
 
     def hourly_data_compute_corr(t):
@@ -149,15 +150,15 @@ def test_criterion_06_synthesis_fidelity():
         return c.r_data_compute
 
     src_corr = hourly_data_compute_corr(trace)
-    syn_corr = hourly_data_compute_corr(mt.workload_to_trace(sampled))
+    syn_corr = hourly_data_compute_corr(sampled.jobs)
     assert abs(syn_corr - src_corr) <= 0.1
 
     replayed = mt.synthesize(model, 100, span, "replay_scaled", seed=42)
-    assert [job_tuple(j) for j in replayed.jobs] == [
+    assert job_tuples(replayed) == [
         (r.submit_time - trace.span[0], r.input_bytes, r.shuffle_bytes, r.output_bytes,
          r.map_tasks, r.reduce_tasks, r.map_task_seconds, r.reduce_task_seconds,
          r.duration, r.job_id)
-        for r in model.included
+        for r in source
     ]
     ok(6, f"sampled KS <= 0.05 on all 6 dims, data/compute corr {src_corr:.2f} -> {syn_corr:.2f}, "
           "scale-1 replay byte-identical")
@@ -173,8 +174,8 @@ def test_criterion_07_simulator_conservation():
                      reduce_slots=rng.randrange(1, 4),
                      scheduler="fair" if i % 2 else "fifo")
         res = mt.simulate(w, config)
-        want_map = sum(j.map_task_seconds for j in w.jobs)
-        want_reduce = sum(j.reduce_task_seconds for j in w.jobs)
+        want_map = sum(j.map_task_seconds for j in w.records)
+        want_reduce = sum(j.reduce_task_seconds for j in w.records)
         if want_map:
             assert abs(res.busy_map_slot_seconds - want_map) / want_map <= 1e-6
         if want_reduce:
@@ -242,7 +243,7 @@ def test_criterion_09_closure(tmp_path):
     model = mt.build_workload_model(trace)
     workload = mt.synthesize(model, 10, model.span_seconds, "sampled", seed=42)
     path = tmp_path / "synthetic.jsonl"
-    mt.serialize_trace(mt.workload_to_trace(workload), path)
+    mt.serialize_trace(workload.jobs, path)
 
     reparsed = mt.parse_trace(path, "jsonl", label="synthetic", machine_count=10)
     report = mt.validate(reparsed)

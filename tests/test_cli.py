@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+from mrtrace import SimConfig, build_workload_model, parse_trace, simulate, synthesize
 from mrtrace.cli import main
-from conftest import make_trace, mixed_workload_trace, trace_to_jsonl
+from mrtrace.report import write_json_atomic
+from conftest import full_rec, make_trace, mixed_workload_trace, trace_to_jsonl
 
 
 @pytest.fixture
@@ -77,6 +79,38 @@ class TestAnalyze:
         assert json.loads(out.read_text())["decisions"]["seed"] == 7
 
 
+# Arguments that argparse must reject as usage errors; the trace or
+# workload path and an output path are appended per subcommand.
+BAD_ARGUMENTS = [
+    ["analyze", "--machines", "0"],
+    ["analyze", "--k-max", "0"],
+    ["analyze", "--cluster-sample", "0"],
+    ["cluster", "--k-max", "0"],
+    ["cachesim", "--capacity", "0"],
+    ["cachesim", "--capacity", "1", "--admission", "size:abc"],
+    ["cachesim", "--capacity", "1", "--eviction", "ttl:x"],
+    ["cachesim", "--capacity", "1", "--sweep", "1,x"],
+    ["synthesize", "--target-machines", "0"],
+    ["synthesize", "--target-machines", "1", "--window-width", "0"],
+    ["synthesize", "--target-machines", "1", "--target-span", "0"],
+    ["simulate", "--nodes", "0"],
+    ["simulate", "--nodes", "1", "--map-slots", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_ARGUMENTS, ids=" ".join)
+def test_bad_argument_is_usage_error(argv, tmp_path, trace_file, capsys):
+    source = "--workload" if argv[0] == "simulate" else "--trace"
+    with pytest.raises(SystemExit) as ei:
+        main([*argv, source, str(trace_file), "--out", str(tmp_path / "out")])
+    assert ei.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mrtrace")
+    assert f"argument {argv[-2]}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestSubcommands:
     def test_burstiness_tsv(self, tmp_path, trace_file):
         out = tmp_path / "b.tsv"
@@ -130,6 +164,27 @@ class TestSubcommands:
         doc = json.loads(cache_out.read_text())
         assert doc["accesses"] > 0
 
+    def test_in_process_replay_matches_file_round_trip(self, tmp_path, trace_file):
+        synth, sim = tmp_path / "synth.jsonl", tmp_path / "sim.json"
+        assert main(["synthesize", "--trace", str(trace_file), "--machines", "100",
+                     "--target-machines", "10", "--mode", "replay_scaled",
+                     "--out", str(synth)]) == 0
+        assert main(["simulate", "--workload", str(synth), "--nodes", "3",
+                     "--scheduler", "fair", "--out", str(sim)]) == 0
+
+        model = build_workload_model(parse_trace(trace_file, machine_count=100))
+        workload = synthesize(model, 10, model.span_seconds, "replay_scaled")
+        res = simulate(workload.jobs, SimConfig(nodes=3, scheduler="fair"))
+        write_json_atomic(tmp_path / "in_process.json", {
+            "jobs": len(workload.jobs),
+            "makespan_seconds": res.makespan,
+            "busy_map_slot_seconds": res.busy_map_slot_seconds,
+            "busy_reduce_slot_seconds": res.busy_reduce_slot_seconds,
+            "total_slots": res.total_slots,
+            "job_timings": [vars(t) for t in res.job_timings],
+        })
+        assert (tmp_path / "in_process.json").read_bytes() == sim.read_bytes()
+
     def test_cachesim_sweep(self, tmp_path, trace_file):
         out = tmp_path / "sweep.tsv"
         code = main(["cachesim", "--trace", str(trace_file), "--capacity", "1",
@@ -149,3 +204,26 @@ class TestSubcommands:
                      "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["skipped"] == []
+
+
+class TestWorkloadErrors:
+    def test_simulate_rejects_job_missing_a_replay_field(self, tmp_path, capsys):
+        t = make_trace([full_rec(0, 0), dataclasses.replace(full_rec(1, 5), input_bytes=None)])
+        path = trace_to_jsonl(t, tmp_path / "w.jsonl")
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--workload", str(path), "--nodes", "1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "mrtrace simulate: workload job 1 is missing ['input_bytes']; "
+            "not a replayable workload\n"
+        )
+        assert not out.exists()
+
+    def test_sampled_draw_without_jobs_writes_nothing(self, tmp_path, capsys):
+        t = make_trace([full_rec(0, 0), full_rec(1, 100_000)], machines=10)
+        path = trace_to_jsonl(t, tmp_path / "sparse.jsonl")
+        out = tmp_path / "synth.jsonl"
+        assert main(["synthesize", "--trace", str(path), "--machines", "10",
+                     "--target-machines", "5", "--mode", "sampled", "--target-span", "1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "mrtrace synthesize: workload has no jobs\n"
+        assert not out.exists()

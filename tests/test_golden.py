@@ -37,6 +37,11 @@ GOLDEN = {
     "plan.tsv": "d3c5c78145608bc0d0fdcb36791ff918d871ffa4bd1a23bd250425c326206744",
     "sim.json": "19ccb720a65dab369c6d6a87f61e300c763bde616876d38f70036b4b87cf0635",
     "occ.tsv": "bb297d8284833581b7e608857dc697425ae9900f5c0805cd653765a4bf5c664d",
+    "sampled.jsonl": "1d7ffdbad04b2cc2061932b9a5cdbbdc0ce3f622c720e7a05988d889d73be607",
+    "sampled_plan.tsv": "ac756d6e8db2037710660739ca8539a453b651f5100017453994b868b6f0d639",
+    "sampled_sim.json": "95701a9ba48caa6ae6aca27b916a3fcb02b23ab744a5388b71c49bee7cc4f4d0",
+    "sampled_occ.tsv": "8d5cbdeaf5f1db4d71dcab4359557220c72733a937d90469774623dca9573d14",
+    "sampled_part.jsonl": "3751de001566c315acf007d32e416379c3e117525b7c992531ed70e72f01d44d",
 }
 
 
@@ -53,6 +58,17 @@ def test_outputs_match_golden_digests(tmp_path):
                  "--out", out("synth.jsonl"), "--data-plan", out("plan.tsv")]) == 0
     assert main(["simulate", "--workload", src, "--nodes", "20", "--scheduler", "fair",
                  "--out", out("sim.json"), "--occupancy", out("occ.tsv")]) == 0
+    # Sampled synthesis over the full span (fixed window counts) and over a
+    # shorter span (stochastic rounding of every window count).
+    assert main(["synthesize", "--trace", src, "--machines", "100", "--target-machines", "40",
+                 "--mode", "sampled", "--seed", "42",
+                 "--out", out("sampled.jsonl"), "--data-plan", out("sampled_plan.tsv")]) == 0
+    assert main(["simulate", "--workload", out("sampled.jsonl"), "--nodes", "20",
+                 "--scheduler", "fair",
+                 "--out", out("sampled_sim.json"), "--occupancy", out("sampled_occ.tsv")]) == 0
+    assert main(["synthesize", "--trace", src, "--machines", "100", "--target-machines", "40",
+                 "--mode", "sampled", "--seed", "42", "--target-span", "100000",
+                 "--out", out("sampled_part.jsonl")]) == 0
 
     produced = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
     assert produced == set(GOLDEN)

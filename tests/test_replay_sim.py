@@ -1,24 +1,25 @@
+import dataclasses
 import random
 
 import pytest
 
-from mrtrace import SimConfig, UnsortedWorkload, sim_occupancy_series, simulate
-from mrtrace.synthesis import SyntheticJob, SyntheticWorkload
+from mrtrace import JobRecord, MRTraceError, SimConfig, Trace, sim_occupancy_series, simulate
+from mrtrace.columns import TraceColumns
 
 
-def wl(jobs):
-    return SyntheticWorkload(
-        jobs=jobs, target_machine_count=1, scale_factor=1.0, seed=0,
-        mode="test", source_label="test", window_width=3600,
-    )
+def wl(jobs, span=None):
+    """A workload trace of jobs already sorted by submit time, spanning
+    from offset 0 to the last submit unless span is given."""
+    return Trace(label="test", machine_count=1, columns=TraceColumns.from_records(jobs),
+                 span=span or (0, max(j.submit_time for j in jobs)))
 
 
 def job(offset, maps, map_ts, reduces=0, reduce_ts=0.0, source=0):
-    return SyntheticJob(
-        submit_offset=offset, input_bytes=0, shuffle_bytes=0, output_bytes=0,
-        map_tasks=maps, reduce_tasks=reduces,
+    return JobRecord(
+        job_id=source, submit_time=offset, duration=0,
+        input_bytes=0, shuffle_bytes=0, output_bytes=0,
         map_task_seconds=map_ts, reduce_task_seconds=reduce_ts,
-        duration=0, source_job_id=source,
+        map_tasks=maps, reduce_tasks=reduces,
     )
 
 
@@ -63,6 +64,11 @@ class TestHandSchedules:
         res = simulate(wl([job(0, maps=0, map_ts=0.0, reduces=2, reduce_ts=8.0)]), cfg(reduce_slots=2))
         assert res.job_timings[0].completion == 4.0
 
+    def test_submit_times_are_offsets_from_span_start(self):
+        jobs = [job(150, maps=1, map_ts=2.0), job(160, maps=1, map_ts=3.0, source=1)]
+        res = simulate(wl(jobs, span=(100, 200)), cfg())
+        assert [(t.submit, t.completion) for t in res.job_timings] == [(50.0, 52.0), (60.0, 63.0)]
+
     def test_later_arrival_waits_for_submit(self):
         jobs = [job(0, maps=1, map_ts=2.0), job(100, maps=1, map_ts=3.0, source=1)]
         res = simulate(wl(jobs), cfg())
@@ -93,8 +99,8 @@ class TestConservation:
             config = cfg(nodes=rng.randrange(1, 4), map_slots=rng.randrange(1, 4),
                          reduce_slots=rng.randrange(1, 3), scheduler=scheduler)
             res = simulate(w, config)
-            want_map = sum(j.map_task_seconds for j in w.jobs)
-            want_reduce = sum(j.reduce_task_seconds for j in w.jobs)
+            want_map = sum(j.map_task_seconds for j in w.records)
+            want_reduce = sum(j.reduce_task_seconds for j in w.records)
             assert res.busy_map_slot_seconds == pytest.approx(want_map, rel=1e-6)
             assert res.busy_reduce_slot_seconds == pytest.approx(want_reduce, rel=1e-6)
 
@@ -124,9 +130,9 @@ class TestConservation:
         assert [vars(x) for x in a.job_timings] == [vars(x) for x in b.job_timings]
         assert a.task_intervals == b.task_intervals
 
-    def test_unsorted_workload_rejected(self):
-        jobs = [job(10, 1, 1.0), job(0, 1, 1.0, source=1)]
-        with pytest.raises(UnsortedWorkload):
+    def test_job_missing_task_count_rejected(self):
+        jobs = [job(0, 1, 1.0), dataclasses.replace(job(1, 1, 1.0, source=1), map_tasks=None)]
+        with pytest.raises(MRTraceError, match=r"workload job 1 is missing \['map_tasks'\]"):
             simulate(wl(jobs), cfg())
 
 
