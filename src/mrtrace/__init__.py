@@ -15,7 +15,9 @@ from .errors import (
     MRTraceError,
     NoCompleteJobs,
     NoData,
+    ScaledValueTooLarge,
     SpanTooLong,
+    TooManyBuckets,
     TooShort,
     UnsortedStream,
     ZeroVariance,

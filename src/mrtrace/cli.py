@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 from pathlib import Path
@@ -25,6 +24,7 @@ from .report import (
     DEFAULT_BUCKET_WIDTH,
     DEFAULT_CLUSTER_SAMPLE_CAP,
     DEFAULT_K_MAX,
+    json_text,
     render_cluster_table,
     write_atomic,
     write_json_atomic,
@@ -173,8 +173,7 @@ def _emit_json(obj, out_path):
     if out_path:
         write_json_atomic(Path(out_path), obj)
     else:
-        json.dump(obj, sys.stdout, indent=2, default=float)
-        print()
+        sys.stdout.write(json_text(obj))
 
 
 def _emit_tsv(rows, out_path):

@@ -42,6 +42,9 @@ ROW_FIELDS = tuple(f.name for f in fields(JobRecord))
 NUMERIC = ROW_FIELDS[3:11]  # float64 columns, NaN = missing
 FLOAT_FIELDS = ("map_task_seconds", "reduce_task_seconds")
 _ROW = attrgetter(*ROW_FIELDS)
+# Integer fields live in float64 columns, which hold every integer up to
+# 2**53 exactly.
+MAX_EXACT = 1 << 53
 
 _CHUNK = 65536
 
@@ -99,6 +102,24 @@ class TraceColumns:
     @classmethod
     def from_records(cls, records: Sequence[JobRecord]) -> "TraceColumns":
         return cls.from_fields(list(zip(*map(_ROW, records))) or [()] * len(ROW_FIELDS))
+
+    @classmethod
+    def concat(cls, parts: Sequence["TraceColumns"]) -> "TraceColumns":
+        """The rows of parts, in order; the merged name table keeps names in
+        order of first appearance."""
+        if len(parts) == 1:
+            return parts[0]
+        if not parts:
+            return cls.from_fields([()] * len(ROW_FIELDS))
+        index: dict[str, int] = {}
+        codes = []
+        for part in parts:
+            # The trailing -1 keeps code -1 (missing) missing.
+            remap = [index.setdefault(name, len(index)) for name in part.names]
+            codes.append(np.array(remap + [-1], dtype=np.int64)[part.name_codes])
+        arrays = [k for k, v in vars(parts[0]).items() if isinstance(v, np.ndarray)]
+        merged = {k: np.concatenate([getattr(part, k) for part in parts]) for k in arrays}
+        return cls(**merged | {"name_codes": np.concatenate(codes), "names": tuple(index)})
 
     def __len__(self) -> int:
         return int(self.job_id.size)

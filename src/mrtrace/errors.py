@@ -67,5 +67,13 @@ class SpanTooLong(MRTraceError):
     """Requested replay span exceeds the source trace span."""
 
 
+class ScaledValueTooLarge(MRTraceError):
+    """Scaling a job for the target cluster gives a value no trace file holds."""
+
+
+class TooManyBuckets(MRTraceError):
+    """A time series would need more buckets than one series may hold."""
+
+
 class UnsortedStream(MRTraceError):
     """Access events must be sorted by time."""

@@ -64,8 +64,14 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def json_text(obj) -> str:
+    """The JSON text of every JSON output, file or stdout. Strict: a NaN
+    raises instead of writing invalid JSON."""
+    return json.dumps(_clean(obj), indent=2, allow_nan=False) + "\n"
+
+
 def write_json_atomic(path: Path, obj) -> None:
-    write_atomic(path, json.dumps(_clean(obj), indent=2) + "\n")
+    write_atomic(path, json_text(obj))
 
 
 def write_tsv_atomic(path: Path, rows) -> None:

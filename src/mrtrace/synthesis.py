@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoCompleteJobs, NoData, SpanTooLong
+from .columns import FLOAT_FIELDS, MAX_EXACT
+from .errors import NoCompleteJobs, NoData, ScaledValueTooLarge, SpanTooLong
 from .trace import Trace, hash_path
 
 # A job must carry all of these to be replayable; jobs missing any are
@@ -100,25 +101,42 @@ def _scaled_workload(
     """The source jobs at rows, submitted at offsets, with byte sizes and
     task metrics scaled to the target cluster. Job ids are fresh and
     sequential; input paths follow the pre-population plan (one file per
-    distinct source job) and each job writes its own output path."""
+    distinct source job) and each job writes its own output path.
+
+    Raises ScaledValueTooLarge when a scaled integer field exceeds 2**53
+    (the most a trace file holds exactly) or a scaled float is not finite.
+    """
     if not rows.size:
         raise NoData("workload has no jobs")
     source = model.trace
     factor = target_machine_count / source.machine_count
     src = source.columns.take(rows)
     n = len(src)
+    with np.errstate(over="ignore"):  # an overflow to inf is reported below
+        scaled = {
+            **{f: np.rint(getattr(src, f) * factor)
+               for f in ("input_bytes", "shuffle_bytes", "output_bytes")},
+            "map_task_seconds": src.map_task_seconds * factor,
+            "reduce_task_seconds": src.reduce_task_seconds * factor,
+            "map_tasks": _scale_count(src.map_tasks, factor),
+            "reduce_tasks": _scale_count(src.reduce_tasks, factor),
+        }
+    for f, col in scaled.items():
+        bad = ~np.isfinite(col) if f in FLOAT_FIELDS else col > MAX_EXACT
+        if bad.any():
+            row = int(np.argmax(bad))
+            limit = "not finite" if f in FLOAT_FIELDS else f"above {MAX_EXACT}"
+            raise ScaledValueTooLarge(
+                f"{f} of source job {src.job_id[row]} scaled by {factor:g} is "
+                f"{col[row]:g}, {limit}"
+            )
     input_paths = (f"synthetic/input/{s}" for s in src.job_id.tolist())
     output_paths = (f"synthetic/output/{i}" for i in range(n))
     columns = replace(
         src,
         job_id=np.arange(n, dtype=np.int64),
         submit_time=offsets,
-        **{f: np.rint(getattr(src, f) * factor)
-           for f in ("input_bytes", "shuffle_bytes", "output_bytes")},
-        map_task_seconds=src.map_task_seconds * factor,
-        reduce_task_seconds=src.reduce_task_seconds * factor,
-        map_tasks=_scale_count(src.map_tasks, factor),
-        reduce_tasks=_scale_count(src.reduce_tasks, factor),
+        **scaled,
         input_path_hash=np.fromiter(map(hash_path, input_paths), dtype=np.uint64, count=n),
         input_hash_present=np.ones(n, dtype=bool),
         output_path_hash=np.fromiter(map(hash_path, output_paths), dtype=np.uint64, count=n),

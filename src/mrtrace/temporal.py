@@ -10,13 +10,23 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidBucketWidth, MedianZero, NoData, TooShort, ZeroVariance
+from .errors import (
+    InvalidBucketWidth,
+    MedianZero,
+    NoData,
+    TooManyBuckets,
+    TooShort,
+    ZeroVariance,
+)
 from .trace import Trace
 
 DIMENSIONS = ("jobs_submitted", "data_size_bytes", "compute_time_task_seconds", "occupancy_slots")
 
 DAY_SECONDS = 86400
 HOUR_SECONDS = 3600
+# Most buckets one series may have: 80 MB of float64, so the few series
+# alive at once stay far below the 2 GB a 1M-job analyze may use.
+MAX_BUCKETS = 10_000_000
 
 
 @dataclass
@@ -54,8 +64,15 @@ class SpectralPeaks:
 
 def _bucket_count(start: int, end: int, width: int) -> int:
     # Half-open buckets [start+i*w, start+(i+1)*w); one extra bucket when the
-    # span is an exact multiple so a job at t=end still has a home.
-    return (end - start) // width + 1
+    # span is an exact multiple so a job at t=end still has a home. Python
+    # ints, so a span up to the int64 limits cannot overflow here.
+    n = (end - start) // width + 1
+    if n > MAX_BUCKETS:
+        raise TooManyBuckets(
+            f"a span of {end - start} s at bucket width {width} s needs {n} buckets, "
+            f"more than {MAX_BUCKETS}"
+        )
+    return n
 
 
 def _bucket_index(times: np.ndarray, start: int, width: int) -> np.ndarray:

@@ -5,6 +5,17 @@ Only job_id and submit_time are required; every other dimension may be
 missing and is then left missing, never zero-filled. A parsed Trace
 stores its jobs as columns (see columns.py); Trace.records presents them
 as JobRecords.
+
+JSON Lines are read _JSONL_CHUNK lines at a time. Each chunk is first
+decoded with one json.loads and checked column by column with numpy
+(_bulk_columns). That bulk path only ever accepts: when a chunk holds
+anything it cannot vouch for (a malformed line, a nested value, a NaN,
+an integer a float64 column might round, a float submit time, an
+unknown key), it declines and the chunk is read again line by line
+(_iter_jsonl), which either accepts it with the same values or raises
+the error naming the first bad line. CSV is always read line by line:
+a quoted cell may span lines, so chunks of physical lines do not split
+it into records.
 """
 
 from __future__ import annotations
@@ -14,13 +25,22 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .columns import NUMERIC, ROW_FIELDS, JobRecord, RecordView, TraceColumns
+from .columns import (
+    FLOAT_FIELDS,
+    MAX_EXACT,
+    NUMERIC,
+    ROW_FIELDS,
+    JobRecord,
+    RecordView,
+    TraceColumns,
+)
 from .errors import (
     EmptyPath,
     EmptyTrace,
@@ -52,9 +72,6 @@ FNV64_OFFSET_BASIS = 0xCBF29CE484222325
 FNV64_PRIME = 0x100000001B3
 _U64 = 0xFFFFFFFFFFFFFFFF
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
-# Integer fields live in float64 columns, which hold every integer up to
-# 2**53 exactly.
-_MAX_EXACT = 1 << 53
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +134,7 @@ def _coerce_nonneg(obj, key, line_no, as_int):
     t = type(v)
     if (t is not int and t is not float) or not v >= 0:
         raise MalformedRecord(line_no, f"{key} must be a non-negative number, got {v!r}")
-    limit = _MAX_EXACT if as_int else sys.float_info.max  # the float limit rejects inf
+    limit = MAX_EXACT if as_int else sys.float_info.max  # the float limit rejects inf
     if not v <= limit:
         raise MalformedRecord(line_no, f"{key} must be at most {limit!r}, got {v!r}")
     return int(v) if as_int else float(v)
@@ -176,8 +193,8 @@ def _record_values(obj: dict, line_no: int) -> tuple:
     )
 
 
-def _iter_jsonl(lines: Iterable[str]):
-    for line_no, line in enumerate(lines, start=1):
+def _iter_jsonl(lines: Iterable[str], first_line_no: int = 1):
+    for line_no, line in enumerate(lines, start=first_line_no):
         line = line.strip()
         if not line:
             continue
@@ -232,18 +249,101 @@ def _open_lines(source, fmt: str):
     raise TypeError(f"unsupported trace source {type(source)!r}")
 
 
-def _read_fields(source, fmt: str) -> tuple[list, ...]:
-    """One list per JobRecord field, holding every line's checked value."""
+def _columns_of(rows: Iterable[tuple]) -> TraceColumns:
+    """Columns of checked rows, each in JobRecord field order."""
     values = tuple([] for _ in ROW_FIELDS)
     appends = tuple(v.append for v in values)
-    fh = _open_lines(source, fmt)
+    for row in rows:
+        for append, v in zip(appends, row):
+            append(v)
+    return TraceColumns.from_fields(values)
+
+
+_JSONL_CHUNK = 65536
+
+_NONE = type(None)
+# Value types the bulk path accepts in each field; any other declines.
+_BULK_TYPES = {
+    "job_id": {int},
+    "submit_time": {int},  # a float submit time declines
+    "name": {str, _NONE},
+    **{f: {int, float, _NONE} for f in NUMERIC},
+    "input_path_hash": {int, _NONE},
+    "output_path_hash": {int, _NONE},
+}
+
+
+def _bulk_numbers(values: list, as_int: bool) -> Optional[np.ndarray]:
+    """A float64 column of one numeric field, NaN for missing, holding what
+    _coerce_nonneg would return; None to decline."""
     try:
-        for row in _iter_jsonl(fh) if fmt == "jsonl" else _iter_csv(fh):
-            for append, v in zip(appends, row):
-                append(v)
-    finally:
-        fh.close()
-    return values
+        col = np.asarray(values, dtype=np.float64)  # None becomes NaN
+    except OverflowError:  # an integer beyond float64
+        return None
+    present = col[~np.isnan(col)]
+    if present.size != len(values) - values.count(None):
+        return None  # a NaN literal
+    # Values that round to the limit may lie above it, so the limit itself
+    # declines; NaN and infinities fail these tests too.
+    limit = MAX_EXACT if as_int else sys.float_info.max
+    if present.size and not (present.min() >= 0 and present.max() < limit):
+        return None
+    # int(v) truncates floats, and stores -0.0 as 0.
+    return np.trunc(col) + 0.0 if as_int else col
+
+
+def _bulk_columns(lines: list[str]) -> Optional[TraceColumns]:
+    """Columns of a chunk of jsonl lines decoded with one json.loads, or
+    None when the chunk holds anything _iter_jsonl might read differently.
+
+    Never raises for bad input: whatever this accepts, _iter_jsonl accepts
+    with the same values, so errors always come from _iter_jsonl.
+    """
+    body = [s for s in map(str.strip, lines) if s]
+    # Strict JSON strings hold no raw newline, so with one in the separator
+    # no string spans two lines. Then, if every line starts with "{" and
+    # ends with "}", every value is a scalar and there are as many objects
+    # as lines, each object is exactly its own line.
+    text = ",\n".join(body)
+    if body and not (text[0] == "{" and text[-1] == "}"
+                     and text.count("},\n{") == len(body) - 1):
+        return None
+    try:
+        objs = json.loads("[" + text + "]")
+    except ValueError:  # JSONDecodeError, or an integer too long to convert
+        return None
+    if (len(objs) != len(body) or not set(map(type, objs)) <= {dict}
+            or not set().union(*objs) <= _KEY_SET):
+        return None
+    values = []
+    for key in ROW_FIELDS:
+        col = [o.get(key) for o in objs]
+        if not set(map(type, col)) <= _BULK_TYPES[key]:
+            return None
+        if key in NUMERIC:
+            col = _bulk_numbers(col, key not in FLOAT_FIELDS)
+            if col is None:
+                return None
+        values.append(col)
+    try:
+        cols = TraceColumns.from_fields(values)
+    except ValueError:  # a job_id, submit_time or digest outside its column
+        return None
+    return cols if not len(cols) or cols.job_id.min() >= 0 else None
+
+
+def _read_jsonl(lines: Iterator[str]) -> TraceColumns:
+    """Columns of every jsonl line, _JSONL_CHUNK lines at a time: in bulk
+    where _bulk_columns accepts a chunk, else line by line."""
+    parts = []
+    first_line_no = 1
+    while chunk := list(islice(lines, _JSONL_CHUNK)):
+        cols = _bulk_columns(chunk)
+        if cols is None:
+            cols = _columns_of(_iter_jsonl(chunk, first_line_no))
+        parts.append(cols)
+        first_line_no += len(chunk)
+    return TraceColumns.concat(parts)
 
 
 def parse_trace(
@@ -265,7 +365,11 @@ def parse_trace(
     if machine_count < 1:
         raise ValueError("machine_count must be positive")
 
-    cols = TraceColumns.from_fields(_read_fields(source, fmt))
+    fh = _open_lines(source, fmt)
+    try:
+        cols = _read_jsonl(fh) if fmt == "jsonl" else _columns_of(_iter_csv(fh))
+    finally:
+        fh.close()
     if not len(cols):
         raise EmptyTrace("trace contains no records")
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 
 from mrtrace import SimConfig, build_workload_model, parse_trace, simulate, synthesize
 from mrtrace.cli import main
-from mrtrace.report import write_json_atomic
+from mrtrace.report import json_text, write_json_atomic
+from mrtrace.temporal import MAX_BUCKETS
 from conftest import full_rec, make_trace, mixed_workload_trace, trace_to_jsonl
 
 
@@ -77,6 +79,35 @@ class TestAnalyze:
         assert main(["analyze", "--trace", str(trace_file), "--out", str(out),
                      "--seed", "7"]) == 0
         assert json.loads(out.read_text())["decisions"]["seed"] == 7
+
+    def test_int64_wide_span_skips_time_series(self, tmp_path, capsys):
+        t = make_trace([full_rec(0, 0), full_rec(1, 2**62)])
+        path = trace_to_jsonl(t, tmp_path / "wide.jsonl")
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--trace", str(path), "--out", str(out)]) == 0
+        skipped = {s["section"]: s["reason"] for s in json.loads(out.read_text())["skipped"]}
+        assert skipped["time_series.jobs_submitted"] == (
+            f"TooManyBuckets: a span of {2**62} s at bucket width 3600 s needs "
+            f"{2**62 // 3600 + 1} buckets, more than {MAX_BUCKETS}"
+        )
+        assert "periodogram" in skipped and "correlations" in skipped
+        assert main(["burstiness", "--trace", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("mrtrace burstiness: a span of ")
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["cluster", "--k-max", "4"]], ids=" ".join)
+def test_stdout_json_is_the_out_file(argv, tmp_path, trace_file, capsys):
+    out = tmp_path / "o.json"
+    assert main([*argv, "--trace", str(trace_file), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--trace", str(trace_file)]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def test_json_output_is_strict():
+    assert json_text({"x": [1.23456789012, 2]}) == '{\n  "x": [\n    1.23456789,\n    2\n  ]\n}\n'
+    with pytest.raises(ValueError):
+        json_text({"x": math.nan})
 
 
 # Arguments that argparse must reject as usage errors; the trace or
@@ -226,4 +257,23 @@ class TestWorkloadErrors:
                      "--target-machines", "5", "--mode", "sampled", "--target-span", "1",
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == "mrtrace synthesize: workload has no jobs\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("field, value, shown", [
+        ("input_bytes", 10**15, "1e+20, above 9007199254740992"),
+        ("input_bytes", 10**12, "1e+17, above 9007199254740992"),
+        ("map_task_seconds", 1e305, "inf, not finite"),
+    ])
+    def test_synthesize_rejects_scaled_values_no_trace_holds(self, tmp_path, capsys, field,
+                                                            value, shown):
+        t = make_trace([dataclasses.replace(full_rec(7, 0), **{field: value})])
+        path = trace_to_jsonl(t, tmp_path / "big.jsonl")
+        out = tmp_path / "synth.jsonl"
+        assert main(["synthesize", "--trace", str(path), "--machines", "1",
+                     "--target-machines", "100000", "--mode", "replay_scaled",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"mrtrace synthesize: {field} of source job 7 scaled by 100000 is {shown}\n"
+        )
         assert not out.exists()
