@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from operator import itemgetter
 from pathlib import Path
+from types import NoneType
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -261,15 +262,14 @@ def _columns_of(rows: Iterable[tuple]) -> TraceColumns:
 
 _JSONL_CHUNK = 65536
 
-_NONE = type(None)
 # Value types the bulk path accepts in each field; any other declines.
 _BULK_TYPES = {
     "job_id": {int},
     "submit_time": {int},  # a float submit time declines
-    "name": {str, _NONE},
-    **{f: {int, float, _NONE} for f in NUMERIC},
-    "input_path_hash": {int, _NONE},
-    "output_path_hash": {int, _NONE},
+    "name": {str, NoneType},
+    **{f: {int, float, NoneType} for f in NUMERIC},
+    "input_path_hash": {int, NoneType},
+    "output_path_hash": {int, NoneType},
 }
 
 
@@ -300,19 +300,23 @@ def _bulk_columns(lines: list[str]) -> Optional[TraceColumns]:
     with the same values, so errors always come from _iter_jsonl.
     """
     body = [s for s in map(str.strip, lines) if s]
+    count = len(body)
     # Strict JSON strings hold no raw newline, so with one in the separator
     # no string spans two lines. Then, if every line starts with "{" and
     # ends with "}", every value is a scalar and there are as many objects
     # as lines, each object is exactly its own line.
     text = ",\n".join(body)
-    if body and not (text[0] == "{" and text[-1] == "}"
-                     and text.count("},\n{") == len(body) - 1):
+    del body  # each text copy of the chunk is freed as soon as it is spent
+    if count and not (text[0] == "{" and text[-1] == "}"
+                      and text.count("},\n{") == count - 1):
         return None
+    text = "[" + text + "]"
     try:
-        objs = json.loads("[" + text + "]")
+        objs = json.loads(text)
     except ValueError:  # JSONDecodeError, or an integer too long to convert
         return None
-    if (len(objs) != len(body) or not set(map(type, objs)) <= {dict}
+    del text
+    if (len(objs) != count or not set(map(type, objs)) <= {dict}
             or not set().union(*objs) <= _KEY_SET):
         return None
     values = []
