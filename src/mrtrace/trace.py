@@ -260,7 +260,12 @@ def _columns_of(rows: Iterable[tuple]) -> TraceColumns:
     return TraceColumns.from_fields(values)
 
 
-_JSONL_CHUNK = 65536
+# Lines per bulk chunk. glibc raises its mmap threshold to the size of each
+# large buffer freed, so later buffers of that size come from the heap and
+# leave holes in it. At 4096 lines a chunk's text stays near a megabyte;
+# 65,536-line chunks (20 MB texts) raised the peak RSS of later stages,
+# and parsed no faster.
+_JSONL_CHUNK = 4096
 
 # Value types the bulk path accepts in each field; any other declines.
 _BULK_TYPES = {
