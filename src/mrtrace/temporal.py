@@ -24,9 +24,10 @@ DIMENSIONS = ("jobs_submitted", "data_size_bytes", "compute_time_task_seconds", 
 
 DAY_SECONDS = 86400
 HOUR_SECONDS = 3600
-# Most buckets one series may have: 80 MB of float64, so the few series
-# alive at once stay far below the 2 GB a 1M-job analyze may use.
-MAX_BUCKETS = 10_000_000
+# Most buckets one series may have. analyze holds several series and their
+# plot rows at once, about 570 bytes a bucket: at this cap it peaked at
+# 606 MB on a 3000-job trace, and at 10M buckets at 4.4 GB.
+MAX_BUCKETS = 1_000_000
 
 
 @dataclass

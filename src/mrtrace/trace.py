@@ -9,13 +9,17 @@ as JobRecords.
 JSON Lines are read _JSONL_CHUNK lines at a time. Each chunk is first
 decoded with one json.loads and checked column by column with numpy
 (_bulk_columns). That bulk path only ever accepts: when a chunk holds
-anything it cannot vouch for (a malformed line, a nested value, a NaN,
-an integer a float64 column might round, a float submit time, an
-unknown key), it declines and the chunk is read again line by line
-(_iter_jsonl), which either accepts it with the same values or raises
-the error naming the first bad line. CSV is always read line by line:
-a quoted cell may span lines, so chunks of physical lines do not split
-it into records.
+anything it cannot vouch for (a malformed line, a "[" anywhere, a nested
+value, a NaN, an integer a float64 column might round, a float submit
+time, an unknown key), it declines and the chunk is read again line by
+line (_iter_jsonl), which either accepts it with the same values or
+raises the error naming the first bad line. One json.loads per line
+would need none of the checks that keep a joined chunk's objects on
+their own lines, but it is slower on a 2-core VM: parsing 1M jobs took
+11.9-12.0 s against 9.1-9.6 s (three runs each), and `mrtrace analyze`
+on them 24.0 s against 21.2 s (medians of ten rounds). CSV is always
+read line by line: a quoted cell may span lines, so chunks of physical
+lines do not split it into records.
 """
 
 from __future__ import annotations
@@ -307,12 +311,16 @@ def _bulk_columns(lines: list[str]) -> Optional[TraceColumns]:
     body = [s for s in map(str.strip, lines) if s]
     count = len(body)
     # Strict JSON strings hold no raw newline, so with one in the separator
-    # no string spans two lines. Then, if every line starts with "{" and
-    # ends with "}", every value is a scalar and there are as many objects
-    # as lines, each object is exactly its own line.
+    # no string spans two lines. Inside an object a comma is followed by a
+    # key, never by "{", so without arrays every "},\n{" separates two
+    # top-level values. Then, if every line starts with "{" and ends with
+    # "}" and there are as many objects as lines, each object is exactly
+    # its own line. Any "[" declines: within an array a separator may fall
+    # inside one object, and a duplicate key can drop that array before
+    # the type checks see it.
     text = ",\n".join(body)
     del body  # each text copy of the chunk is freed as soon as it is spent
-    if count and not (text[0] == "{" and text[-1] == "}"
+    if count and not (text[0] == "{" and text[-1] == "}" and "[" not in text
                       and text.count("},\n{") == count - 1):
         return None
     text = "[" + text + "]"

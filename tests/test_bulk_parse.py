@@ -129,11 +129,22 @@ def job_line(draw):
     return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " "]))
 
 
-junk = st.sampled_from([
+@st.composite
+def array_over_lines(draw):
+    """A job whose key first holds an array of objects split across lines,
+    then its value from job_line: the last one wins, so a chunk decoded at
+    once sees no array."""
+    text = draw(job_line()).strip()
+    key = draw(st.sampled_from(trace.FIELD_NAMES))
+    splits = "}\n{" * draw(st.integers(1, 3))
+    return "{" + f'"{key}":[{{{splits}}}],' + text[1:]
+
+
+junk = st.one_of(st.sampled_from([
     "{}", "[]", "5", "{", '"x"', '{"job_id":1}{"job_id":2}',
     '{"job_id":1,"submit_time":1},{"job_id":2,"submit_time":2}',
     '{"job_id":1,"submit_time":1,"name":"}', '{"}',
-])
+]), array_over_lines())
 line = st.one_of(job_line(), st.sampled_from(["", "   ", "\t"]), rare.flatmap(
     lambda bad: junk if bad else job_line()))
 
@@ -170,6 +181,23 @@ def test_whatever_bulk_accepts_line_by_line_accepts_with_same_columns(lines):
             assert other == value, key
 
 
+@settings(max_examples=100, deadline=None)
+@given(job=array_over_lines(), others=st.lists(job_line(), max_size=3))
+def test_duplicate_key_over_an_array_across_lines_is_declined(job, others):
+    # Each physical line of the split job is balanced by one more object
+    # on the last line, so the joined chunk holds as many objects as lines.
+    split = job.split("\n")
+    extra = ",".join('{"job_id":%d,"submit_time":%d}' % (i, i) for i in range(len(split)))
+    lines = split + others + [extra]
+    data = "\n".join(lines).encode()
+    with line_by_line():
+        want = outcome(data)
+    assert isinstance(want, MalformedRecord)
+    assert trace._bulk_columns([s + "\n" for s in lines]) is None
+    with mock.patch.object(trace, "_JSONL_CHUNK", len(lines)):
+        assert_same_outcome(outcome(data), want)
+
+
 # -- pinned cases -------------------------------------------------------------
 
 TWO_JOBS_ONE_LINE = '{"job_id":2,"submit_time":2},{"job_id":3,"submit_time":3}'
@@ -182,6 +210,9 @@ JOINED_ONLY = {
     "two objects in a line": ['{"job_id":1,"submit_time":1}', TWO_JOBS_ONE_LINE],
     "nesting that balances the count": ['{"job_id":1,"submit_time":1,"name":[{}', "{}", "{}]}",
                                         '{"job_id":2,"submit_time":2},5,{"job_id":3,"submit_time":3}'],
+    # The last "name" wins, so joined these decode as three flat jobs.
+    "duplicate key over an array across lines": ['{"job_id":1,"submit_time":1,"name":[{}',
+                                                 '{}],"name":"x"}', TWO_JOBS_ONE_LINE],
 }
 
 

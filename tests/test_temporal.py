@@ -9,6 +9,7 @@ from mrtrace import (
     InvalidBucketWidth,
     MedianZero,
     NoData,
+    TooManyBuckets,
     TooShort,
     ZeroVariance,
     bucket_time_series,
@@ -20,7 +21,7 @@ from mrtrace import (
     sine_reference,
     zero_runs,
 )
-from mrtrace.temporal import TimeSeries
+from mrtrace.temporal import MAX_BUCKETS, TimeSeries
 from conftest import full_rec, make_trace, rec
 
 
@@ -88,6 +89,18 @@ class TestBucketing:
         t = make_trace([rec(0, 0)])
         with pytest.raises(NoData):
             bucket_time_series(t, "compute_time_task_seconds")
+
+    def test_bucket_count_limit_is_inclusive(self):
+        # A span of n-1 seconds at width 1 needs n buckets.
+        at_limit = make_trace([rec(0, 0), rec(1, MAX_BUCKETS - 1)])
+        assert len(bucket_time_series(at_limit, "jobs_submitted", 1)) == MAX_BUCKETS
+        over = make_trace([rec(0, 0), rec(1, MAX_BUCKETS)])
+        with pytest.raises(TooManyBuckets, match=f"needs {MAX_BUCKETS + 1} buckets"):
+            bucket_time_series(over, "jobs_submitted", 1)
+        assert len(bucket_time_series(over, "jobs_submitted", 2)) == MAX_BUCKETS // 2 + 1
+        full = make_trace([full_rec(0, 0), full_rec(1, MAX_BUCKETS)])
+        with pytest.raises(TooManyBuckets):
+            occupancy_series(full, 1)
 
 
 class TestOccupancy:
