@@ -20,6 +20,7 @@ from .errors import (
     TooManyBuckets,
     TooShort,
     UnsortedStream,
+    WriteTimeOverflow,
     ZeroVariance,
 )
 from .trace import (
@@ -83,6 +84,7 @@ from .synthesis import (
 from .replay_sim import SimConfig, SimResult, sim_occupancy_series, simulate
 from .cache_sim import (
     AccessEvent,
+    AccessStream,
     CacheConfig,
     CacheReport,
     access_stream,

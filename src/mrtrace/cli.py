@@ -151,7 +151,7 @@ def build_parser() -> _Parser:
     p.add_argument("--map-slots", type=_positive_int, default=2)
     p.add_argument("--reduce-slots", type=_positive_int, default=2)
     p.add_argument("--scheduler", default="fifo", choices=("fifo", "fair"))
-    p.add_argument("--bucket-width", type=int, default=DEFAULT_BUCKET_WIDTH)
+    p.add_argument("--bucket-width", type=_positive_int, default=DEFAULT_BUCKET_WIDTH)
     p.add_argument("--out", help="result JSON; default stdout")
     p.add_argument("--occupancy", help="occupancy TSV output path")
 
@@ -282,6 +282,9 @@ def _cmd_simulate(args) -> int:
         scheduler=args.scheduler,
     )
     result = simulate(trace, config)
+    # Built before anything is written, so a series that cannot be built
+    # leaves no partial output.
+    series = sim_occupancy_series(result, args.bucket_width) if args.occupancy else None
     out = {
         "jobs": len(result.job_timings),
         "makespan_seconds": result.makespan,
@@ -294,8 +297,7 @@ def _cmd_simulate(args) -> int:
         ],
     }
     _emit_json(out, args.out)
-    if args.occupancy:
-        series = sim_occupancy_series(result, args.bucket_width)
+    if series is not None:
         _emit_tsv(list(zip(range(len(series)), series.values.tolist())), args.occupancy)
     return 0
 

@@ -77,3 +77,7 @@ class TooManyBuckets(MRTraceError):
 
 class UnsortedStream(MRTraceError):
     """Access events must be sorted by time."""
+
+
+class WriteTimeOverflow(MRTraceError):
+    """A job's write time, submit_time + duration, does not fit a 64-bit integer."""

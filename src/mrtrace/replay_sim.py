@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MRTraceError
+from .errors import InvalidBucketWidth, MRTraceError, TooManyBuckets
 from .synthesis import REQUIRED_FIELDS
-from .temporal import TimeSeries
+from .temporal import MAX_BUCKETS, TimeSeries
 from .trace import Trace
 
 US = 1_000_000
@@ -235,10 +235,15 @@ def simulate(trace: Trace, config: SimConfig) -> SimResult:
 def sim_occupancy_series(result: SimResult, bucket_width: int = 3600) -> TimeSeries:
     """Average active slots per bucket from exact task intervals."""
     if bucket_width <= 0:
-        raise ValueError("bucket_width must be positive")
+        raise InvalidBucketWidth(f"bucket_width must be positive, got {bucket_width}")
     width_us = bucket_width * US
     end_us = max((e for _, e, _ in result.task_intervals), default=0)
     n = max(1, -(-end_us // width_us))
+    if n > MAX_BUCKETS:
+        raise TooManyBuckets(
+            f"a makespan of {end_us / US:.6g} s at bucket width {bucket_width} s needs {n} buckets, "
+            f"more than {MAX_BUCKETS}"
+        )
     acc_us = [0] * n
     for start, end, _ in result.task_intervals:
         if end == start:

@@ -3,15 +3,20 @@ import random
 
 import pytest
 
+import numpy as np
+
 from mrtrace import (
+    AccessStream,
     CacheConfig,
     NoData,
     UnsortedStream,
+    WriteTimeOverflow,
     access_stream,
     simulate_cache,
 )
 from mrtrace.cache_sim import READ, WRITE, AccessEvent
-from conftest import make_trace, rec
+from mrtrace.cli import main
+from conftest import make_trace, rec, trace_to_jsonl
 
 
 def ev(t, digest, size, kind=READ):
@@ -106,21 +111,44 @@ def run_both(stream, config):
     return got
 
 
+def reference_access_stream(trace):
+    """The per-row build: one AccessEvent per usable side, tuple-sorted on
+    (time, row, read before write)."""
+    cols = trace.columns
+    events = []
+    in_ok = cols.input_hash_present & ~np.isnan(cols.input_bytes)
+    out_ok = cols.output_hash_present & ~np.isnan(cols.output_bytes)
+    duration = np.where(np.isnan(cols.duration), 0.0, cols.duration)
+    for i in np.nonzero(in_ok)[0]:
+        t = int(cols.submit_time[i])
+        events.append((t, int(i), 0, AccessEvent(t, int(cols.input_path_hash[i]), int(cols.input_bytes[i]), READ)))
+    for i in np.nonzero(out_ok)[0]:
+        t = int(cols.submit_time[i] + duration[i])
+        events.append((t, int(i), 1, AccessEvent(t, int(cols.output_path_hash[i]), int(cols.output_bytes[i]), WRITE)))
+    events.sort(key=lambda e: e[:3])
+    return [e[3] for e in events]
+
+
+def stream_rows(stream):
+    return list(zip(stream.time.tolist(), stream.digest.tolist(), stream.size.tolist(),
+                    stream.is_write.tolist()))
+
+
 class TestAccessStream:
     def test_two_reads_of_same_file(self):
         t = make_trace([
             rec(0, 0, input_path_hash=5, input_bytes=10),
             rec(1, 100, input_path_hash=5, input_bytes=10),
         ])
-        events = access_stream(t)
-        assert [(e.time, e.file_digest, e.kind) for e in events] == [
-            (0, 5, READ), (100, 5, READ),
+        s = access_stream(t)
+        assert list(zip(s.time.tolist(), s.digest.tolist(), s.is_write.tolist())) == [
+            (0, 5, False), (100, 5, False),
         ]
 
     def test_write_lands_at_completion(self):
         t = make_trace([rec(0, 0, duration=50, output_path_hash=7, output_bytes=3)])
-        events = access_stream(t)
-        assert [(e.time, e.kind) for e in events] == [(50, WRITE)]
+        s = access_stream(t)
+        assert list(zip(s.time.tolist(), s.is_write.tolist())) == [(50, True)]
 
     def test_event_count_matches_side_presence(self):
         rng = random.Random(50)
@@ -138,19 +166,52 @@ class TestAccessStream:
             records.append(rec(i, i * 10, **kw))
         if with_input == 0 and with_output == 0:
             return
-        events = access_stream(make_trace(records))
-        assert len(events) == with_input + with_output
+        s = access_stream(make_trace(records))
+        assert len(s) == with_input + with_output
+        assert int((~s.is_write).sum()) == with_input
 
     def test_sorted_with_read_before_write_on_ties(self):
         t = make_trace([rec(0, 0, duration=0, input_path_hash=1, input_bytes=5,
                             output_path_hash=2, output_bytes=6)])
-        events = access_stream(t)
-        assert [e.kind for e in events] == [READ, WRITE]
+        s = access_stream(t)
+        assert s.is_write.tolist() == [False, True]
 
     def test_no_usable_events(self):
         t = make_trace([rec(0, 0, input_path_hash=5)])  # hash but no size
         with pytest.raises(NoData):
             access_stream(t)
+
+    def test_arrays_match_per_row_build(self):
+        rng = random.Random(54)
+        for _ in range(40):
+            records = []
+            for i in range(rng.randrange(1, 40)):
+                kw = {}
+                if rng.random() < 0.8:
+                    kw.update(input_path_hash=rng.randrange(6), input_bytes=rng.randrange(0, 50))
+                if rng.random() < 0.6:
+                    kw.update(output_path_hash=rng.randrange(6), output_bytes=rng.randrange(0, 50))
+                if rng.random() < 0.7:
+                    kw.update(duration=rng.choice([0, 1, 7, 2**40 + 1]))
+                # Equal submit times, and times past 2**53 where the write
+                # time rounds through float64.
+                base = rng.choice([0, 2**60 + 3])
+                records.append(rec(i, base + rng.randrange(0, 5), **kw))
+            trace = make_trace(records)
+            if not any(r.input_path_hash is not None or r.output_path_hash is not None for r in records):
+                continue
+            want = AccessStream.from_events(reference_access_stream(trace))
+            assert stream_rows(access_stream(trace)) == stream_rows(want)
+
+    def test_write_time_past_int64_names_the_job(self, tmp_path):
+        # Every field is within what a trace file may hold; only the sum is not.
+        t = make_trace([rec(0, 0, input_path_hash=1, input_bytes=5),
+                        rec(41, 2**63 - 2**52, duration=2**53, output_path_hash=2, output_bytes=6)])
+        with pytest.raises(WriteTimeOverflow, match=r"^job 41: write time .* = "
+                                                    f"{2**63 + 2**52} does not fit"):
+            access_stream(t)
+        path = trace_to_jsonl(t, tmp_path / "late.jsonl")
+        assert main(["cachesim", "--trace", str(path), "--capacity", "10"]) == 2
 
 
 class TestSimulateExamples:

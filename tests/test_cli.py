@@ -126,6 +126,7 @@ BAD_ARGUMENTS = [
     ["synthesize", "--target-machines", "1", "--target-span", "0"],
     ["simulate", "--nodes", "0"],
     ["simulate", "--nodes", "1", "--map-slots", "-1"],
+    ["simulate", "--nodes", "1", "--occupancy", "occ.tsv", "--bucket-width", "0"],
 ]
 
 
@@ -248,6 +249,18 @@ class TestWorkloadErrors:
             "not a replayable workload\n"
         )
         assert not out.exists()
+
+    def test_simulate_occupancy_past_bucket_cap_writes_nothing(self, tmp_path, capsys):
+        # One job of one map task running 2 * MAX_BUCKETS seconds.
+        t = make_trace([full_rec(0, 0, map_tasks=1, map_task_seconds=2.0 * MAX_BUCKETS)])
+        path = trace_to_jsonl(t, tmp_path / "w.jsonl")
+        out, occ = tmp_path / "sim.json", tmp_path / "occ.tsv"
+        assert main(["simulate", "--workload", str(path), "--nodes", "1", "--bucket-width", "1",
+                     "--out", str(out), "--occupancy", str(occ)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mrtrace simulate: a makespan of ")
+        assert f"more than {MAX_BUCKETS}" in err and "Traceback" not in err
+        assert not out.exists() and not occ.exists()
 
     def test_sampled_draw_without_jobs_writes_nothing(self, tmp_path, capsys):
         t = make_trace([full_rec(0, 0), full_rec(1, 100_000)], machines=10)

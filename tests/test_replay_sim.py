@@ -3,7 +3,9 @@ import random
 
 import pytest
 
-from mrtrace import JobRecord, MRTraceError, SimConfig, Trace, sim_occupancy_series, simulate
+from mrtrace import (InvalidBucketWidth, JobRecord, MRTraceError, SimConfig, TooManyBuckets, Trace,
+                     sim_occupancy_series, simulate)
+from mrtrace.temporal import MAX_BUCKETS
 from mrtrace.columns import TraceColumns
 
 
@@ -162,3 +164,16 @@ class TestOccupancy:
         res = simulate(w, config)
         series = sim_occupancy_series(res, bucket_width=13)
         assert series.values.max() <= config.nodes * (config.map_slots_per_node + config.reduce_slots_per_node) + 1e-12
+
+    def test_bucket_width_must_be_positive(self):
+        res = simulate(wl([job(0, maps=1, map_ts=10.0)]), cfg())
+        with pytest.raises(InvalidBucketWidth, match="got 0"):
+            sim_occupancy_series(res, bucket_width=0)
+
+    def test_bucket_count_limit_is_inclusive(self):
+        at_limit = simulate(wl([job(0, maps=1, map_ts=float(MAX_BUCKETS))]), cfg())
+        assert len(sim_occupancy_series(at_limit, bucket_width=1)) == MAX_BUCKETS
+        over = simulate(wl([job(0, maps=1, map_ts=MAX_BUCKETS + 0.5)]), cfg())
+        with pytest.raises(TooManyBuckets, match=f"needs {MAX_BUCKETS + 1} buckets"):
+            sim_occupancy_series(over, bucket_width=1)
+        assert len(sim_occupancy_series(over, bucket_width=2)) == MAX_BUCKETS // 2 + 1
