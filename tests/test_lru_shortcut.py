@@ -53,12 +53,13 @@ def run_spied(stream, config):
 
 @st.composite
 def event_streams(draw, max_len=24):
-    """Sorted streams over a few files with repeated digests, reads and
-    writes and equal timestamps; sometimes a digest changes size."""
+    """Sorted streams over a few files, some of zero bytes, with repeated
+    digests, reads and writes and equal timestamps; sometimes a digest
+    changes size."""
     n_files = draw(st.integers(1, 5))
-    sizes = draw(st.lists(st.integers(1, 12), min_size=n_files, max_size=n_files))
+    sizes = draw(st.lists(st.integers(0, 12), min_size=n_files, max_size=n_files))
     n = draw(st.integers(0, max_len))
-    resize = draw(st.dictionaries(st.integers(0, max(n - 1, 0)), st.integers(1, 12), max_size=2))
+    resize = draw(st.dictionaries(st.integers(0, max(n - 1, 0)), st.integers(0, 12), max_size=2))
     stream = []
     t = 0
     for i in range(n):
