@@ -37,6 +37,8 @@ GOLDEN = {
     "plan.tsv": "d3c5c78145608bc0d0fdcb36791ff918d871ffa4bd1a23bd250425c326206744",
     "sim.json": "19ccb720a65dab369c6d6a87f61e300c763bde616876d38f70036b4b87cf0635",
     "occ.tsv": "bb297d8284833581b7e608857dc697425ae9900f5c0805cd653765a4bf5c664d",
+    "fifo_sim.json": "cc11f78f31cd363a665c82fe890151a0535ea3988d6a4c4b92c5500d5e3a26c0",
+    "fifo_occ.tsv": "d5a372211bfe63ed9fde261154c9e270cd4e60c7790008135895aa66f549493e",
     "sampled.jsonl": "1d7ffdbad04b2cc2061932b9a5cdbbdc0ce3f622c720e7a05988d889d73be607",
     "sampled_plan.tsv": "ac756d6e8db2037710660739ca8539a453b651f5100017453994b868b6f0d639",
     "sampled_sim.json": "95701a9ba48caa6ae6aca27b916a3fcb02b23ab744a5388b71c49bee7cc4f4d0",
@@ -58,6 +60,10 @@ def test_outputs_match_golden_digests(tmp_path):
                  "--out", out("synth.jsonl"), "--data-plan", out("plan.tsv")]) == 0
     assert main(["simulate", "--workload", src, "--nodes", "20", "--scheduler", "fair",
                  "--out", out("sim.json"), "--occupancy", out("occ.tsv")]) == 0
+    # The synthesized workload under fifo, so both schedulers are pinned.
+    assert main(["simulate", "--workload", out("synth.jsonl"), "--nodes", "20",
+                 "--scheduler", "fifo",
+                 "--out", out("fifo_sim.json"), "--occupancy", out("fifo_occ.tsv")]) == 0
     # Sampled synthesis over the full span (fixed window counts) and over a
     # shorter span (stochastic rounding of every window count).
     assert main(["synthesize", "--trace", src, "--machines", "100", "--target-machines", "40",
