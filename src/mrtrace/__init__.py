@@ -16,6 +16,7 @@ from .errors import (
     NoCompleteJobs,
     NoData,
     ScaledValueTooLarge,
+    SimTimeOverflow,
     SpanTooLong,
     TooManyBuckets,
     TooShort,

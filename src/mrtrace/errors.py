@@ -81,3 +81,7 @@ class UnsortedStream(MRTraceError):
 
 class WriteTimeOverflow(MRTraceError):
     """A job's write time, submit_time + duration, does not fit a 64-bit integer."""
+
+
+class SimTimeOverflow(MRTraceError):
+    """A simulated time in integer microseconds does not fit a 64-bit integer."""

@@ -262,6 +262,23 @@ class TestWorkloadErrors:
         assert f"more than {MAX_BUCKETS}" in err and "Traceback" not in err
         assert not out.exists() and not occ.exists()
 
+    @pytest.mark.parametrize("records, message", [
+        # A submit time just past 2**63 microseconds after the span start.
+        ([full_rec(0, 0), full_rec(5, 2**63 // 10**6 + 1)],
+         "job 5: submit offset from the span start 9223372036855000000 us does not fit"),
+        # Two 4.65e18 us maps side by side: every time fits, their sum does not.
+        ([full_rec(0, 0, map_tasks=2, map_task_seconds=9.3e12, reduce_tasks=0,
+                   reduce_task_seconds=0.0)],
+         "total busy slot time 9300000000000000000 us does not fit"),
+    ])
+    def test_simulate_time_past_int64_writes_nothing(self, tmp_path, capsys, records, message):
+        path = trace_to_jsonl(make_trace(records), tmp_path / "w.jsonl")
+        out, occ = tmp_path / "sim.json", tmp_path / "occ.tsv"
+        assert main(["simulate", "--workload", str(path), "--nodes", "1",
+                     "--bucket-width", str(10**9), "--out", str(out), "--occupancy", str(occ)]) == 2
+        assert capsys.readouterr().err == f"mrtrace simulate: {message} a 64-bit integer\n"
+        assert not out.exists() and not occ.exists()
+
     def test_sampled_draw_without_jobs_writes_nothing(self, tmp_path, capsys):
         t = make_trace([full_rec(0, 0), full_rec(1, 100_000)], machines=10)
         path = trace_to_jsonl(t, tmp_path / "sparse.jsonl")
