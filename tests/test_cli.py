@@ -104,6 +104,20 @@ def test_stdout_json_is_the_out_file(argv, tmp_path, trace_file, capsys):
     assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["burstiness"],
+    ["burstiness", "--dimension", "jobs_submitted"],
+    ["names", "--weighting", "io_bytes"],
+    ["cachesim", "--capacity", "1", "--sweep", "1000,1000000,100000000"],
+], ids=" ".join)
+def test_stdout_tsv_is_the_out_file(argv, tmp_path, trace_file, capsys):
+    out = tmp_path / "o.tsv"
+    assert main([*argv, "--trace", str(trace_file), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main([*argv, "--trace", str(trace_file)]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
 def test_json_output_is_strict():
     assert json_text({"x": [1.23456789012, 2]}) == '{\n  "x": [\n    1.23456789,\n    2\n  ]\n}\n'
     with pytest.raises(ValueError):

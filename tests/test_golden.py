@@ -3,9 +3,12 @@ stay byte-identical. A change that alters any of these bytes on purpose
 updates the digests here and says why."""
 
 import hashlib
+import io
+from dataclasses import fields, replace
 
+from mrtrace import JobRecord, parse_trace, serialize_trace
 from mrtrace.cli import main
-from conftest import mixed_workload_trace, trace_to_jsonl
+from conftest import full_rec, make_trace, mixed_workload_trace, rec, trace_to_jsonl
 
 GOLDEN = {
     "mixed.jsonl": "3b86190cb62077f07f706cb13523f00fb4c0c5c7a2acea28e03e2baedd00acc8",
@@ -47,7 +50,7 @@ GOLDEN = {
 }
 
 
-def test_outputs_match_golden_digests(tmp_path):
+def test_outputs_match_golden_digests(tmp_path, capsys):
     def out(name):
         return str(tmp_path / name)
 
@@ -76,7 +79,52 @@ def test_outputs_match_golden_digests(tmp_path):
                  "--mode", "sampled", "--seed", "42", "--target-span", "100000",
                  "--out", out("sampled_part.jsonl")]) == 0
 
+    # Without --out the same bytes go to stdout.
+    capsys.readouterr()
+    assert main(["simulate", "--workload", src, "--nodes", "20", "--scheduler", "fair"]) == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / "sim.json").read_bytes()
+    assert main(["analyze", "--trace", src, "--seed", "42"]) == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / "report.json").read_bytes()
+
     produced = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file()}
     assert produced == set(GOLDEN)
     for name, digest in GOLDEN.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+OPTIONAL_FIELDS = [f.name for f in fields(JobRecord) if f.name not in ("job_id", "submit_time")]
+
+# Names that JSON must escape: a quote, a backslash, control characters,
+# non-ASCII text and a character outside the Basic Multilingual Plane.
+ESCAPED_NAMES = ['say "hi"', "back\\slash", "ctl\x01\x1f\ttab\nline", "naïve ✓ 日本",
+                 "emoji \U0001F600", "/", ""]
+
+
+def escape_trace():
+    """Jobs with each optional field missing in turn, names that need
+    escaping and boundary values."""
+    full = full_rec(0, 0, input_path_hash=2**64 - 1, output_path_hash=0)
+    records = [rec(0, 0)]
+    for i, f in enumerate(OPTIONAL_FIELDS, start=1):
+        job = replace(full, job_id=i, submit_time=i, name=ESCAPED_NAMES[i % len(ESCAPED_NAMES)])
+        records.append(replace(job, **{f: None}))
+    records += [
+        rec(100 + k, 100, name=n, map_task_seconds=x, reduce_task_seconds=y, input_bytes=b)
+        for k, (n, x, y, b) in enumerate(zip(
+            ESCAPED_NAMES, (5e-324, 0.1, 1e300, 2.0**53, 1 / 3, 0.0, 1.5),
+            (1e-7, 123456789.125, 1e16, 1e-300, 7.0, 2.5e-8, 9.99e22),
+            (2**53, 0, 1, 2**53 - 1, 10**15, 12345, 2**52 + 1)))
+    ]
+    records.append(rec(2**63 - 1, 2**62, name="last", input_path_hash=2**63))
+    return make_trace(records)
+
+
+ESCAPE_JSONL = "d5c1d9322f32b89a5988099968831decc68ea9517c8589d0c44821e795c373f5"
+
+
+def test_escaped_names_and_missing_fields_round_trip():
+    buf = io.StringIO()
+    serialize_trace(escape_trace(), buf)
+    text = buf.getvalue()
+    assert hashlib.sha256(text.encode()).hexdigest() == ESCAPE_JSONL
+    assert list(parse_trace(text.encode()).records) == list(escape_trace().records)
