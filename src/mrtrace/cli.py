@@ -9,7 +9,6 @@ MRTRACE_SEED environment variable); outputs are written atomically.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from pathlib import Path
@@ -24,8 +23,10 @@ from .report import (
     DEFAULT_BUCKET_WIDTH,
     DEFAULT_CLUSTER_SAMPLE_CAP,
     DEFAULT_K_MAX,
+    atomic_open,
     json_text,
     render_cluster_table,
+    tsv_text,
     write_atomic,
     write_json_atomic,
     write_report,
@@ -180,8 +181,7 @@ def _emit_tsv(rows, out_path):
     if out_path:
         write_tsv_atomic(Path(out_path), rows)
     else:
-        for row in rows:
-            print("\t".join(str(c) for c in row))
+        sys.stdout.write(tsv_text(rows))
 
 
 def _cmd_analyze(args) -> int:
@@ -257,13 +257,10 @@ def _cmd_synthesize(args) -> int:
     span = trace.span[1] - trace.span[0]
     target_span = args.target_span if args.target_span is not None else max(span, 1)
     workload = synthesize(model, args.target_machines, target_span, args.mode, seed)
-    buf = io.StringIO()
-    serialize_trace(workload.jobs, buf)
-    write_atomic(Path(args.out), buf.getvalue())
+    with atomic_open(Path(args.out)) as fh:
+        serialize_trace(workload.jobs, fh)
     if args.data_plan:
-        plan = data_prepopulation_plan(workload)
-        rows = [(fid, size) for fid, size in plan.files]
-        write_tsv_atomic(Path(args.data_plan), rows)
+        write_tsv_atomic(Path(args.data_plan), data_prepopulation_plan(workload).files)
     print(
         f"synthesized {len(workload.jobs)} jobs at scale {workload.scale_factor:.6g} "
         f"({args.mode}), seed {seed}",

@@ -9,10 +9,14 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
+from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -31,32 +35,15 @@ NAME_CUTOFF = 0.01
 MAX_PLOT_POINTS = 20_000
 
 
-def _sig9(x: float) -> float:
-    return float(f"{x:.9g}")
-
-
-def _clean(obj):
-    """Round floats to 9 significant digits and unbox numpy scalars."""
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return _sig9(float(obj))
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
-    return obj
-
-
-def write_atomic(path: Path, text: str) -> None:
-    """Write via temp file + rename so readers never see partial output."""
+@contextmanager
+def atomic_open(path: Path):
+    """A text file that replaces path only when the block completes: it is
+    written to a temp file and renamed, so readers never see partial output."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -64,25 +51,169 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def write_atomic(path: Path, text: str) -> None:
+    with atomic_open(path) as fh:
+        fh.write(text)
+
+
+_INDENT = "  "
+_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
+def _float_text(x: float) -> str:
+    """x rounded to 9 significant digits, as JSON."""
+    y = float(f"{x:.9g}")
+    if not math.isfinite(y):
+        raise ValueError(f"Out of range float values are not JSON compliant: {y!r}")
+    return float.__repr__(y)
+
+
+def _scalar_text(v) -> Optional[str]:
+    """JSON text of a scalar, None for a container. Floats are rounded to 9
+    significant digits, numpy scalars unboxed, and bools, being ints,
+    written as 1 and 0."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if isinstance(v, (float, np.floating)):
+        return _float_text(float(v))
+    if isinstance(v, (int, np.integer)):
+        return int.__repr__(int(v))
+    if v is None:
+        return "null"
+    if isinstance(v, _CONTAINERS):
+        return None
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _key_text(k) -> str:
+    """A dict key as json.dumps writes it: keys are not rounded."""
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if isinstance(k, float):
+        if not math.isfinite(k):
+            raise ValueError(f"Out of range float values are not JSON compliant: {k!r}")
+        return f'"{float.__repr__(k)}"'
+    if k is True or k is False or k is None:
+        return f'"{json.dumps(k)}"'
+    if isinstance(k, int):
+        return f'"{int.__repr__(k)}"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+
+
+def _column_texts(values) -> Optional[list[str]]:
+    """JSON texts of one column of scalars, None if it holds a container."""
+    types = set(map(type, values))
+    if types == {int}:
+        return list(map(int.__repr__, values))
+    if types == {float}:
+        rounded = list(map(float, map("{:.9g}".format, values)))
+        if not all(map(math.isfinite, rounded)):
+            bad = next(x for x in rounded if not math.isfinite(x))
+            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
+        return list(map(float.__repr__, rounded))
+    if any(issubclass(t, _CONTAINERS) for t in types):
+        return None
+    return list(map(_scalar_text, values))
+
+
+def _records_text(items: list, level: int) -> Optional[str]:
+    """JSON text of a list of flat dicts that share one key tuple, encoded
+    a column at a time and joined row by row from one template; None for
+    any other list."""
+    if set(map(type, items)) != {dict}:
+        return None
+    keys = tuple(items[0])
+    if not keys or set(map(tuple, items)) != {keys}:
+        return None
+    columns = []
+    for k in keys:
+        texts = _column_texts(list(map(itemgetter(k), items)))
+        if texts is None:
+            return None
+        columns.append(texts)
+    row_indent = "\n" + _INDENT * (level + 1)
+    key_indent = row_indent + _INDENT
+    fields = (key_indent + _key_text(k).replace("%", "%%") + ": %s" for k in keys)
+    template = "{" + ",".join(fields) + row_indent + "}"
+    rows = map(template.__mod__, zip(*columns))
+    return "[" + row_indent + ("," + row_indent).join(rows) + "\n" + _INDENT * level + "]"
+
+
+def _encode(obj, level: int, out: list) -> None:
+    """Append the indent=2 JSON text of obj at nesting depth level."""
+    text = _scalar_text(obj)
+    if text is not None:
+        out.append(text)
+        return
+    inner = "\n" + _INDENT * (level + 1)
+    if isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        sep = "{" + inner
+        for k, v in obj.items():
+            out.append(f"{sep}{_key_text(k)}: ")
+            _encode(v, level + 1, out)
+            sep = "," + inner
+        out.append("\n" + _INDENT * level + "}")
+        return
+    items = list(obj.tolist()) if isinstance(obj, np.ndarray) else obj
+    if not items:
+        out.append("[]")
+        return
+    table = _records_text(items, level)
+    if table is not None:
+        out.append(table)
+        return
+    sep = "[" + inner
+    for v in items:
+        out.append(sep)
+        _encode(v, level + 1, out)
+        sep = "," + inner
+    out.append("\n" + _INDENT * level + "]")
+
+
 def json_text(obj) -> str:
-    """The JSON text of every JSON output, file or stdout. Strict: a NaN
-    raises instead of writing invalid JSON."""
-    return json.dumps(_clean(obj), indent=2, allow_nan=False) + "\n"
+    """The JSON text of every JSON output, file or stdout: indent 2, floats
+    (Python or numpy) rounded to 9 significant digits, numpy integers as
+    ints. Strict: a NaN or infinity raises ValueError instead of writing
+    invalid JSON. The bytes are those of json.dumps(..., indent=2) on the
+    rounded values, but written in one recursive pass."""
+    out: list[str] = []
+    _encode(obj, 0, out)
+    out.append("\n")
+    return "".join(out)
 
 
 def write_json_atomic(path: Path, obj) -> None:
     write_atomic(path, json_text(obj))
 
 
+def _cell_texts(column: list) -> Iterable[str]:
+    """TSV cells of one column: floats (Python or numpy) to 9 significant
+    digits, anything else as str."""
+    types = set(map(type, column))
+    if types == {float}:
+        return map("{:.9g}".format, column)
+    floats = {t for t in types if issubclass(t, (float, np.floating))}
+    if not floats:
+        return map(str, column)
+    return [f"{float(c):.9g}" if type(c) in floats else str(c) for c in column]
+
+
+def tsv_text(rows: Sequence[Sequence]) -> str:
+    """The TSV text of every TSV output, file or stdout: one line per row,
+    formatted a column at a time. Raises ValueError when rows differ in
+    width."""
+    widths = set(map(len, rows))
+    if len(widths) > 1:
+        raise ValueError(f"TSV rows differ in width: {sorted(widths)}")
+    columns = [_cell_texts(list(map(itemgetter(i), rows))) for i in range(max(widths, default=0))]
+    return "\n".join(map("\t".join, zip(*columns))) + "\n"
+
+
 def write_tsv_atomic(path: Path, rows) -> None:
-    lines = ["\t".join(_format_cell(c) for c in row) for row in rows]
-    write_atomic(path, "\n".join(lines) + "\n")
-
-
-def _format_cell(c) -> str:
-    if isinstance(c, (np.floating, float)):
-        return f"{float(c):.9g}"
-    return str(c)
+    write_atomic(path, tsv_text(rows))
 
 
 def _plot_rows(*columns: np.ndarray) -> list[tuple]:

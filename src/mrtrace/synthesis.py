@@ -15,7 +15,7 @@ import numpy as np
 
 from .columns import FLOAT_FIELDS, MAX_EXACT
 from .errors import NoCompleteJobs, NoData, ScaledValueTooLarge, SpanTooLong
-from .trace import Trace, hash_path
+from .trace import Trace, numbered_path_digests
 
 # A job must carry all of these to be replayable; jobs missing any are
 # excluded from the model and counted.
@@ -130,16 +130,15 @@ def _scaled_workload(
                 f"{f} of source job {src.job_id[row]} scaled by {factor:g} is "
                 f"{col[row]:g}, {limit}"
             )
-    input_paths = (f"synthetic/input/{s}" for s in src.job_id.tolist())
-    output_paths = (f"synthetic/output/{i}" for i in range(n))
+    job_id = np.arange(n, dtype=np.int64)
     columns = replace(
         src,
-        job_id=np.arange(n, dtype=np.int64),
+        job_id=job_id,
         submit_time=offsets,
         **scaled,
-        input_path_hash=np.fromiter(map(hash_path, input_paths), dtype=np.uint64, count=n),
+        input_path_hash=numbered_path_digests("synthetic/input/", src.job_id),
         input_hash_present=np.ones(n, dtype=bool),
-        output_path_hash=np.fromiter(map(hash_path, output_paths), dtype=np.uint64, count=n),
+        output_path_hash=numbered_path_digests("synthetic/output/", job_id),
         output_hash_present=np.ones(n, dtype=bool),
     )
     jobs = Trace(

@@ -20,6 +20,14 @@ their own lines, but it is slower on a 2-core VM: parsing 1M jobs took
 on them 24.0 s against 21.2 s (medians of ten rounds). CSV is always
 read line by line: a quoted cell may span lines, so chunks of physical
 lines do not split it into records.
+
+serialize_trace writes canonical jsonl, the bytes json.dumps gives each
+row as a compact dict with missing fields left out. It formats
+_WRITE_CHUNK rows at a time, a field at a time: one list of
+',"key":value' fragments per field ("" where the value is missing), ints
+through str, floats through float.__repr__ as json.dumps does, and each
+distinct name through json.dumps once. A dict and a json.dumps call per
+row took 1.1-1.5 s on a 100k-job synthetic workload, against 0.6-0.7 s.
 """
 
 from __future__ import annotations
@@ -29,8 +37,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
-from itertools import islice
-from operator import itemgetter
+from itertools import chain, islice, repeat
 from pathlib import Path
 from types import NoneType
 from typing import Iterable, Iterator, Optional
@@ -117,13 +124,38 @@ class ValidationReport:
     anomalies: list[tuple[int, str]] = field(default_factory=list)
 
 
+def _fnv1a(data: bytes, h: int = FNV64_OFFSET_BASIS) -> int:
+    for b in data:
+        h = ((h ^ b) * FNV64_PRIME) & _U64
+    return h
+
+
 def hash_path(path: str) -> int:
     """FNV-1a 64-bit digest of a file path; stable across runs."""
     if not path:
         raise EmptyPath("cannot hash an empty path")
-    h = FNV64_OFFSET_BASIS
-    for b in path.encode("utf-8"):
-        h = ((h ^ b) * FNV64_PRIME) & _U64
+    return _fnv1a(path.encode("utf-8"))
+
+
+def numbered_path_digests(prefix: str, numbers: np.ndarray) -> np.ndarray:
+    """hash_path(f"{prefix}{n}") of each int64 n, as a uint64 array.
+
+    The FNV-1a state after prefix is computed once; the decimal digits
+    are then folded in one position at a time across the whole column,
+    where uint64 multiplication wraps mod 2**64 as `& _U64` does.
+    """
+    n = np.asarray(numbers, dtype=np.int64)
+    prime = np.uint64(FNV64_PRIME)
+    h = np.full(n.shape, _fnv1a(prefix.encode("utf-8")), dtype=np.uint64)
+    neg = n < 0
+    h = np.where(neg, (h ^ np.uint64(ord("-"))) * prime, h)
+    u = n.astype(np.uint64)
+    mag = np.where(neg, -u, u)  # |n|, also for -2**63
+    # int64 magnitudes have at most 19 digits, and 10**19 fits in uint64.
+    digits = 1 + sum((mag >= np.uint64(10**k)).astype(np.int64) for k in range(1, 20))
+    for k in range(int(digits.max(initial=1)) - 1, -1, -1):
+        d = mag // np.uint64(10**k) % np.uint64(10)
+        h = np.where(digits > k, (h ^ (d + np.uint64(ord("0")))) * prime, h)
     return h
 
 
@@ -396,18 +428,55 @@ def parse_trace(
     return Trace(label=label, machine_count=machine_count, columns=cols, span=span)
 
 
-_FILE_ORDER = itemgetter(*(ROW_FIELDS.index(k) for k in FIELD_NAMES))
+# Rows per serialize_trace chunk. Only one chunk's text is held at a
+# time: formatting a 100k-job workload as one chunk raised the peak RSS
+# of `mrtrace synthesize` from 100 to 218 MB.
+_WRITE_CHUNK = 16384
+
+
+def _field_texts(part: TraceColumns, key: str, prefix: str) -> list[str]:
+    """prefix + the JSON text of key's value for each row of part, "" where
+    the value is missing; ints as str, floats as float.__repr__, the texts
+    json.dumps writes."""
+    if key in ("job_id", "submit_time"):
+        return list(map(prefix.__add__, map(str, getattr(part, key).tolist())))
+    if key in NUMERIC:
+        col = getattr(part, key)
+        gaps = np.isnan(col)
+        if key in FLOAT_FIELDS:
+            texts = list(map(float.__repr__, col.tolist()))
+            for i in np.flatnonzero(np.isinf(col)).tolist():
+                texts[i] = "Infinity" if col[i] > 0 else "-Infinity"
+        else:
+            texts = map(str, np.where(gaps, 0, col).astype(np.int64).tolist())
+    else:
+        digests, present = part.hash_column(key.removesuffix("_path_hash"))
+        gaps = ~present
+        texts = map(str, digests.tolist())
+    out = list(map(prefix.__add__, texts))
+    for i in np.flatnonzero(gaps).tolist():
+        out[i] = ""
+    return out
 
 
 def serialize_trace(trace: Trace, dest) -> None:
-    """Write a trace as canonical jsonl; missing fields are omitted keys."""
+    """Write a trace as canonical jsonl to a path or an open text file:
+    one compact JSON object per job, keys in FIELD_NAMES order, missing
+    fields omitted. Built a column at a time (see the module docstring)."""
+    cols = trace.columns
+    # Code -1, a missing name, indexes the trailing "".
+    names = [f',"name":{json.dumps(name)}' for name in cols.names] + [""]
     own = isinstance(dest, (str, Path))
     fh = open(dest, "w", encoding="utf-8") if own else dest
     try:
-        for row in trace.columns.tuples():
-            obj = {k: v for k, v in zip(FIELD_NAMES, _FILE_ORDER(row)) if v is not None}
-            fh.write(json.dumps(obj, separators=(",", ":")))
-            fh.write("\n")
+        for start in range(0, len(cols), _WRITE_CHUNK):
+            part = cols.take(slice(start, start + _WRITE_CHUNK))
+            fields = [
+                list(map(names.__getitem__, part.name_codes.tolist())) if key == "name"
+                else _field_texts(part, key, ("{" if key == "job_id" else ",") + f'"{key}":')
+                for key in FIELD_NAMES
+            ]
+            fh.write("".join(chain.from_iterable(zip(*fields, repeat("}\n")))))
     finally:
         if own:
             fh.close()
