@@ -288,10 +288,8 @@ def _cmd_simulate(args) -> int:
         "busy_map_slot_seconds": result.busy_map_slot_seconds,
         "busy_reduce_slot_seconds": result.busy_reduce_slot_seconds,
         "total_slots": result.total_slots,
-        "job_timings": [
-            {"submit": t.submit, "first_task_start": t.first_task_start, "completion": t.completion}
-            for t in result.job_timings
-        ],
+        # A JobTiming's fields, in order, are the keys of its JSON object.
+        "job_timings": [vars(t) for t in result.job_timings],
     }
     _emit_json(out, args.out)
     if series is not None:
