@@ -89,15 +89,8 @@ def _key_text(k) -> str:
     """A dict key as json.dumps writes it: keys are not rounded."""
     if isinstance(k, str):
         return encode_basestring_ascii(k)
-    if isinstance(k, float):
-        if not math.isfinite(k):
-            raise ValueError(f"Out of range float values are not JSON compliant: {k!r}")
-        return f'"{float.__repr__(k)}"'
-    if k is True or k is False or k is None:
-        return f'"{json.dumps(k)}"'
-    if isinstance(k, int):
-        return f'"{int.__repr__(k)}"'
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    # json.dumps quotes an int, float, bool or None key and raises for others.
+    return json.dumps({k: 0}, allow_nan=False)[1:-len(": 0}")]
 
 
 def _column_texts(values) -> Optional[list[str]]:

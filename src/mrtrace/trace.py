@@ -151,8 +151,8 @@ def numbered_path_digests(prefix: str, numbers: np.ndarray) -> np.ndarray:
     h = np.where(neg, (h ^ np.uint64(ord("-"))) * prime, h)
     u = n.astype(np.uint64)
     mag = np.where(neg, -u, u)  # |n|, also for -2**63
-    # int64 magnitudes have at most 19 digits, and 10**19 fits in uint64.
-    digits = 1 + sum((mag >= np.uint64(10**k)).astype(np.int64) for k in range(1, 20))
+    # An int64 magnitude is at most 2**63 < 10**19: at most 19 digits.
+    digits = 1 + sum((mag >= np.uint64(10**k)).astype(np.int64) for k in range(1, 19))
     for k in range(int(digits.max(initial=1)) - 1, -1, -1):
         d = mag // np.uint64(10**k) % np.uint64(10)
         h = np.where(digits > k, (h ^ (d + np.uint64(ord("0")))) * prime, h)

@@ -5,6 +5,7 @@ bytes, or raise the same error type."""
 
 import io
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -73,11 +74,11 @@ class TestSerializeTrace:
         full = full_rec(0, 0, name='a "b"', input_path_hash=2**64 - 1, output_path_hash=1,
                         map_task_seconds=math.inf, reduce_task_seconds=5e-324)
         optional = [f for f in trace_mod.FIELD_NAMES if f not in ("job_id", "submit_time")]
-        records = []
-        for mask in range(1 << len(optional)):
-            missing = {f: None for i, f in enumerate(optional) if mask >> i & 1}
-            records.append(full.__class__(**{**{f: getattr(full, f) for f in trace_mod.FIELD_NAMES},
-                                             **missing, "job_id": mask, "submit_time": mask}))
+        records = [
+            replace(full, job_id=mask, submit_time=mask,
+                    **{f: None for i, f in enumerate(optional) if mask >> i & 1})
+            for mask in range(1 << len(optional))
+        ]
         trace = make_trace(records)
         assert jsonl(trace, serialize_trace) == jsonl(trace, serialize_trace_per_row)
 
