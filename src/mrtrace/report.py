@@ -100,13 +100,11 @@ def _column_texts(values) -> Optional[list[str]]:
         return list(map(int.__repr__, values))
     if types == {float}:
         rounded = list(map(float, map("{:.9g}".format, values)))
-        if not all(map(math.isfinite, rounded)):
-            bad = next(x for x in rounded if not math.isfinite(x))
-            raise ValueError(f"Out of range float values are not JSON compliant: {bad!r}")
-        return list(map(float.__repr__, rounded))
-    if any(issubclass(t, _CONTAINERS) for t in types):
+        if all(map(math.isfinite, rounded)):
+            return list(map(float.__repr__, rounded))
+    elif any(issubclass(t, _CONTAINERS) for t in types):
         return None
-    return list(map(_scalar_text, values))
+    return list(map(_scalar_text, values))  # raises for a non-finite float
 
 
 def _records_text(items: list, level: int) -> Optional[str]:
