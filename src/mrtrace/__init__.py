@@ -84,7 +84,6 @@ from .synthesis import (
 )
 from .replay_sim import SimConfig, SimResult, sim_occupancy_series, simulate
 from .cache_sim import (
-    AccessEvent,
     AccessStream,
     CacheConfig,
     CacheReport,

@@ -12,11 +12,14 @@ the cache and no file changes size, the resident set is always the
 longest front of that order whose sizes sum to at most the capacity. So
 an access hits at capacity C exactly when its byte stack distance, its
 own size plus the sizes of the distinct files touched since its file's
-last touch, is at most C; a first touch has infinite distance. One
-O(N log N) pass computes every distance and is kept with the stream;
-each capacity then costs a few linear scans, with no per-event dict
-work. ``simulate_cache`` takes the shortcut only when all of these hold,
-and otherwise replays the stream event by event:
+last touch, is at most C; a first touch has infinite distance. One pass
+of numpy array operations, down the levels of a wavelet matrix, computes
+every distance, and the sorted distances are kept with the stream. Each
+capacity then costs a few binary searches. The peak resident byte count
+needs a scan over the events, so it runs only when a caller reads
+``CacheReport.peak_resident_bytes``. ``simulate_cache`` takes the
+shortcut only when all of these hold, and otherwise replays the stream
+event by event:
 
 - admission is ``all`` (a size threshold keeps files out of the stack);
 - eviction is ``lru`` (idle expiry evicts files the order would keep);
@@ -24,32 +27,21 @@ and otherwise replays the stream event by event:
   admitted, yet would still sit in the order);
 - every digest keeps one size over the whole stream (a resident file
   that shrinks frees bytes that LRU does not refill, and one that grows
-  evicts others).
+  evicts others);
+- the event sizes sum to less than 2**63 (the pass sums bytes in int64,
+  where the replay's Python ints cannot overflow).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, compress
-from typing import Iterable, Optional, Union
+from functools import cached_property, partial
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .errors import NoData, UnsortedStream, WriteTimeOverflow
 from .trace import Trace
-
-READ = "input_read"
-WRITE = "output_write"
-
-
-@dataclass(frozen=True, slots=True)
-class AccessEvent:
-    time: int
-    file_digest: int
-    file_size: int
-    kind: str  # input_read | output_write
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,21 +50,11 @@ class AccessStream:
 
     time: np.ndarray  # int64
     digest: np.ndarray  # path digest; only equality matters
-    size: np.ndarray  # int64 bytes
+    size: np.ndarray  # int64 bytes, never negative
     is_write: np.ndarray  # bool; False = read
 
     def __len__(self) -> int:
         return len(self.time)
-
-    @classmethod
-    def from_events(cls, events: Iterable[AccessEvent]) -> "AccessStream":
-        events = list(events)
-        return cls(
-            time=np.array([e.time for e in events], dtype=np.int64),
-            digest=np.array([e.file_digest for e in events]),
-            size=np.array([e.file_size for e in events], dtype=np.int64),
-            is_write=np.array([e.kind != READ for e in events], dtype=bool),
-        )
 
     @cached_property
     def _files(self) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -83,9 +65,15 @@ class AccessStream:
         return fid, file_size, bool(np.array_equal(file_size[fid], self.size))
 
     @cached_property
+    def _total_bytes(self) -> int:
+        """The exact sum of the event sizes. The high and low 32 bits are
+        summed apart; neither sum overflows int64 below 2**31 events."""
+        return (int((self.size >> 32).sum()) << 32) + int((self.size & 0xFFFFFFFF).sum())
+
+    @cached_property
     def _lru_stack(self) -> "_LRUStack":
         fid, file_size, _ = self._files
-        return _LRUStack(fid.tolist(), file_size.tolist(), self.is_write.tolist())
+        return _LRUStack(fid, file_size, self.is_write)
 
 
 @dataclass(frozen=True)
@@ -109,14 +97,45 @@ class CacheConfig:
             raise ValueError("idle_ttl eviction needs a positive idle_ttl")
 
 
-@dataclass
 class CacheReport:
-    accesses: int  # reads seen by the cache
-    hits: int
-    hit_rate_by_accesses: float
-    hit_rate_by_bytes: float
-    evictions: int
-    peak_resident_bytes: int
+    """What one run of the cache counted.
+
+    ``peak_resident_bytes`` may be given as a function of no arguments,
+    which is called the first time the field is read, so a caller that
+    never reads it never pays for it. Reports are equal when all six
+    fields are.
+    """
+
+    _FIELDS = ("accesses", "hits", "hit_rate_by_accesses", "hit_rate_by_bytes", "evictions",
+               "peak_resident_bytes")
+    __slots__ = ("accesses", "hits", "hit_rate_by_accesses", "hit_rate_by_bytes", "evictions", "_peak")
+
+    def __init__(self, accesses: int, hits: int, hit_rate_by_accesses: float, hit_rate_by_bytes: float,
+                 evictions: int, peak_resident_bytes: Union[int, Callable[[], int]]):
+        self.accesses = accesses  # reads seen by the cache
+        self.hits = hits
+        self.hit_rate_by_accesses = hit_rate_by_accesses
+        self.hit_rate_by_bytes = hit_rate_by_bytes
+        self.evictions = evictions
+        self._peak = peak_resident_bytes
+
+    @property
+    def peak_resident_bytes(self) -> int:
+        if callable(self._peak):
+            self._peak = self._peak()
+        return self._peak
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __eq__(self, other):
+        if not isinstance(other, CacheReport):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={value!r}" for name, value in zip(self._FIELDS, self._values()))
+        return f"CacheReport({args})"
 
 
 def access_stream(trace: Trace) -> AccessStream:
@@ -164,10 +183,12 @@ def shortcut_blocker(stream: AccessStream, config: CacheConfig) -> Optional[str]
         return "a file is larger than the capacity"
     if not stream._files[2]:
         return "a digest changes size"
+    if stream._total_bytes >= 2**63:
+        return "the event bytes reach 2**63"
     return None
 
 
-def simulate_cache(stream: Union[AccessStream, Iterable[AccessEvent]], config: CacheConfig) -> CacheReport:
+def simulate_cache(stream: AccessStream, config: CacheConfig) -> CacheReport:
     """Replay an access stream through the configured cache.
 
     A read hits iff the file is resident. Writes install or update the
@@ -176,10 +197,9 @@ def simulate_cache(stream: Union[AccessStream, Iterable[AccessEvent]], config: C
 
     Admit-all LRU is answered from the stream's byte stack distances,
     which an ``AccessStream`` computes once and keeps for later calls;
-    see the module docstring for when that is exact.
+    see the module docstring for when that is exact. On that path the
+    report's ``peak_resident_bytes`` is computed when first read.
     """
-    if not isinstance(stream, AccessStream):
-        stream = AccessStream.from_events(stream)
     back = np.flatnonzero(stream.time[1:] < stream.time[:-1])
     if len(back):
         i = back[0] + 1
@@ -189,82 +209,115 @@ def simulate_cache(stream: Union[AccessStream, Iterable[AccessEvent]], config: C
     return _replay(stream, config)
 
 
-class _LRUStack:
-    """Byte LRU stack distances of one stream.
+def _previous_touch(fid: np.ndarray) -> np.ndarray:
+    """Each event's position of the previous event of its file, or -1."""
+    order = np.argsort(fid, kind="stable")
+    same = fid[order[1:]] == fid[order[:-1]]
+    prev = np.full(len(fid), -1, dtype=np.int64)
+    prev[order[1:][same]] = order[:-1][same]
+    return prev
 
-    The distance of a re-touch at position p, whose file was last touched
-    at q, is its size plus the bytes of the events strictly between q and
-    p, less those of the events in between whose file was touched again
-    before p. A Fenwick tree over positions holds the sizes of the events
-    already touched again, so each re-touch costs one query and one update.
+
+def _stack_distances(prev: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """The byte stack distance of each re-touch, in stream order.
+
+    A re-touch at p of the file last touched at q = prev[p] has distance
+    size[q + 1 .. p], less the bytes of the events in (q, p) whose file
+    was touched again before p. Each of those is prev[k] of exactly one
+    re-touch k < p with prev[k] > q, of the same size, and each such k has
+    one; so the bytes to take off are those of the earlier re-touches with
+    a larger prev.
     """
+    p = np.flatnonzero(prev >= 0)
+    q = prev[p]
+    through = np.cumsum(size)  # bytes of the events up to each position
+    return through[p] - through[q] - _larger_before(q, size[p])
 
-    def __init__(self, fid: list[int], file_size: list[int], is_write: list[bool]):
-        n = len(fid)
-        tree = [0] * (n + 1)
-        last = [0] * len(file_size)  # 1-based position of each file's latest event
-        through = [0] * (n + 1)  # bytes of the events up to each position
-        seen = 0  # bytes of the events so far
-        again = 0  # bytes of the events whose file was touched again
-        distances = []  # distance of each re-touch, in stream order
-        retouches = []  # its 0-based position
-        for p, f in enumerate(fid, 1):
-            s = file_size[f]
-            q = last[f]
-            last[f] = p
-            if q:
-                again_to_q = 0
-                i = q
-                while i:
-                    again_to_q += tree[i]
-                    i &= i - 1
-                distances.append(s + seen - through[q] - (again - again_to_q))
-                retouches.append(p - 1)
-                again += s
-                i = q
-                while i <= n:
-                    tree[i] += s
-                    i += i & -i
-            seen += s
-            through[p] = seen
-        sizes = [file_size[f] for f in fid]
-        reads = [not w for w in is_write]
-        rereads = [reads[k] for k in retouches]
-        self.reads = sum(reads)
-        self.read_bytes = sum(compress(sizes, reads))
-        self.events = n
-        self.read_distances = list(compress(distances, rereads))
-        self.read_sizes = [sizes[k] for k in compress(retouches, rereads)]
-        self.distances = distances
+
+def _larger_before(value: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """For each position p, the sum of weight[k] over the positions k < p
+    with value[k] > value[p]; values are non-negative.
+
+    A wavelet matrix over ``value`` (Claude, Navarro, Ordonez, "The
+    wavelet matrix", SPIRE 2012), with every position as its own query.
+    Each level, most significant bit first, stably moves the values whose
+    bit is 0 ahead of those whose bit is 1. So at each level the values
+    that agree on all higher bits sit together in stream order, and a
+    value whose bit is 0 is below the earlier ones in its group whose bit
+    is 1: their weight is added from a prefix sum.
+    """
+    n = len(value)
+    pos = np.arange(n)  # stream position of each entry at this level
+    total = np.zeros(n, dtype=np.int64)
+    ones_weight = np.zeros(n + 1, dtype=np.int64)  # weight of the 1 bits before each entry
+    group_start = np.ones(n, dtype=bool)
+    for b in reversed(range(int(value.max(initial=0)).bit_length())):
+        bit = ((value >> b) & 1).astype(bool)
+        higher = value >> (b + 1)
+        np.not_equal(higher[1:], higher[:-1], out=group_start[1:])
+        np.cumsum(weight * bit, out=ones_weight[1:])
+        starts = np.flatnonzero(group_start)
+        above = ones_weight[:-1] - np.repeat(ones_weight[starts], np.diff(starts, append=n))
+        above[bit] = 0
+        total += above
+        order = np.concatenate((np.flatnonzero(~bit), np.flatnonzero(bit)))
+        value, weight, total, pos = value[order], weight[order], total[order], pos[order]
+    out = np.empty(n, dtype=np.int64)
+    out[pos] = total
+    return out
+
+
+class _LRUStack:
+    """Byte LRU stack distances of one stream, sorted so that each
+    capacity is answered by binary searches."""
+
+    def __init__(self, fid: np.ndarray, file_size: np.ndarray, is_write: np.ndarray):
+        size = file_size[fid]
+        prev = _previous_touch(fid)
+        retouch = np.flatnonzero(prev >= 0)
+        distances = _stack_distances(prev, size)
+        reread = ~is_write[retouch]
+        read_distances = distances[reread]
+        by_distance = np.argsort(read_distances)
+        self.read_distances = read_distances[by_distance]
+        # Bytes of the re-reads at the i smallest distances.
+        self.read_bytes_within = np.concatenate(([0], np.cumsum(size[retouch[reread]][by_distance])))
+        self.distances = np.sort(distances)
+        self.reads = int(np.count_nonzero(~is_write))
+        self.read_bytes = int(size[~is_write].sum())
+        self.events = len(fid)
         # Every file is touched; its depth in the final recency order,
-        # most recent first, in bytes.
-        recency = np.argsort(np.array(last, dtype=np.int64))[::-1].tolist()
-        self.final_depths = list(accumulate(map(file_size.__getitem__, recency)))
-        self.total = self.final_depths[-1] if recency else 0
+        # most recent first, in bytes. The last touches are the events
+        # that are no re-touch's previous touch.
+        last = np.ones(len(fid), dtype=bool)
+        last[prev[retouch]] = False
+        self.final_depths = np.cumsum(size[np.flatnonzero(last)[::-1]])
+        self.total = int(self.final_depths[-1]) if len(self.final_depths) else 0
         self.fid = fid
         self.file_size = file_size
 
     def report(self, capacity: int) -> CacheReport:
-        hit = list(map(capacity.__ge__, self.read_distances))
-        hits = sum(hit)
-        hit_bytes = sum(compress(self.read_sizes, hit))
+        # No distance or depth exceeds the total, and the total fits int64.
+        c = min(capacity, self.total)
+        hits = int(np.searchsorted(self.read_distances, c, side="right"))
+        hit_bytes = int(self.read_bytes_within[hits])
         # Every miss installs its file; a file leaves only by eviction.
-        installs = self.events - sum(map(capacity.__ge__, self.distances))
-        evictions = installs - bisect_right(self.final_depths, capacity)
+        installs = self.events - int(np.searchsorted(self.distances, c, side="right"))
+        evictions = installs - int(np.searchsorted(self.final_depths, c, side="right"))
         return CacheReport(
             accesses=self.reads,
             hits=hits,
             hit_rate_by_accesses=hits / self.reads if self.reads else 0.0,
             hit_rate_by_bytes=hit_bytes / self.read_bytes if self.read_bytes else 0.0,
             evictions=evictions,
-            peak_resident_bytes=self.total if capacity >= self.total else self._peak(capacity),
+            peak_resident_bytes=self.total if capacity >= self.total else partial(self._peak, capacity),
         )
 
     def _peak(self, capacity: int) -> int:
         """Largest resident byte count. After each event the resident set
         is the longest run of latest events whose distinct files fit, so
         two pointers over the events track it."""
-        fid, file_size = self.fid, self.file_size
+        fid, file_size = self.fid.tolist(), self.file_size.tolist()
         count = [0] * len(file_size)  # events of each file in the window
         lo = 0
         window = 0

