@@ -201,10 +201,14 @@ def _mean_centroids(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarra
 
 
 def _fill_empty(points, assign, d2, centroids):
-    """Reseed each empty cluster at the point currently farthest from its centroid."""
+    """Reseed each empty cluster at the point currently farthest from its
+    centroid, among the clusters that keep another member: a reseed never
+    empties a cluster, nor moves a point an earlier reseed placed, so every
+    cluster keeps a member and every mean is finite."""
     counts = np.bincount(assign, minlength=centroids.shape[0])
     for j in np.nonzero(counts == 0)[0]:
-        far = int(np.argmax(d2))
+        far = int(np.argmax(np.where(counts[assign] > 1, d2, -1.0)))
+        counts[assign[far]] -= 1
         centroids[j] = points[far]
         assign[far] = j
         d2[far] = 0.0

@@ -4,9 +4,11 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
-from mrtrace import JobRecord, Trace
+from mrtrace import JobFeatureMatrix, JobRecord, Trace
+from mrtrace.compute_patterns import FeatureTransform
 from mrtrace.columns import TraceColumns
 
 
@@ -20,6 +22,13 @@ def make_trace(records, label="test", machines=1, span=None):
         span = (records[0].submit_time, records[-1].submit_time)
     return Trace(label=label, machine_count=machines, columns=TraceColumns.from_records(records),
                  span=span)
+
+
+def matrix_of(rows):
+    """A feature matrix over ``rows`` as given, for the k-means tests."""
+    rows = np.asarray(rows, dtype=np.float64)
+    return JobFeatureMatrix(rows=rows, raw=rows, excluded_count=0, job_ids=np.arange(len(rows)),
+                            transform=FeatureTransform(np.zeros(rows.shape[1]), np.ones(rows.shape[1])))
 
 
 def full_rec(job_id, submit_time, *, name="job", duration=60, input_bytes=1000,

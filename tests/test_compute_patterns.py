@@ -1,6 +1,7 @@
 import math
 import random
 import string
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from mrtrace import (
     summarize_clusters,
 )
 from mrtrace.compute_patterns import FEATURE_NAMES, UNNAMED
-from conftest import full_rec, make_trace, rec
+from conftest import full_rec, make_trace, matrix_of, rec
 
 
 class TestFirstWord:
@@ -227,6 +228,32 @@ class TestKMeans:
         d = ((m.rows[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
         best = d[np.arange(len(m)), model.assignments]
         assert np.all(best <= d.min(axis=1) + 1e-12)
+
+    def test_more_clusters_than_distinct_rows_stay_finite(self):
+        # Every d2 is 0 once both values hold a centroid, so the farthest
+        # point is the first one each time; a reseed used to move it from
+        # one empty cluster to the next and leave NaN means behind.
+        rows = np.array([[0.0] * 6] * 6 + [[1.0] * 6] * 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = kmeans(matrix_of(rows), 5, seed=3)
+        assert np.isfinite(model.centroids).all()
+        assert model.residual_variance == 0.0
+        assert np.bincount(model.assignments, minlength=5).min() >= 1
+        assert np.array_equal(model.centroids[model.assignments], rows)
+
+    def test_degenerate_fits_keep_every_cluster(self):
+        rng = np.random.default_rng(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for trial in range(200):
+                n = int(rng.integers(1, 30))
+                pool = rng.normal(size=(int(rng.integers(1, 4)), 6))
+                rows = pool[rng.integers(len(pool), size=n)]
+                k = int(rng.integers(1, n + 1))
+                model = kmeans(matrix_of(rows), k, seed=trial)
+                assert np.isfinite(model.centroids).all(), trial
+                assert np.bincount(model.assignments, minlength=k).min() >= 1, trial
 
 
 class TestSelectK:
