@@ -4,7 +4,9 @@ six-dimensional k-means job typing with elbow-based k selection.
 
 from __future__ import annotations
 
+import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -68,6 +70,8 @@ class ClusterModel:
     residual_variance: float  # mean squared distance to assigned centroid
     seed: int
     matrix: JobFeatureMatrix
+    rounds: int  # Lloyd rounds run, at most 100
+    converged: bool  # False when the 100-round cap ended the fit
 
 
 @dataclass
@@ -179,24 +183,51 @@ def job_feature_vectors(trace: Trace) -> JobFeatureMatrix:
     )
 
 
+# Points per block of the transposing copy in _nearest; a block of a
+# 10-centroid product, 320 KB, stays in cache while it is transposed.
+_BLOCK = 4096
+
+
 def _nearest(points, centroids, x_norms):
     """Assignment to the closest centroid (ties to the lowest index) and
-    the squared distance to it. x_norms is the reusable per-point norm."""
+    the squared distance to it, |x|^2 - 2 x.c + |c|^2. x_norms is the
+    reusable per-point norm.
+
+    The dot products are always points @ centroids.T, n x k. OpenBLAS
+    rounds the last bit of some of them differently in the k x n
+    orientation (seen from k = 12 on, in the rows past the last multiple
+    of 8; and at k = 1, where the products are matrix-vector), and every
+    later bit of the fit hangs on them. The product is copied
+    transposed, block by block, with the -2 scaling applied on the way,
+    so that each centroid's distances are one contiguous row; a running
+    minimum over the rows then finds the nearest centroid without a
+    strided argmin.
+    """
     d2 = points @ centroids.T
-    d2 *= -2.0
-    d2 += x_norms[:, None]
-    d2 += (centroids * centroids).sum(axis=1)[None, :]
-    assign = np.argmin(d2, axis=1)
-    best = d2[np.arange(points.shape[0]), assign]
+    n, k = d2.shape
+    g = np.empty((k, n))
+    for a in range(0, n, _BLOCK):
+        np.multiply(d2[a : a + _BLOCK].T, -2.0, out=g[:, a : a + _BLOCK])
+    g += x_norms
+    g += (centroids * centroids).sum(axis=1)[:, None]
+    best = g[0].copy()
+    assign = np.zeros(n, dtype=np.intp)
+    for j in range(1, k):
+        # Strictly closer only, so a tie stays with the lower index.
+        closer = np.less(g[j], best)
+        np.minimum(best, g[j], out=best)
+        assign += closer * (j - assign)
     np.maximum(best, 0.0, out=best)
     return assign, best
 
 
-def _mean_centroids(points: np.ndarray, assign: np.ndarray, k: int) -> np.ndarray:
-    counts = np.bincount(assign, minlength=k).astype(np.float64)
-    sums = np.empty((k, points.shape[1]))
-    for d in range(points.shape[1]):
-        sums[:, d] = np.bincount(assign, weights=points[:, d], minlength=k)
+def _mean_centroids(points_t: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-cluster means, one bincount per dimension over the contiguous
+    rows of points_t; counts are the cluster sizes, none of them 0."""
+    k = len(counts)
+    sums = np.empty((k, points_t.shape[0]))
+    for d in range(points_t.shape[0]):
+        sums[:, d] = np.bincount(assign, weights=points_t[d], minlength=k)
     return sums / counts[:, None]
 
 
@@ -204,7 +235,8 @@ def _fill_empty(points, assign, d2, centroids):
     """Reseed each empty cluster at the point currently farthest from its
     centroid, among the clusters that keep another member: a reseed never
     empties a cluster, nor moves a point an earlier reseed placed, so every
-    cluster keeps a member and every mean is finite."""
+    cluster keeps a member and every mean is finite. Returns the cluster
+    sizes after the reseeds as well."""
     counts = np.bincount(assign, minlength=centroids.shape[0])
     for j in np.nonzero(counts == 0)[0]:
         far = int(np.argmax(np.where(counts[assign] > 1, d2, -1.0)))
@@ -213,7 +245,7 @@ def _fill_empty(points, assign, d2, centroids):
         assign[far] = j
         d2[far] = 0.0
         counts[j] = 1
-    return assign, centroids
+    return assign, centroids, counts
 
 
 def kmeans(matrix: JobFeatureMatrix, k: int, seed: int) -> ClusterModel:
@@ -222,7 +254,8 @@ def kmeans(matrix: JobFeatureMatrix, k: int, seed: int) -> ClusterModel:
     Initial centroids are drawn with probability proportional to squared
     distance from those already chosen; iterations stop at an assignment
     fixpoint or after 100 rounds; empty clusters are reseeded from the
-    farthest point.
+    farthest point. The model records how many rounds ran and whether the
+    fixpoint was reached.
     """
     points = matrix.rows
     n = points.shape[0]
@@ -231,6 +264,7 @@ def kmeans(matrix: JobFeatureMatrix, k: int, seed: int) -> ClusterModel:
     if k > n:
         raise KTooLarge(f"k={k} exceeds {n} rows")
 
+    points_t = np.ascontiguousarray(points.T)
     rng = np.random.default_rng(seed)
     centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(n)]
@@ -247,20 +281,20 @@ def kmeans(matrix: JobFeatureMatrix, k: int, seed: int) -> ClusterModel:
 
     prev = None
     converged = False
-    for _ in range(100):
+    for rounds in range(1, 101):
         assign, d2 = _nearest(points, centroids, x_norms)
-        assign, centroids = _fill_empty(points, assign, d2, centroids)
+        assign, centroids, counts = _fill_empty(points, assign, d2, centroids)
         if prev is not None and np.array_equal(assign, prev):
             converged = True
             break
         prev = assign
-        centroids = _mean_centroids(points, assign, k)
+        centroids = _mean_centroids(points_t, assign, counts)
 
     if not converged:
         # Hit the iteration cap: recompute so the returned assignment is
         # self-consistent with the returned centroids.
         assign, d2 = _nearest(points, centroids, x_norms)
-        assign, centroids = _fill_empty(points, assign, d2, centroids)
+        assign, centroids, _ = _fill_empty(points, assign, d2, centroids)
 
     return ClusterModel(
         k=k,
@@ -269,6 +303,8 @@ def kmeans(matrix: JobFeatureMatrix, k: int, seed: int) -> ClusterModel:
         residual_variance=float(d2.mean()),
         seed=seed,
         matrix=matrix,
+        rounds=rounds,
+        converged=converged,
     )
 
 
@@ -277,11 +313,24 @@ def _restart_seed(seed: int, k: int, restart: int) -> int:
 
 
 def fit_best(matrix: JobFeatureMatrix, k: int, seed: int, restarts: int = 5) -> ClusterModel:
-    """Best of several seeded k-means runs by residual variance."""
-    best = None
-    for r in range(restarts):
-        model = kmeans(matrix, k, _restart_seed(seed, k, r))
-        if best is None or model.residual_variance < best.residual_variance:
+    """Best of several seeded k-means runs by residual variance; a tie
+    goes to the lowest restart.
+
+    The restarts run on a thread pool with a worker per usable core, up to
+    one per restart: numpy releases the GIL in the array loops that take
+    most of a round. Each restart's model depends only on its own seed, so
+    the result is the one a serial loop gives.
+    """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(restarts, cores or 1)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        models = list(pool.map(lambda r: kmeans(matrix, k, _restart_seed(seed, k, r)),
+                               range(restarts)))
+    best = models[0]
+    for model in models[1:]:
+        if model.residual_variance < best.residual_variance:
             best = model
     return best
 

@@ -229,6 +229,18 @@ class TestKMeans:
         best = d[np.arange(len(m)), model.assignments]
         assert np.all(best <= d.min(axis=1) + 1e-12)
 
+    def test_fit_records_rounds_and_convergence(self):
+        trace, _ = planted_clusters(n_per=50)
+        model = kmeans(job_feature_vectors(trace), 3, seed=1)
+        # The fixpoint shows in a second round at the earliest.
+        assert model.converged
+        assert 2 <= model.rounds < 100
+
+    def test_restarts_must_be_positive(self):
+        trace, _ = planted_clusters(n_per=5)
+        with pytest.raises(ValueError):
+            fit_best(job_feature_vectors(trace), 2, seed=0, restarts=0)
+
     def test_more_clusters_than_distinct_rows_stay_finite(self):
         # Every d2 is 0 once both values hold a centroid, so the farthest
         # point is the first one each time; a reseed used to move it from
