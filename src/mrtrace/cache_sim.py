@@ -57,12 +57,26 @@ class AccessStream:
         return len(self.time)
 
     @cached_property
+    def _file_index(self) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
+        """What one stable sort of the digests gives: dense file ids per
+        event, in digest order; each file's size at its first event;
+        whether every digest keeps that one size; and each event's
+        previous touch of its file."""
+        order = np.argsort(self.digest, kind="stable")
+        digest = self.digest[order]
+        starts = np.ones(len(digest), dtype=bool)
+        np.not_equal(digest[1:], digest[:-1], out=starts[1:])
+        fid = np.empty(len(digest), dtype=np.intp)
+        fid[order] = np.cumsum(starts) - 1
+        file_size = self.size[order[starts]]
+        same_size = bool(np.array_equal(file_size[fid], self.size))
+        return fid, file_size, same_size, _previous_touch(fid, order)
+
+    @property
     def _files(self) -> tuple[np.ndarray, np.ndarray, bool]:
         """Dense file ids per event, each file's size at its first event,
         and whether every digest keeps that one size."""
-        _, first, fid = np.unique(self.digest, return_index=True, return_inverse=True)
-        file_size = self.size[first]
-        return fid, file_size, bool(np.array_equal(file_size[fid], self.size))
+        return self._file_index[:3]
 
     @cached_property
     def _total_bytes(self) -> int:
@@ -72,8 +86,8 @@ class AccessStream:
 
     @cached_property
     def _lru_stack(self) -> "_LRUStack":
-        fid, file_size, _ = self._files
-        return _LRUStack(fid, file_size, self.is_write)
+        fid, file_size, _, prev = self._file_index
+        return _LRUStack(fid, file_size, self.is_write, prev)
 
 
 @dataclass(frozen=True)
@@ -209,9 +223,11 @@ def simulate_cache(stream: AccessStream, config: CacheConfig) -> CacheReport:
     return _replay(stream, config)
 
 
-def _previous_touch(fid: np.ndarray) -> np.ndarray:
-    """Each event's position of the previous event of its file, or -1."""
-    order = np.argsort(fid, kind="stable")
+def _previous_touch(fid: np.ndarray, order: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each event's position of the previous event of its file, or -1.
+    ``order`` is the stable argsort of ``fid`` when the caller has it."""
+    if order is None:
+        order = np.argsort(fid, kind="stable")
     same = fid[order[1:]] == fid[order[:-1]]
     prev = np.full(len(fid), -1, dtype=np.int64)
     prev[order[1:][same]] = order[:-1][same]
@@ -271,9 +287,9 @@ class _LRUStack:
     """Byte LRU stack distances of one stream, sorted so that each
     capacity is answered by binary searches."""
 
-    def __init__(self, fid: np.ndarray, file_size: np.ndarray, is_write: np.ndarray):
+    def __init__(self, fid: np.ndarray, file_size: np.ndarray, is_write: np.ndarray,
+                 prev: np.ndarray):
         size = file_size[fid]
-        prev = _previous_touch(fid)
         retouch = np.flatnonzero(prev >= 0)
         distances = _stack_distances(prev, size)
         reread = ~is_write[retouch]
