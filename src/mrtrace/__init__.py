@@ -5,10 +5,11 @@ __version__ = "0.1.0"
 
 import os
 
-# One OpenBLAS thread unless the caller chose a count. The only BLAS work
-# is k-means' small products, whose restarts already run on a thread pool;
-# BLAS worker threads would only contend with it for the cores. Set before
-# anything imports numpy, which reads it when OpenBLAS loads.
+# One OpenBLAS thread unless the caller chose a count. The k-means restarts
+# run on a thread pool, and BLAS worker threads would contend with it for
+# the cores; a threaded dot product also sums in an order that depends on
+# the thread count. Set before anything imports numpy, which reads it when
+# OpenBLAS loads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import (

@@ -328,11 +328,7 @@ def fit_best(matrix: JobFeatureMatrix, k: int, seed: int, restarts: int = 5) -> 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         models = list(pool.map(lambda r: kmeans(matrix, k, _restart_seed(seed, k, r)),
                                range(restarts)))
-    best = models[0]
-    for model in models[1:]:
-        if model.residual_variance < best.residual_variance:
-            best = model
-    return best
+    return min(models, key=lambda model: model.residual_variance)  # the first of equals
 
 
 def elbow_fit(

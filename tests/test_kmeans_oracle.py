@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import kmeans_oracle
 from conftest import matrix_of
-from mrtrace import compute_patterns, elbow_fit, kmeans
+from mrtrace import compute_patterns, elbow_fit, fit_best, kmeans
 
 KINDS = ("normal", "blobs", "grid", "pool", "constant")
 
@@ -97,6 +97,19 @@ def test_empty_cluster_reseeds_match(rows, k, monkeypatch):
     for seed in range(5):
         assert_same_model(kmeans(m, k, seed), kmeans_oracle.kmeans(m, k, seed))
     assert sum(reseeds) > 0
+
+
+def test_restarts_on_more_threads_than_cores_match(monkeypatch):
+    # Five workers whatever the machine, switching threads every microsecond.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    m = matrix_of(rows_of("blobs", 2000, 4))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(3):
+            assert_same_model(fit_best(m, 6, seed), kmeans_oracle.fit_best(m, 6, seed))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def run_fixed_cases() -> int:
