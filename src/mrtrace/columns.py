@@ -103,24 +103,6 @@ class TraceColumns:
     def from_records(cls, records: Sequence[JobRecord]) -> "TraceColumns":
         return cls.from_fields(list(zip(*map(_ROW, records))) or [()] * len(ROW_FIELDS))
 
-    @classmethod
-    def concat(cls, parts: Sequence["TraceColumns"]) -> "TraceColumns":
-        """The rows of parts, in order; the merged name table keeps names in
-        order of first appearance."""
-        if len(parts) == 1:
-            return parts[0]
-        if not parts:
-            return cls.from_fields([()] * len(ROW_FIELDS))
-        index: dict[str, int] = {}
-        codes = []
-        for part in parts:
-            # The trailing -1 keeps code -1 (missing) missing.
-            remap = [index.setdefault(name, len(index)) for name in part.names]
-            codes.append(np.array(remap + [-1], dtype=np.int64)[part.name_codes])
-        arrays = [k for k, v in vars(parts[0]).items() if isinstance(v, np.ndarray)]
-        merged = {k: np.concatenate([getattr(part, k) for part in parts]) for k in arrays}
-        return cls(**merged | {"name_codes": np.concatenate(codes), "names": tuple(index)})
-
     def __len__(self) -> int:
         return int(self.job_id.size)
 

@@ -6,20 +6,33 @@ missing and is then left missing, never zero-filled. A parsed Trace
 stores its jobs as columns (see columns.py); Trace.records presents them
 as JobRecords.
 
-JSON Lines are read _JSONL_CHUNK lines at a time. Each chunk is first
-decoded with one json.loads and checked column by column with numpy
-(_bulk_columns). That bulk path only ever accepts: when a chunk holds
-anything it cannot vouch for (a malformed line, a "[" anywhere, a nested
-value, a NaN, an integer a float64 column might round, a float submit
-time, an unknown key), it declines and the chunk is read again line by
-line (_iter_jsonl), which either accepts it with the same values or
-raises the error naming the first bad line. One json.loads per line
-would need none of the checks that keep a joined chunk's objects on
-their own lines, but it is slower on a 2-core VM: parsing 1M jobs took
-11.9-12.0 s against 9.1-9.6 s (three runs each), and `mrtrace analyze`
-on them 24.0 s against 21.2 s (medians of ten rounds). CSV is always
+JSON Lines are read _JSONL_CHUNK lines at a time, and each chunk by the
+first of three tiers that accepts it. The first two only ever accept:
+when a chunk holds anything they cannot vouch for, they decline.
+  1. _layout_columns takes a chunk whose lines all have exactly the
+     compact layout of its first, {"k1":v1,...,"km":vm}, as
+     serialize_trace and the benchmark generators write it. It indexes
+     the quotes and newlines of the encoded bytes, as simdjson does
+     (Langdale & Lemire, VLDB J. 2019), and parses every number with
+     numpy. On 200k-job inputs it parsed in 0.46-0.65 s, against
+     1.40-1.50 s for tier 2.
+  2. _bulk_columns decodes the chunk with one json.loads and checks it
+     column by column, for any other valid JSON: json.dumps' default
+     separators, keys that vary by line. It declines a malformed line, a
+     "[" anywhere, a nested value, a NaN, an integer a float64 column
+     might round, a float submit time or an unknown key. Reading such
+     chunks line by line instead would be 25% slower.
+  3. _iter_jsonl reads the chunk line by line. It is the oracle of both
+     other tiers: it accepts what they accept, with the same values, or
+     raises the error naming the first bad line.
+One json.loads per line for tier 2 would need none of the checks that
+keep a joined chunk's objects on their own lines, but it is slower on a
+2-core VM: parsing 1M jobs took 11.9-12.0 s against 9.1-9.6 s (three
+runs each). Each chunk, whichever tier read it, is copied at once into
+output columns that grow by doubling (see _JSONL_CHUNK). CSV is always
 read line by line: a quoted cell may span lines, so chunks of physical
-lines do not split it into records.
+lines do not split it into records. Bytes that are not UTF-8 raise
+MalformedRecord at their line in both formats.
 
 serialize_trace writes canonical jsonl, the bytes json.dumps gives each
 row as a compact dict with missing fields left out. It formats
@@ -35,6 +48,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
@@ -160,6 +174,18 @@ def numbered_path_digests(prefix: str, numbers: np.ndarray) -> np.ndarray:
 
 
 _KEY_SET = frozenset(FIELD_NAMES)
+# Trace files are read with errors="surrogateescape", which turns each byte
+# that is not UTF-8 into a lone surrogate; text read from UTF-8 holds none.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+# The number spellings a CSV cell may use: ASCII digits, an optional sign,
+# fraction and exponent. int() and float() also take "1_000" and non-ASCII
+# digits, which jsonl rejects.
+_CSV_NUMBER = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def _require_utf8(text: str, line_no: int) -> None:
+    if not text.isascii() and _UNDECODABLE.search(text):
+        raise MalformedRecord(line_no, "invalid UTF-8")
 
 
 def _coerce_nonneg(obj, key, line_no, as_int):
@@ -235,6 +261,7 @@ def _iter_jsonl(lines: Iterable[str], first_line_no: int = 1):
         line = line.strip()
         if not line:
             continue
+        _require_utf8(line, line_no)
         try:
             obj = json.loads(line)
         except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
@@ -250,6 +277,7 @@ def _iter_csv(lines: Iterable[str]):
         header = next(reader)
     except StopIteration:
         return
+    _require_utf8("".join(header), 1)
     header = [h.strip() for h in header]
     unknown = [h for h in header if h not in _KEY_SET]
     if unknown:
@@ -257,6 +285,7 @@ def _iter_csv(lines: Iterable[str]):
     for line_no, row in enumerate(reader, start=2):
         if not row or all(cell == "" for cell in row):
             continue
+        _require_utf8("".join(row), line_no)
         obj: dict[str, object] = {}
         for col, cell in zip(header, row):
             cell = cell.strip()
@@ -264,24 +293,25 @@ def _iter_csv(lines: Iterable[str]):
                 continue  # empty cell = missing
             if col == "name":
                 obj[col] = cell
+            elif _CSV_NUMBER.fullmatch(cell):
+                obj[col] = float(cell) if "." in cell or "e" in cell or "E" in cell else int(cell)
             else:
-                try:
-                    obj[col] = float(cell) if "." in cell or "e" in cell or "E" in cell else int(cell)
-                except ValueError:
-                    raise MalformedRecord(line_no, f"non-numeric value {cell!r} in column {col}")
+                raise MalformedRecord(line_no, f"non-numeric value {cell!r} in column {col}")
         yield _record_values(obj, line_no)
 
 
 def _open_lines(source, fmt: str):
-    """Yield text lines from a path, bytes, or file object."""
+    """Yield text lines from a path, bytes, or file object. Bytes that are
+    not UTF-8 become lone surrogates, which the readers report by line."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline="" if fmt == "csv" else None)
+        return open(source, "r", encoding="utf-8", errors="surrogateescape",
+                    newline="" if fmt == "csv" else None)
     if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8"))
+        return io.StringIO(source.decode("utf-8", "surrogateescape"))
     if hasattr(source, "read"):
         data = source.read()
         if isinstance(data, bytes):
-            data = data.decode("utf-8")
+            data = data.decode("utf-8", "surrogateescape")
         return io.StringIO(data)
     raise TypeError(f"unsupported trace source {type(source)!r}")
 
@@ -296,12 +326,223 @@ def _columns_of(rows: Iterable[tuple]) -> TraceColumns:
     return TraceColumns.from_fields(values)
 
 
-# Lines per bulk chunk. glibc raises its mmap threshold to the size of each
-# large buffer freed, so later buffers of that size come from the heap and
-# leave holes in it. At 4096 lines a chunk's text stays near a megabyte;
-# 65,536-line chunks (20 MB texts) raised the peak RSS of later stages,
-# and parsed no faster.
+# Lines per chunk, for all three jsonl tiers. glibc raises its mmap
+# threshold to the size of each large buffer freed, so later buffers of
+# that size come from the heap and leave holes in it. At 4096 lines a
+# chunk's text stays near a megabyte; 65,536-line chunks (20 MB texts)
+# raised the peak RSS of later stages, and parsed no faster. For the same
+# reason _read_jsonl copies each chunk into output columns at once: keeping
+# the 245 chunks of a 1M-job file and joining them at the end left 256 MB
+# resident after the parse instead of 151 MB.
 _JSONL_CHUNK = 4096
+
+_REQUIRED = frozenset(("job_id", "submit_time"))
+_INT_FIELDS = frozenset(NUMERIC) - frozenset(FLOAT_FIELDS)
+# Names longer than this decline the layout reader, which lays the names
+# of a chunk out as one row of this many bytes each.
+_LAYOUT_NAME_MAX = 1024
+
+
+def _layout_keys(first: str) -> Optional[tuple[str, ...]]:
+    """The keys of a chunk's first line, when it is one job object whose
+    values the layout reader can hold: a string name, numbers elsewhere."""
+    try:
+        obj = json.loads(first)
+    except ValueError:
+        return None
+    if type(obj) is not dict or not _REQUIRED <= obj.keys() <= _KEY_SET:
+        return None
+    for key, value in obj.items():
+        if type(value) not in ((str,) if key == "name" else (int, float)):
+            return None
+    return tuple(obj)
+
+
+def _digit_values(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """Parse the number texts buf[start:end] (nonempty and in order): the
+    value of each as the integer of its digits, wrapping mod 2**64, so
+    exact up to 19 digits; its digit count; and its digit count after the
+    dot. None when a byte is neither a digit nor a dot, or a text has a
+    leading zero, two dots, or a dot at either end."""
+    start, end = start.astype(np.int32), end.astype(np.int32)  # halves the byte arrays
+    length = end - start
+    offset = np.cumsum(length, dtype=np.int32) - length
+    pos = np.repeat(start - offset, length) + np.arange(offset[-1] + length[-1], dtype=np.int32)
+    digit = buf[pos] - 48  # uint8: "." wraps to 254
+    dots = np.flatnonzero(digit == 254)
+    if np.count_nonzero(digit > 9) != dots.size:
+        return None
+    # The power of ten of each digit, one less before a dot.
+    power = np.repeat(end - 1, length) - pos
+    fraction = np.zeros(start.size, dtype=np.int64)
+    if dots.size:
+        span = np.searchsorted(offset, dots, "right") - 1
+        fraction[span] = end[span] - 1 - pos[dots]
+        if np.any(np.diff(span) == 0) or np.any((fraction[span] == 0) | (pos[dots] == start[span])):
+            return None
+        before = np.zeros(pos.size + 1, dtype=np.int8)
+        before[offset[span]] = 1
+        before[dots] = -1
+        power -= np.cumsum(before[:-1], dtype=np.int8)
+        digit[dots] = 0
+    if np.any((buf[start] == 48) & (length > 1) & (buf[start + 1] != 46)):
+        return None
+    np.minimum(power, 19, out=power)  # texts past 20 digits are decided by the caller
+    value = np.add.reduceat((10 ** np.arange(20, dtype=np.uint64))[power] * digit, offset)
+    return value, length - (fraction > 0), fraction
+
+
+def _layout_columns(lines: list[str]) -> Optional[TraceColumns]:
+    """Columns of a chunk whose every line has exactly the compact layout
+    of its first, {"k1":v1,...,"km":vm} with the same keys in the same
+    order, read from the encoded bytes with numpy; None to decline.
+
+    One flatnonzero finds the newlines and quotes. With no backslash no
+    quote is escaped, so every line holds the same quotes: two per key and
+    two around the name. The head of each key, such as ',"duration":', is
+    checked by 8-byte word gathers at the byte before its first quote;
+    whatever lies between two heads is a value. Numbers are parsed
+    together by _digit_values: ids as int64, digests as uint64 up to
+    2**64-1, the integer fields up to 2**53, and float fields as
+    mantissa / 10**f while the mantissa has at most 15 digits, where one
+    correctly rounded division equals float(text) (Clinger, PLDI 1990);
+    longer ones are converted alone. Declines whitespace, control bytes,
+    backslashes, signs, exponents, leading zeros, a dot in an integer
+    field, and values out of range, so that like _bulk_columns it never
+    raises for bad input and whatever it accepts _iter_jsonl reads with
+    the same values.
+    """
+    keys = _layout_keys(lines[0])
+    if keys is None:
+        return None
+    try:
+        text = "".join(lines).encode()  # an undecodable byte, escaped to a surrogate, declines
+    except UnicodeEncodeError:
+        return None
+    if not text.endswith(b"\n"):
+        text += b"\n"
+    size = len(text)
+    pad = _LAYOUT_NAME_MAX + 32  # room for word and name reads past the last byte
+    padded = text + bytes(pad)
+    del text
+    buf = np.frombuffer(padded, dtype=np.uint8)
+    body = buf[:size]
+    hits = np.flatnonzero(body <= 34)  # control bytes, spaces, "!" and quotes
+    byte = body[hits]
+    ends = hits[byte == 10]  # the newline of each line
+    quotes = hits[byte == 34]
+    rows = ends.size
+    quote_cols = np.cumsum([0] + [4 if key == "name" else 2 for key in keys])
+    if (quotes.size != rows * quote_cols[-1] or np.count_nonzero(byte < 32) != rows
+            or padded.find(b"\\") >= 0):
+        return None  # a control byte, a backslash, or lines unlike the first
+    quotes = quotes.reshape(rows, quote_cols[-1])
+
+    # bound[:, j] is the "{" or "," before key j, and bound[:, -1] the "}".
+    bound = np.empty((rows, len(keys) + 1), dtype=np.int64)
+    bound[:, :-1] = quotes[:, quote_cols[:-1]] - 1
+    bound[:, -1] = ends - 1
+    heads = [(b"," if j else b"{") + f'"{key}":'.encode() for j, key in enumerate(keys)]
+    spots = [(j, at, head[at:at + 8]) for j, head in enumerate(heads) for at in range(0, len(head), 8)]
+    key_of, at, mask, expect = zip(*((j, at, (1 << 8 * len(part)) - 1, int.from_bytes(part, "little"))
+                                     for j, at, part in spots))
+    words = np.ndarray((size + pad - 7,), dtype="S8", buffer=padded, strides=(1,))
+    found = words[bound[:, key_of] + at].view("<u8") & np.array(mask, dtype=np.uint64)
+    if not (np.all(found == np.array(expect, dtype=np.uint64))
+            and bound[0, 0] == 0 and np.all(bound[1:, 0] == ends[:-1] + 1)
+            and np.all(body[ends - 1] == 125)):
+        return None
+    # Each value runs from the end of its head to the next bound.
+    start = bound[:, :-1] + np.array([len(head) for head in heads])
+    stop = bound[:, 1:]
+    codes, names = np.full(rows, -1, dtype=np.int64), ()
+    if "name" in keys:
+        j = keys.index("name")
+        c = quote_cols[j]
+        if not (np.array_equal(quotes[:, c + 2], start[:, j])
+                and np.array_equal(quotes[:, c + 3], stop[:, j] - 1)):
+            return None
+        named = _layout_names(padded, start[:, j] + 1, stop[:, j] - 1)
+        if named is None:
+            return None
+        codes, names = named
+    numbers = [key for key in keys if key != "name"]
+    cols = [j for j, key in enumerate(keys) if key != "name"]
+    start, stop = start[:, cols].ravel(), stop[:, cols].ravel()  # row-major: in file order
+    if not np.all(stop > start):
+        return None
+    parsed = _digit_values(buf, start, stop)
+    if parsed is None:
+        return None
+    value, digits, fraction = (a.reshape(rows, len(numbers)) for a in parsed)
+    lead = buf[start].reshape(rows, len(numbers))
+
+    values = {}
+    for i, key in enumerate(numbers):
+        v, d = value[:, i], digits[:, i]
+        if key not in FLOAT_FIELDS and np.any(fraction[:, i]):
+            return None  # a dot in an integer field
+        if key in ("job_id", "submit_time"):
+            good = (d <= 19) & (v <= _I64_MAX)
+            col = v.astype(np.int64)
+        elif key.endswith("_hash"):
+            # A 20-digit value past 2**64-1 starts with 1 and wraps below 10**19.
+            good = (d < 20) | (d == 20) & (lead[:, i] == 49) & (v >= 10**19)
+            col = v
+        elif key in _INT_FIELDS:
+            good = (d <= 16) & (v <= MAX_EXACT)
+            col = v.astype(np.float64)
+        else:
+            short = d <= 15
+            scale = np.array([float(10**k) for k in range(16)])  # exact powers of ten
+            col = v.astype(np.float64) / scale[np.where(short, fraction[:, i], 0)]
+            for r in np.flatnonzero(~short).tolist():
+                k = r * len(numbers) + i
+                literal = padded[start[k]:stop[k]].decode()
+                try:
+                    number = float(literal) if "." in literal else int(literal)
+                except ValueError:  # an integer past the str-to-int digit limit
+                    return None
+                if not number <= sys.float_info.max:
+                    return None
+                col[r] = float(number)
+            good = True
+        if not np.all(good):
+            return None
+        values[key] = col
+
+    missing = np.full(rows, np.nan)
+    no_digest = np.zeros(rows, dtype=np.uint64)
+    return TraceColumns(
+        job_id=values["job_id"],
+        submit_time=values["submit_time"],
+        name_codes=codes,
+        names=names,
+        **{f: values.get(f, missing) for f in NUMERIC},
+        input_path_hash=values.get("input_path_hash", no_digest),
+        input_hash_present=np.full(rows, "input_path_hash" in values),
+        output_path_hash=values.get("output_path_hash", no_digest),
+        output_hash_present=np.full(rows, "output_path_hash" in values),
+    )
+
+
+def _layout_names(padded: bytes, start: np.ndarray, stop: np.ndarray):
+    """Name codes and table, in order of first appearance, of the UTF-8
+    names padded[start:stop]; None when one is too long."""
+    length = stop - start
+    width = max(int(length.max()), 1)
+    if width > _LAYOUT_NAME_MAX:
+        return None
+    windows = np.ndarray((len(padded) - width + 1,), dtype=f"S{width}", buffer=padded,
+                         strides=(1,))
+    names = windows[start]
+    names.view(np.uint8).reshape(-1, width)[np.arange(width) >= length[:, None]] = 0
+    unique, first, inverse = np.unique(names, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse].astype(np.int64), tuple(n.decode() for n in unique[order].tolist())
+
 
 # Value types the bulk path accepts in each field; any other declines.
 _BULK_TYPES = {
@@ -378,21 +619,44 @@ def _bulk_columns(lines: list[str]) -> Optional[TraceColumns]:
         cols = TraceColumns.from_fields(values)
     except ValueError:  # a job_id, submit_time or digest outside its column
         return None
+    if any(map(_UNDECODABLE.search, cols.names)):
+        return None
     return cols if not len(cols) or cols.job_id.min() >= 0 else None
 
 
 def _read_jsonl(lines: Iterator[str]) -> TraceColumns:
-    """Columns of every jsonl line, _JSONL_CHUNK lines at a time: in bulk
-    where _bulk_columns accepts a chunk, else line by line."""
-    parts = []
+    """Columns of every jsonl line, _JSONL_CHUNK lines at a time, each
+    chunk read by the first tier that accepts it: _layout_columns,
+    _bulk_columns, else line by line. Each chunk is copied at once into
+    output columns that grow by doubling; the result views them."""
+    out: dict[str, np.ndarray] = {}
+    index: dict[str, int] = {}  # the name table, in order of first appearance
+    size = 0
     first_line_no = 1
     while chunk := list(islice(lines, _JSONL_CHUNK)):
-        cols = _bulk_columns(chunk)
-        if cols is None:
-            cols = _columns_of(_iter_jsonl(chunk, first_line_no))
-        parts.append(cols)
+        part = _layout_columns(chunk)
+        if part is None:
+            part = _bulk_columns(chunk)
+        if part is None:
+            part = _columns_of(_iter_jsonl(chunk, first_line_no))
         first_line_no += len(chunk)
-    return TraceColumns.concat(parts)
+        end = size + len(part)
+        arrays = {k: v for k, v in vars(part).items() if isinstance(v, np.ndarray)}
+        # The trailing -1 keeps code -1 (missing) missing.
+        remap = [index.setdefault(name, len(index)) for name in part.names]
+        arrays["name_codes"] = np.array(remap + [-1], dtype=np.int64)[part.name_codes]
+        if not out or end > len(out["job_id"]):
+            capacity = max(end, 2 * size)
+            grown = {k: np.empty(capacity, dtype=v.dtype) for k, v in arrays.items()}
+            for k, v in out.items():
+                grown[k][:size] = v[:size]
+            out = grown
+        for k, v in arrays.items():
+            out[k][size:end] = v
+        size = end
+    if not out:
+        return TraceColumns.from_fields([()] * len(ROW_FIELDS))
+    return TraceColumns(**{k: v[:size] for k, v in out.items()}, names=tuple(index))
 
 
 def parse_trace(

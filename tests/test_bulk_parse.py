@@ -1,10 +1,10 @@
-"""The bulk jsonl path against the line-by-line path it falls back to.
+"""The bulk jsonl tiers against the line-by-line path they fall back to.
 
-trace._bulk_columns decodes a chunk of lines at once and declines
-anything it cannot vouch for; trace._iter_jsonl then reads the chunk line
-by line. The line-by-line path is the oracle: parsing with chunks of a few
-lines must give the same Trace, or raise the same error, as parsing the
-whole file line by line.
+trace._layout_columns and trace._bulk_columns read a chunk of lines at
+once and decline anything they cannot vouch for; trace._iter_jsonl then
+reads the chunk line by line. The line-by-line path is the oracle:
+parsing with chunks of a few lines must give the same Trace, or raise the
+same error, as parsing the whole file line by line.
 """
 
 import importlib.util
@@ -27,11 +27,28 @@ from conftest import mixed_workload_trace
 
 @contextmanager
 def line_by_line():
-    """Parse as before the bulk path: every line through _iter_jsonl, in
+    """Parse as before the bulk tiers: every line through _iter_jsonl, in
     one pass over the whole file."""
-    with mock.patch.object(trace, "_bulk_columns", lambda lines: None), \
+    with mock.patch.object(trace, "_layout_columns", lambda lines: None), \
+            mock.patch.object(trace, "_bulk_columns", lambda lines: None), \
             mock.patch.object(trace, "_JSONL_CHUNK", 1 << 30):
         yield
+
+
+def test_line_by_line_sends_every_line_to_iter_jsonl():
+    buf = io.StringIO()
+    serialize_trace(mixed_workload_trace(300, 5), buf)
+    lines = buf.getvalue().splitlines(keepends=True)
+    seen = []
+    exact = trace._iter_jsonl
+
+    def counted(chunk, first_line_no=1):
+        seen.extend(chunk)
+        return exact(chunk, first_line_no)
+
+    with line_by_line(), mock.patch.object(trace, "_iter_jsonl", counted):
+        assert len(parse_trace(buf.getvalue().encode())) == 300
+    assert seen == lines
 
 
 def outcome(data: bytes):

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+from unittest import mock
 
 import pytest
 
@@ -16,6 +17,7 @@ from mrtrace import (
     serialize_trace,
     validate,
 )
+from mrtrace import trace as trace_module
 from mrtrace.cli import main
 from mrtrace.columns import TraceColumns
 from conftest import full_rec, make_trace, rec
@@ -170,6 +172,67 @@ def test_largest_exact_values_are_kept():
             "input_path_hash": 2**64 - 1, "map_task_seconds": 1.7e308}
     t = parse_trace(jl(line))
     assert t.records[0] == JobRecord(**line)
+
+
+# Spellings int() and float() take but jsonl rejects: digit separators and
+# non-ASCII digits.
+PYTHON_ONLY_NUMBERS = [("input_bytes", "1_000"), ("duration", "\u0661\u0662"),
+                       ("duration", "1_0.5"), ("map_task_seconds", "\uff15.0"),
+                       ("submit_time", "1_5")]
+
+
+@pytest.mark.parametrize("column,cell", PYTHON_ONLY_NUMBERS)
+def test_csv_takes_ascii_decimal_numbers_only(column, cell):
+    row = {"job_id": "1", "submit_time": "0", column: cell}
+    text = ",".join(row) + "\n3,0\n" + ",".join(row.values()) + "\n"
+    with pytest.raises(MalformedRecord) as ei:
+        parse_trace(text.encode(), "csv")
+    assert ei.value.line_no == 3
+    assert f"in column {column}" in ei.value.reason and repr(cell) in ei.value.reason
+
+
+def test_csv_ascii_number_spellings_are_kept():
+    text = "job_id,submit_time,duration,map_task_seconds\n+1,-5,1e3,.5\n2,0,7.,2E1\n"
+    r1, r2 = parse_trace(text.encode(), "csv").records
+    assert (r1.job_id, r1.submit_time, r1.duration, r1.map_task_seconds) == (1, -5, 1000, 0.5)
+    assert (r2.duration, r2.map_task_seconds) == (7, 20.0)
+
+
+@pytest.mark.parametrize("fmt, text, bad_line", [
+    ("jsonl", b'{"job_id":1,"submit_time":0}\n\n{"job_id":2,"submit_time":1,"name":"a\xffb"}\n', 3),
+    ("jsonl", b'{"job_id":1,"submit_time":0,"name":"\xc3\xa9"}\n{"job_id":2,"submit_\xc3":1}\n', 2),
+    ("csv", b"job_id,submit_time,name\n1,0,a\xffb\n", 2),
+    ("csv", b"job_id,submit_time,n\xe9\n1,0,x\n", 1),
+])
+def test_invalid_utf8_is_malformed_with_its_line(tmp_path, capsys, fmt, text, bad_line):
+    with pytest.raises(MalformedRecord) as ei:
+        parse_trace(text, fmt)
+    assert ei.value.line_no == bad_line and "UTF-8" in ei.value.reason
+    path = tmp_path / f"bad.{fmt}"
+    path.write_bytes(text)
+    out = tmp_path / "out"
+    argv = (["analyze", "--trace", str(path), "--out", str(out)] if fmt == "jsonl" else
+            ["names", "--trace", str(path), "--format", "csv", "--out", str(out)])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"line {bad_line}: invalid UTF-8" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_parsed_columns_own_exactly_their_rows():
+    # Chunks of 3 lines make the read columns grow past their size; no
+    # array of the Trace may keep such a larger buffer alive.
+    records = [full_rec(i, (i * 7) % 10, input_path_hash=i, output_path_hash=2 * i)
+               for i in range(11)]
+    buf = io.StringIO()
+    serialize_trace(make_trace(records), buf)
+    with mock.patch.object(trace_module, "_JSONL_CHUNK", 3):
+        t = parse_trace(buf.getvalue().encode())
+    assert len(t) == 11
+    for key, value in vars(t.columns).items():
+        if hasattr(value, "base"):
+            assert value.base is None and value.flags.owndata, key
+            assert value.nbytes == len(value) * value.itemsize, key
 
 
 class TestTraceInvariants:
