@@ -336,34 +336,17 @@ def _columns_of(rows: Iterable[tuple]) -> TraceColumns:
 # resident after the parse instead of 151 MB.
 _JSONL_CHUNK = 4096
 
-_REQUIRED = frozenset(("job_id", "submit_time"))
-_INT_FIELDS = frozenset(NUMERIC) - frozenset(FLOAT_FIELDS)
-# Names longer than this decline the layout reader, which lays the names
-# of a chunk out as one row of this many bytes each.
+# The layout reader lays a chunk's names out in rows as wide as the
+# longest; a longer name declines.
 _LAYOUT_NAME_MAX = 1024
-
-
-def _layout_keys(first: str) -> Optional[tuple[str, ...]]:
-    """The keys of a chunk's first line, when it is one job object whose
-    values the layout reader can hold: a string name, numbers elsewhere."""
-    try:
-        obj = json.loads(first)
-    except ValueError:
-        return None
-    if type(obj) is not dict or not _REQUIRED <= obj.keys() <= _KEY_SET:
-        return None
-    for key, value in obj.items():
-        if type(value) not in ((str,) if key == "name" else (int, float)):
-            return None
-    return tuple(obj)
 
 
 def _digit_values(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
     """Parse the number texts buf[start:end] (nonempty and in order): the
-    value of each as the integer of its digits, wrapping mod 2**64, so
-    exact up to 19 digits; its digit count; and its digit count after the
-    dot. None when a byte is neither a digit nor a dot, or a text has a
-    leading zero, two dots, or a dot at either end."""
+    integer of each text's digits, wrapping mod 2**64, so exact up to 19
+    digits; its digit count; and its digit count after the dot. None when
+    a byte is neither a digit nor a dot, or a text has a leading zero, two
+    dots, or a dot at either end."""
     start, end = start.astype(np.int32), end.astype(np.int32)  # halves the byte arrays
     length = end - start
     offset = np.cumsum(length, dtype=np.int32) - length
@@ -394,31 +377,23 @@ def _digit_values(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
 
 def _layout_columns(lines: list[str]) -> Optional[TraceColumns]:
     """Columns of a chunk whose every line has exactly the compact layout
-    of its first, {"k1":v1,...,"km":vm} with the same keys in the same
-    order, read from the encoded bytes with numpy; None to decline.
+    of its first, {"k1":v1,...,"km":vm}, read from its bytes with numpy;
+    None to decline. Like _bulk_columns it never raises for bad input.
 
-    One flatnonzero finds the newlines and quotes. With no backslash no
-    quote is escaped, so every line holds the same quotes: two per key and
-    two around the name. The head of each key, such as ',"duration":', is
-    checked by 8-byte word gathers at the byte before its first quote;
-    whatever lies between two heads is a value. Numbers are parsed
-    together by _digit_values: ids as int64, digests as uint64 up to
-    2**64-1, the integer fields up to 2**53, and float fields as
-    mantissa / 10**f while the mantissa has at most 15 digits, where one
-    correctly rounded division equals float(text) (Clinger, PLDI 1990);
-    longer ones are converted alone. Declines whitespace, control bytes,
-    backslashes, signs, exponents, leading zeros, a dot in an integer
-    field, and values out of range, so that like _bulk_columns it never
-    raises for bad input and whatever it accepts _iter_jsonl reads with
-    the same values.
+    With no backslash no quote is escaped, so every line holds the same
+    quotes: two per key and two around the name. Each key's head, such as
+    ',"duration":', is checked by 8-byte word gathers; what lies between
+    two heads is a value.
     """
-    keys = _layout_keys(lines[0])
-    if keys is None:
-        return None
     try:
+        first = json.loads(lines[0])
         text = "".join(lines).encode()  # an undecodable byte, escaped to a surrogate, declines
-    except UnicodeEncodeError:
+    except ValueError:  # also UnicodeEncodeError
         return None
+    if type(first) is not dict or not {"job_id", "submit_time"} <= first.keys() <= _KEY_SET or any(
+            type(v) not in ((str,) if k == "name" else (int, float)) for k, v in first.items()):
+        return None
+    keys = tuple(first)
     if not text.endswith(b"\n"):
         text += b"\n"
     size = len(text)
@@ -443,14 +418,13 @@ def _layout_columns(lines: list[str]) -> Optional[TraceColumns]:
     bound[:, :-1] = quotes[:, quote_cols[:-1]] - 1
     bound[:, -1] = ends - 1
     heads = [(b"," if j else b"{") + f'"{key}":'.encode() for j, key in enumerate(keys)]
-    spots = [(j, at, head[at:at + 8]) for j, head in enumerate(heads) for at in range(0, len(head), 8)]
-    key_of, at, mask, expect = zip(*((j, at, (1 << 8 * len(part)) - 1, int.from_bytes(part, "little"))
-                                     for j, at, part in spots))
+    key_of, at, mask, expect = zip(*(
+        (j, at, (1 << 8 * len(head[at:at + 8])) - 1, int.from_bytes(head[at:at + 8], "little"))
+        for j, head in enumerate(heads) for at in range(0, len(head), 8)))
     words = np.ndarray((size + pad - 7,), dtype="S8", buffer=padded, strides=(1,))
     found = words[bound[:, key_of] + at].view("<u8") & np.array(mask, dtype=np.uint64)
-    if not (np.all(found == np.array(expect, dtype=np.uint64))
-            and bound[0, 0] == 0 and np.all(bound[1:, 0] == ends[:-1] + 1)
-            and np.all(body[ends - 1] == 125)):
+    if not (np.all(found == np.array(expect, dtype=np.uint64)) and bound[0, 0] == 0
+            and np.all(bound[1:, 0] == ends[:-1] + 1) and np.all(body[ends - 1] == 125)):
         return None
     # Each value runs from the end of its head to the next bound.
     start = bound[:, :-1] + np.array([len(head) for head in heads])
@@ -458,47 +432,30 @@ def _layout_columns(lines: list[str]) -> Optional[TraceColumns]:
     codes, names = np.full(rows, -1, dtype=np.int64), ()
     if "name" in keys:
         j = keys.index("name")
-        c = quote_cols[j]
-        if not (np.array_equal(quotes[:, c + 2], start[:, j])
-                and np.array_equal(quotes[:, c + 3], stop[:, j] - 1)):
+        if not (np.array_equal(quotes[:, quote_cols[j] + 2], start[:, j])
+                and np.array_equal(quotes[:, quote_cols[j] + 3], stop[:, j] - 1)):
             return None
         named = _layout_names(padded, start[:, j] + 1, stop[:, j] - 1)
         if named is None:
             return None
         codes, names = named
     numbers = [key for key in keys if key != "name"]
-    cols = [j for j, key in enumerate(keys) if key != "name"]
+    cols = [keys.index(key) for key in numbers]
     start, stop = start[:, cols].ravel(), stop[:, cols].ravel()  # row-major: in file order
-    if not np.all(stop > start):
-        return None
-    parsed = _digit_values(buf, start, stop)
+    parsed = _digit_values(buf, start, stop) if np.all(stop > start) else None
     if parsed is None:
         return None
-    value, digits, fraction = (a.reshape(rows, len(numbers)) for a in parsed)
-    lead = buf[start].reshape(rows, len(numbers))
+    value, digits, fraction = (a.reshape(rows, -1) for a in parsed)
+    lead = buf[start].reshape(rows, -1)
 
     values = {}
     for i, key in enumerate(numbers):
-        v, d = value[:, i], digits[:, i]
-        if key not in FLOAT_FIELDS and np.any(fraction[:, i]):
-            return None  # a dot in an integer field
-        if key in ("job_id", "submit_time"):
-            good = (d <= 19) & (v <= _I64_MAX)
-            col = v.astype(np.int64)
-        elif key.endswith("_hash"):
-            # A 20-digit value past 2**64-1 starts with 1 and wraps below 10**19.
-            good = (d < 20) | (d == 20) & (lead[:, i] == 49) & (v >= 10**19)
-            col = v
-        elif key in _INT_FIELDS:
-            good = (d <= 16) & (v <= MAX_EXACT)
-            col = v.astype(np.float64)
-        else:
-            short = d <= 15
-            scale = np.array([float(10**k) for k in range(16)])  # exact powers of ten
-            col = v.astype(np.float64) / scale[np.where(short, fraction[:, i], 0)]
-            for r in np.flatnonzero(~short).tolist():
-                k = r * len(numbers) + i
-                literal = padded[start[k]:stop[k]].decode()
+        v, d, f = value[:, i], digits[:, i], fraction[:, i]
+        if key in FLOAT_FIELDS:
+            exact = np.array([float(10**k) for k in range(16)])
+            values[key] = col = v / exact[np.where(d <= 15, f, 0)]
+            for r in np.flatnonzero(d > 15).tolist():
+                literal = padded[start[r * len(numbers) + i]:stop[r * len(numbers) + i]].decode()
                 try:
                     number = float(literal) if "." in literal else int(literal)
                 except ValueError:  # an integer past the str-to-int digit limit
@@ -506,24 +463,26 @@ def _layout_columns(lines: list[str]) -> Optional[TraceColumns]:
                 if not number <= sys.float_info.max:
                     return None
                 col[r] = float(number)
-            good = True
-        if not np.all(good):
-            return None
-        values[key] = col
+            continue
+        if key.endswith("_hash"):
+            # A 20-digit value past 2**64-1 starts with 1 and wraps below 10**19.
+            good, dtype = (d < 20) | (d == 20) & (lead[:, i] == 49) & (v >= 10**19), np.uint64
+        elif key in ("job_id", "submit_time"):
+            good, dtype = (d <= 19) & (v <= _I64_MAX), np.int64
+        else:
+            good, dtype = (d <= 16) & (v <= MAX_EXACT), np.float64
+        if np.any(f) or not np.all(good):
+            return None  # a dot in an integer field, or a value out of range
+        values[key] = v.astype(dtype)
 
-    missing = np.full(rows, np.nan)
     no_digest = np.zeros(rows, dtype=np.uint64)
     return TraceColumns(
-        job_id=values["job_id"],
-        submit_time=values["submit_time"],
-        name_codes=codes,
-        names=names,
-        **{f: values.get(f, missing) for f in NUMERIC},
+        job_id=values["job_id"], submit_time=values["submit_time"], name_codes=codes, names=names,
+        **{f: values.get(f, np.full(rows, np.nan)) for f in NUMERIC},
         input_path_hash=values.get("input_path_hash", no_digest),
         input_hash_present=np.full(rows, "input_path_hash" in values),
         output_path_hash=values.get("output_path_hash", no_digest),
-        output_hash_present=np.full(rows, "output_path_hash" in values),
-    )
+        output_hash_present=np.full(rows, "output_path_hash" in values))
 
 
 def _layout_names(padded: bytes, start: np.ndarray, stop: np.ndarray):
