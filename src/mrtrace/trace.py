@@ -14,14 +14,15 @@ when a chunk holds anything they cannot vouch for, they decline.
      serialize_trace and the benchmark generators write it. It indexes
      the quotes and newlines of the encoded bytes, as simdjson does
      (Langdale & Lemire, VLDB J. 2019), and parses every number with
-     numpy. On 200k-job inputs it parsed in 0.46-0.65 s, against
-     1.40-1.50 s for tier 2.
+     numpy. parse_trace of a 200k-job input took 0.46-0.65 s with it,
+     against 1.40-1.50 s with tier 2 alone (2-core VM).
   2. _bulk_columns decodes the chunk with one json.loads and checks it
      column by column, for any other valid JSON: json.dumps' default
      separators, keys that vary by line. It declines a malformed line, a
      "[" anywhere, a nested value, a NaN, an integer a float64 column
-     might round, a float submit time or an unknown key. Reading such
-     chunks line by line instead would be 25% slower.
+     might round, a float submit time or an unknown key. Line by line,
+     the same 200k jobs written by json.dumps took 2.15-2.39 s, against
+     1.04-1.36 s.
   3. _iter_jsonl reads the chunk line by line. It is the oracle of both
      other tiers: it accepts what they accept, with the same values, or
      raises the error naming the first bad line.
@@ -332,8 +333,9 @@ def _columns_of(rows: Iterable[tuple]) -> TraceColumns:
 # chunk's text stays near a megabyte; 65,536-line chunks (20 MB texts)
 # raised the peak RSS of later stages, and parsed no faster. For the same
 # reason _read_jsonl copies each chunk into output columns at once: keeping
-# the 245 chunks of a 1M-job file and joining them at the end left 256 MB
-# resident after the parse instead of 151 MB.
+# the 245 chunks of a 1M-job file and joining them at the end left 254 MB
+# resident after the parse instead of 141-151 MB, and peaked at 353 MB
+# instead of 251 MB.
 _JSONL_CHUNK = 4096
 
 # The layout reader lays a chunk's names out in rows as wide as the
