@@ -177,15 +177,16 @@ def numbered_path_digests(prefix: str, numbers: np.ndarray) -> np.ndarray:
 _KEY_SET = frozenset(FIELD_NAMES)
 # Trace files are read with errors="surrogateescape", which turns each byte
 # that is not UTF-8 into a lone surrogate; text read from UTF-8 holds none.
-_UNDECODABLE = re.compile("[\udc80-\udcff]")
+# The patterns are compiled on first use (re caches them), not at import.
+_UNDECODABLE = "[\udc80-\udcff]"
 # The number spellings a CSV cell may use: ASCII digits, an optional sign,
 # fraction and exponent. int() and float() also take "1_000" and non-ASCII
 # digits, which jsonl rejects.
-_CSV_NUMBER = re.compile(r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_CSV_NUMBER = r"[+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?"
 
 
 def _require_utf8(text: str, line_no: int) -> None:
-    if not text.isascii() and _UNDECODABLE.search(text):
+    if not text.isascii() and re.search(_UNDECODABLE, text):
         raise MalformedRecord(line_no, "invalid UTF-8")
 
 
@@ -294,7 +295,7 @@ def _iter_csv(lines: Iterable[str]):
                 continue  # empty cell = missing
             if col == "name":
                 obj[col] = cell
-            elif _CSV_NUMBER.fullmatch(cell):
+            elif re.fullmatch(_CSV_NUMBER, cell):
                 obj[col] = float(cell) if "." in cell or "e" in cell or "E" in cell else int(cell)
             else:
                 raise MalformedRecord(line_no, f"non-numeric value {cell!r} in column {col}")
@@ -400,6 +401,8 @@ def _layout_columns(lines: list[str]) -> Optional[TraceColumns]:
         text += b"\n"
     size = len(text)
     pad = _LAYOUT_NAME_MAX + 32  # room for word and name reads past the last byte
+    if size + pad > np.iinfo(np.int32).max:
+        return None  # _digit_values indexes the bytes with int32
     padded = text + bytes(pad)
     del text
     buf = np.frombuffer(padded, dtype=np.uint8)
@@ -580,7 +583,7 @@ def _bulk_columns(lines: list[str]) -> Optional[TraceColumns]:
         cols = TraceColumns.from_fields(values)
     except ValueError:  # a job_id, submit_time or digest outside its column
         return None
-    if any(map(_UNDECODABLE.search, cols.names)):
+    if any(re.search(_UNDECODABLE, name) for name in cols.names):
         return None
     return cols if not len(cols) or cols.job_id.min() >= 0 else None
 
