@@ -252,6 +252,9 @@ class ReportBuilder:
         self.plots: dict[str, list] = {}
         self.skips: list[dict] = []
         self.cluster_table: Optional[str] = None
+        # Series by dimension, built once for every section that reads it.
+        # One that raised is not kept, so each section records its own skip.
+        self._series_cache: dict[str, ts.TimeSeries] = {}
 
     def _run(self, name: str, fn) -> None:
         try:
@@ -370,9 +373,12 @@ class ReportBuilder:
         return out
 
     def _series(self, dim: str) -> ts.TimeSeries:
-        if dim == "occupancy_slots":
-            return ts.occupancy_series(self.trace, self.bucket_width)
-        return ts.bucket_time_series(self.trace, dim, self.bucket_width)
+        if dim not in self._series_cache:
+            if dim == "occupancy_slots":
+                self._series_cache[dim] = ts.occupancy_series(self.trace, self.bucket_width)
+            else:
+                self._series_cache[dim] = ts.bucket_time_series(self.trace, dim, self.bucket_width)
+        return self._series_cache[dim]
 
     def _series_section(self, dim: str) -> dict:
         series = self._series(dim)

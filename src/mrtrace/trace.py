@@ -6,34 +6,32 @@ missing and is then left missing, never zero-filled. A parsed Trace
 stores its jobs as columns (see columns.py); Trace.records presents them
 as JobRecords.
 
-JSON Lines are read _JSONL_CHUNK lines at a time, and each chunk by the
-first of three tiers that accepts it. The first two only ever accept:
-when a chunk holds anything they cannot vouch for, they decline.
-  1. _layout_columns takes a chunk whose lines all have exactly the
-     compact layout of its first, {"k1":v1,...,"km":vm}, as
-     serialize_trace and the benchmark generators write it. It indexes
-     the quotes and newlines of the encoded bytes, as simdjson does
-     (Langdale & Lemire, VLDB J. 2019), and parses every number with
-     numpy. parse_trace of a 200k-job input took 0.46-0.65 s with it,
-     against 1.40-1.50 s with tier 2 alone (2-core VM).
-  2. _bulk_columns decodes the chunk with one json.loads and checks it
-     column by column, for any other valid JSON: json.dumps' default
-     separators, keys that vary by line. It declines a malformed line, a
-     "[" anywhere, a nested value, a NaN, an integer a float64 column
-     might round, a float submit time or an unknown key. Line by line,
-     the same 200k jobs written by json.dumps took 2.15-2.39 s, against
-     1.04-1.36 s.
-  3. _iter_jsonl reads the chunk line by line. It is the oracle of both
-     other tiers: it accepts what they accept, with the same values, or
-     raises the error naming the first bad line.
-One json.loads per line for tier 2 would need none of the checks that
-keep a joined chunk's objects on their own lines, but it is slower on a
-2-core VM: parsing 1M jobs took 11.9-12.0 s against 9.1-9.6 s (three
-runs each). Each chunk, whichever tier read it, is copied at once into
-output columns that grow by doubling (see _JSONL_CHUNK). CSV is always
-read line by line: a quoted cell may span lines, so chunks of physical
-lines do not split it into records. Bytes that are not UTF-8 raise
-MalformedRecord at their line in both formats.
+JSON Lines are read _JSONL_CHUNK lines at a time. _layout_columns reads
+a chunk whose lines all have exactly the compact layout of its first,
+{"k1":v1,...,"km":vm}, as serialize_trace and the benchmark generators
+write it: it indexes the quotes and newlines of the encoded bytes, as
+simdjson does (Langdale & Lemire, VLDB J. 2019), and parses every number
+with numpy. It declines whatever it cannot vouch for, and _iter_jsonl,
+its oracle, then reads the chunk line by line: it accepts what the layout
+reader accepts, with the same values, or raises the error naming the
+first bad line. On the seed-11 benchmark inputs the layout reader read
+every chunk: 245 for analyze, 49 for the cache sweep, 25 for the mixed
+source and 25 for the workload synthesized from it. A joined decode of
+each declined chunk, checked column by column, read none of them and was
+removed. What it read now parses line by line: json.dumps' default
+separators, escaped names, keys that vary by line, CRLF. parse_trace of
+200k jobs rewritten from the cache input, with the joined decode and
+without it (the medians of two sets of 3 runs a side, 2-core VM):
+    json.dumps' default separators          1.53-1.72 s   2.01-2.73 s
+    an escaped name on every 64th line      1.00-1.35 s   1.62-1.81 s
+    a missing name on every 64th line       1.04-1.54 s   1.99-2.23 s
+    the compact file                        0.46-0.60 s   0.46-0.60 s
+A benchmark workload with such input would justify a fast path for it.
+Each chunk is copied at once into output columns that grow by doubling
+(see _JSONL_CHUNK). CSV is always read line by line: a quoted cell may
+span lines, so chunks of physical lines do not split it into records.
+Bytes that are not UTF-8 raise MalformedRecord at their line in both
+formats.
 
 serialize_trace writes canonical jsonl, the bytes json.dumps gives each
 row as a compact dict with missing fields left out. It formats
@@ -54,7 +52,6 @@ import sys
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
-from types import NoneType
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -266,7 +263,8 @@ def _iter_jsonl(lines: Iterable[str], first_line_no: int = 1):
         _require_utf8(line, line_no)
         try:
             obj = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an integer too long to convert
+        # JSONDecodeError, an integer too long to convert, or nesting too deep
+        except (ValueError, RecursionError) as exc:
             raise MalformedRecord(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         if not isinstance(obj, dict):
             raise MalformedRecord(line_no, "line is not a JSON object")
@@ -328,7 +326,7 @@ def _columns_of(rows: Iterable[tuple]) -> TraceColumns:
     return TraceColumns.from_fields(values)
 
 
-# Lines per chunk, for all three jsonl tiers. glibc raises its mmap
+# Lines per chunk, for both jsonl readers. glibc raises its mmap
 # threshold to the size of each large buffer freed, so later buffers of
 # that size come from the heap and leave holes in it. At 4096 lines a
 # chunk's text stays near a megabyte; 65,536-line chunks (20 MB texts)
@@ -381,7 +379,9 @@ def _digit_values(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
 def _layout_columns(lines: list[str]) -> Optional[TraceColumns]:
     """Columns of a chunk whose every line has exactly the compact layout
     of its first, {"k1":v1,...,"km":vm}, read from its bytes with numpy;
-    None to decline. Like _bulk_columns it never raises for bad input.
+    None to decline. It never raises for bad input: whatever it accepts,
+    _iter_jsonl accepts with the same values, so errors always come from
+    _iter_jsonl.
 
     With no backslash no quote is escaped, so every line holds the same
     quotes: two per key and two around the name. Each key's head, such as
@@ -391,7 +391,7 @@ def _layout_columns(lines: list[str]) -> Optional[TraceColumns]:
     try:
         first = json.loads(lines[0])
         text = "".join(lines).encode()  # an undecodable byte, escaped to a surrogate, declines
-    except ValueError:  # also UnicodeEncodeError
+    except (ValueError, RecursionError):  # also UnicodeEncodeError
         return None
     if type(first) is not dict or not {"job_id", "submit_time"} <= first.keys() <= _KEY_SET or any(
             type(v) not in ((str,) if k == "name" else (int, float)) for k, v in first.items()):
@@ -508,99 +508,17 @@ def _layout_names(padded: bytes, start: np.ndarray, stop: np.ndarray):
     return rank[inverse].astype(np.int64), tuple(n.decode() for n in unique[order].tolist())
 
 
-# Value types the bulk path accepts in each field; any other declines.
-_BULK_TYPES = {
-    "job_id": {int},
-    "submit_time": {int},  # a float submit time declines
-    "name": {str, NoneType},
-    **{f: {int, float, NoneType} for f in NUMERIC},
-    "input_path_hash": {int, NoneType},
-    "output_path_hash": {int, NoneType},
-}
-
-
-def _bulk_numbers(values: list, as_int: bool) -> Optional[np.ndarray]:
-    """A float64 column of one numeric field, NaN for missing, holding what
-    _coerce_nonneg would return; None to decline."""
-    try:
-        col = np.asarray(values, dtype=np.float64)  # None becomes NaN
-    except OverflowError:  # an integer beyond float64
-        return None
-    present = col[~np.isnan(col)]
-    if present.size != len(values) - values.count(None):
-        return None  # a NaN literal
-    # Values that round to the limit may lie above it, so the limit itself
-    # declines; NaN and infinities fail these tests too.
-    limit = MAX_EXACT if as_int else sys.float_info.max
-    if present.size and not (present.min() >= 0 and present.max() < limit):
-        return None
-    # int(v) truncates floats, and stores -0.0 as 0.
-    return np.trunc(col) + 0.0 if as_int else col
-
-
-def _bulk_columns(lines: list[str]) -> Optional[TraceColumns]:
-    """Columns of a chunk of jsonl lines decoded with one json.loads, or
-    None when the chunk holds anything _iter_jsonl might read differently.
-
-    Never raises for bad input: whatever this accepts, _iter_jsonl accepts
-    with the same values, so errors always come from _iter_jsonl.
-    """
-    body = [s for s in map(str.strip, lines) if s]
-    count = len(body)
-    # Strict JSON strings hold no raw newline, so with one in the separator
-    # no string spans two lines. Inside an object a comma is followed by a
-    # key, never by "{", so without arrays every "},\n{" separates two
-    # top-level values. Then, if every line starts with "{" and ends with
-    # "}" and there are as many objects as lines, each object is exactly
-    # its own line. Any "[" declines: within an array a separator may fall
-    # inside one object, and a duplicate key can drop that array before
-    # the type checks see it.
-    text = ",\n".join(body)
-    del body  # each text copy of the chunk is freed as soon as it is spent
-    if count and not (text[0] == "{" and text[-1] == "}" and "[" not in text
-                      and text.count("},\n{") == count - 1):
-        return None
-    text = "[" + text + "]"
-    try:
-        objs = json.loads(text)
-    except ValueError:  # JSONDecodeError, or an integer too long to convert
-        return None
-    del text
-    if (len(objs) != count or not set(map(type, objs)) <= {dict}
-            or not set().union(*objs) <= _KEY_SET):
-        return None
-    values = []
-    for key in ROW_FIELDS:
-        col = [o.get(key) for o in objs]
-        if not set(map(type, col)) <= _BULK_TYPES[key]:
-            return None
-        if key in NUMERIC:
-            col = _bulk_numbers(col, key not in FLOAT_FIELDS)
-            if col is None:
-                return None
-        values.append(col)
-    try:
-        cols = TraceColumns.from_fields(values)
-    except ValueError:  # a job_id, submit_time or digest outside its column
-        return None
-    if any(re.search(_UNDECODABLE, name) for name in cols.names):
-        return None
-    return cols if not len(cols) or cols.job_id.min() >= 0 else None
-
-
 def _read_jsonl(lines: Iterator[str]) -> TraceColumns:
     """Columns of every jsonl line, _JSONL_CHUNK lines at a time, each
-    chunk read by the first tier that accepts it: _layout_columns,
-    _bulk_columns, else line by line. Each chunk is copied at once into
-    output columns that grow by doubling; the result views them."""
+    chunk read by _layout_columns or, when that declines, by _iter_jsonl.
+    Each chunk is copied at once into output columns that grow by
+    doubling; the result views them."""
     out: dict[str, np.ndarray] = {}
     index: dict[str, int] = {}  # the name table, in order of first appearance
     size = 0
     first_line_no = 1
     while chunk := list(islice(lines, _JSONL_CHUNK)):
         part = _layout_columns(chunk)
-        if part is None:
-            part = _bulk_columns(chunk)
         if part is None:
             part = _columns_of(_iter_jsonl(chunk, first_line_no))
         first_line_no += len(chunk)

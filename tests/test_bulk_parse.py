@@ -1,10 +1,11 @@
-"""The bulk jsonl tiers against the line-by-line path they fall back to.
+"""Chunked jsonl parsing against the line-by-line path it falls back to.
 
-trace._layout_columns and trace._bulk_columns read a chunk of lines at
-once and decline anything they cannot vouch for; trace._iter_jsonl then
-reads the chunk line by line. The line-by-line path is the oracle:
-parsing with chunks of a few lines must give the same Trace, or raise the
-same error, as parsing the whole file line by line.
+trace._layout_columns reads a chunk of lines at once and declines
+anything it cannot vouch for; trace._iter_jsonl then reads the chunk
+line by line. The line-by-line path is the oracle: parsing with chunks of
+a few lines must give the same Trace, or raise the same error, as parsing
+the whole file line by line. The layout reader's own cases are in
+test_layout_parse.py.
 """
 
 import importlib.util
@@ -21,16 +22,16 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from mrtrace import MalformedRecord, parse_trace, serialize_trace, trace
+from mrtrace import (MalformedRecord, build_workload_model, parse_trace, serialize_trace,
+                     synthesize, trace)
 from conftest import mixed_workload_trace
 
 
 @contextmanager
 def line_by_line():
-    """Parse as before the bulk tiers: every line through _iter_jsonl, in
-    one pass over the whole file."""
+    """Parse without the layout reader: every line through _iter_jsonl,
+    in one pass over the whole file."""
     with mock.patch.object(trace, "_layout_columns", lambda lines: None), \
-            mock.patch.object(trace, "_bulk_columns", lambda lines: None), \
             mock.patch.object(trace, "_JSONL_CHUNK", 1 << 30):
         yield
 
@@ -179,25 +180,6 @@ def test_chunked_bulk_parse_matches_line_by_line(lines, newline, chunk):
     assert_same_outcome(got, want)
 
 
-@settings(max_examples=150, deadline=None)
-@given(lines=st.lists(job_line(), min_size=1, max_size=6))
-def test_whatever_bulk_accepts_line_by_line_accepts_with_same_columns(lines):
-    bulk = trace._bulk_columns([s + "\n" for s in lines])
-    event("accepted" if bulk is not None else "declined")
-    if bulk is None:
-        return
-    exact = trace._columns_of(trace._iter_jsonl(lines))
-    for key, value in vars(exact).items():
-        other = getattr(bulk, key)
-        if isinstance(value, np.ndarray):
-            assert other.dtype == value.dtype, key
-            assert np.array_equal(other, value, equal_nan=True), key
-            if value.dtype.kind == "f":
-                assert np.array_equal(np.signbit(other), np.signbit(value)), key
-        else:
-            assert other == value, key
-
-
 @settings(max_examples=100, deadline=None)
 @given(job=array_over_lines(), others=st.lists(job_line(), max_size=3))
 def test_duplicate_key_over_an_array_across_lines_is_declined(job, others):
@@ -210,7 +192,6 @@ def test_duplicate_key_over_an_array_across_lines_is_declined(job, others):
     with line_by_line():
         want = outcome(data)
     assert isinstance(want, MalformedRecord)
-    assert trace._bulk_columns([s + "\n" for s in lines]) is None
     with mock.patch.object(trace, "_JSONL_CHUNK", len(lines)):
         assert_same_outcome(outcome(data), want)
 
@@ -244,7 +225,6 @@ def test_comma_join_hole():
 @pytest.mark.parametrize("case", sorted(JOINED_ONLY))
 def test_lines_that_decode_only_when_joined_are_declined(case):
     lines = JOINED_ONLY[case]
-    assert trace._bulk_columns([s + "\n" for s in lines]) is None
     data = "\n".join(lines).encode()
     with line_by_line():
         want = outcome(data)
@@ -317,11 +297,11 @@ def test_name_tables_merge_in_first_appearance_order():
 def test_crlf_file_takes_the_bulk_path(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_bytes(b'{"job_id":1,"submit_time":5}\r\n\r\n  \r\n{"job_id":2,"submit_time":3}\r\n')
-    calls = []
-    exact = trace._iter_jsonl
-    with mock.patch.object(trace, "_iter_jsonl", lambda *a: calls.append(a) or exact(*a)):
-        t = parse_trace(path)
-    assert calls == [] and t.columns.job_id.tolist() == [2, 1]
+    t = parse_trace(path)
+    assert t.columns.job_id.tolist() == [2, 1]
+    with line_by_line():
+        want = outcome(path.read_bytes())
+    assert_same_outcome(t, want)
 
 
 # -- fast-path coverage guard -------------------------------------------------
@@ -343,6 +323,13 @@ def test_benchmark_shaped_inputs_never_fall_back(tmp_path, kind, size):
     path = tmp_path / f"{kind}.jsonl"
     _benchmark_generators()[kind](path, 3, **size)
     assert fallback_calls(path.read_bytes(), chunk=500) == 0
+    if kind == "mixed":  # the source synthesize reads; simulate reads what it writes
+        model = build_workload_model(parse_trace(path, machine_count=3000))
+        for mode in ("replay_scaled", "sampled"):
+            workload = synthesize(model, 1500, model.span_seconds, mode, seed=3)
+            buf = io.StringIO()
+            serialize_trace(workload.jobs, buf)
+            assert fallback_calls(buf.getvalue().encode(), chunk=400) == 0, mode
 
 
 def test_serialized_trace_never_falls_back():

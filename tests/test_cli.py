@@ -7,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from mrtrace import SimConfig, build_workload_model, parse_trace, simulate, synthesize
+from mrtrace import temporal as ts
 from mrtrace.cli import main
-from mrtrace.report import json_text, write_json_atomic
+from mrtrace.report import ReportBuilder, json_text, write_json_atomic
 from mrtrace.temporal import MAX_BUCKETS
 from conftest import full_rec, make_trace, mixed_workload_trace, trace_to_jsonl
 
@@ -56,6 +57,40 @@ class TestAnalyze:
         code = main(["analyze", "--trace", str(tmp_path / "nope.jsonl"), "--out", str(out)])
         assert code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad_line", [1, 2])
+    def test_deeply_nested_line_is_a_data_error(self, tmp_path, capsys, bad_line):
+        lines = ['{"job_id":1,"submit_time":1}'] * 2
+        lines[bad_line - 1] = '{"job_id":2,"submit_time":2,"name":' + "[" * 100_000
+        path = tmp_path / "deep.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--trace", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mrtrace analyze: line {bad_line}: invalid JSON (")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_each_series_is_built_once(self, trace_file, monkeypatch):
+        calls = []
+        for fn in ("bucket_time_series", "occupancy_series"):
+            monkeypatch.setattr(ts, fn, lambda *a, _fn=fn, _exact=getattr(ts, fn):
+                                calls.append(_fn) or _exact(*a))
+        ReportBuilder(parse_trace(trace_file)).build()
+        # One per dimension, and the three dimension_correlations builds.
+        assert sorted(calls) == ["bucket_time_series"] * 6 + ["occupancy_series"]
+
+    def test_a_series_that_raises_is_skipped_by_each_section(self, tmp_path):
+        t = make_trace([full_rec(i, 3600 * i, input_bytes=None) for i in range(60)])
+        path = trace_to_jsonl(t, tmp_path / "t.jsonl")
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--trace", str(path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        reason = "NoData: no record carries all of input/shuffle/output bytes"
+        skipped = {s["section"]: s["reason"] for s in report["skipped"]}
+        assert skipped["time_series.data_size_bytes"] == reason
+        assert report["burstiness"]["data_size_bytes"] == {"skipped": reason}
+        assert report["periodogram"]["data_size_bytes"] == {"skipped": reason}
 
     def test_usage_error_is_exit_one(self, capsys):
         with pytest.raises(SystemExit) as ei:
