@@ -92,6 +92,48 @@ def test_outputs_match_golden_digests(tmp_path, capsys):
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
+CLI_GOLDEN = {
+    "burstiness_jobs_submitted.tsv": "b876de0344cf699a235fa8e0ad7237451e535e15e18fbfdcaf974658bfcc6ed6",
+    "burstiness_data_size_bytes.tsv": "d82a6a514fbca3f6314d50080e38529f207d3eda4fd3c94091c3574df1dae8b4",
+    "burstiness_compute_time_task_seconds.tsv": "1d7eeb56a7ac262709085ddec047e5bd124e2e35f0f51ad2dbfbe75a38e7deb9",
+    "burstiness_occupancy_slots.tsv": "d16970a67ef83ea753efc4c6ccec55ee8d8e10bc859bac4b45684337cd1e3ac9",
+    "names_jobs.tsv": "85ab90dae773fbd3b390334f3ccede956bd41799ba8d9cc5c4da3aab02c0a0e7",
+    "names_io_bytes.tsv": "792e24d5e7d006592922566513e904d630eef2e38e62ebb34c75ac1cf3507108",
+    "names_task_time.tsv": "1cda79614466242a9759b66d03f89200e1f4f371781e9c343117483c9fc0c65c",
+    "cluster.json": "585a987b6781d5179725b92e9d7691f9ee6f8df5801afc85958e3b0eec6d4bfe",
+    "cluster_table.txt": "338d3f9776d1841ea9474c5f7b4809f418d4b2418ffc01fd334c47161c281e4b",
+}
+
+
+def test_single_analysis_commands_match_golden_digests(tmp_path, capsys):
+    def out(name):
+        return str(tmp_path / name)
+
+    src = out("mixed.jsonl")
+    trace_to_jsonl(mixed_workload_trace(n_jobs=2000, seed=11), src)
+    for dim in ("jobs_submitted", "data_size_bytes", "compute_time_task_seconds", "occupancy_slots"):
+        assert main(["burstiness", "--trace", src, "--dimension", dim,
+                     "--out", out(f"burstiness_{dim}.tsv")]) == 0
+    for weighting in ("jobs", "io_bytes", "task_time"):
+        assert main(["names", "--trace", src, "--weighting", weighting,
+                     "--out", out(f"names_{weighting}.tsv")]) == 0
+    assert main(["cluster", "--trace", src, "--seed", "42",
+                 "--out", out("cluster.json"), "--table", out("cluster_table.txt")]) == 0
+
+    # Without --out the same bytes go to stdout.
+    capsys.readouterr()
+    assert main(["burstiness", "--trace", src]) == 0
+    assert capsys.readouterr().out.encode() == (
+        tmp_path / "burstiness_compute_time_task_seconds.tsv").read_bytes()
+    assert main(["names", "--trace", src, "--weighting", "io_bytes"]) == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / "names_io_bytes.tsv").read_bytes()
+    assert main(["cluster", "--trace", src, "--seed", "42"]) == 0
+    assert capsys.readouterr().out.encode() == (tmp_path / "cluster.json").read_bytes()
+
+    for name, digest in CLI_GOLDEN.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 OPTIONAL_FIELDS = [f.name for f in fields(JobRecord) if f.name not in ("job_id", "submit_time")]
 
 # Names that JSON must escape: a quote, a backslash, control characters,
