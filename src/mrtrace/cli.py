@@ -24,8 +24,11 @@ from .report import (
     DEFAULT_CLUSTER_SAMPLE_CAP,
     DEFAULT_K_MAX,
     atomic_open,
+    cluster_list,
     json_text,
+    name_columns,
     render_cluster_table,
+    series_columns,
     tsv_text,
     write_atomic,
     write_json_atomic,
@@ -117,9 +120,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("burstiness", help="percentile-to-median curve for one dimension")
     _add_trace_args(p)
-    p.add_argument("--dimension", default="compute_time_task_seconds",
-                   choices=("jobs_submitted", "data_size_bytes",
-                            "compute_time_task_seconds", "occupancy_slots"))
+    p.add_argument("--dimension", default="compute_time_task_seconds", choices=ts.DIMENSIONS)
     p.add_argument("--bucket-width", type=int, default=DEFAULT_BUCKET_WIDTH)
     p.add_argument("--out", help="TSV output (ratio, percentile); default stdout")
 
@@ -177,11 +178,11 @@ def _emit_json(obj, out_path):
         sys.stdout.write(json_text(obj))
 
 
-def _emit_tsv(rows, out_path):
+def _emit_tsv(columns, out_path):
     if out_path:
-        write_tsv_atomic(Path(out_path), rows)
+        write_tsv_atomic(Path(out_path), columns)
     else:
-        sys.stdout.write(tsv_text(rows))
+        sys.stdout.write(tsv_text(columns))
 
 
 def _cmd_analyze(args) -> int:
@@ -203,12 +204,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_burstiness(args) -> int:
     trace = _load_trace(args)
-    if args.dimension == "occupancy_slots":
-        series = ts.occupancy_series(trace, args.bucket_width)
-    else:
-        series = ts.bucket_time_series(trace, args.dimension, args.bucket_width)
-    curve = ts.burstiness_curve(series)
-    _emit_tsv([(f"{r:.9g}", p) for r, p in curve.points], args.out)
+    curve = ts.burstiness_curve(ts.dimension_series(trace, args.dimension, args.bucket_width))
+    _emit_tsv(list(zip(*curve.points)), args.out)
     return 0
 
 
@@ -224,15 +221,7 @@ def _cmd_cluster(args) -> int:
         "residual_variance": model.residual_variance,
         "clustered_jobs": len(matrix),
         "excluded_jobs": matrix.excluded_count,
-        "clusters": [
-            {
-                "job_count": c.job_count,
-                "medians": c.medians,
-                "suggested_label": c.suggested_label,
-                "label": c.label,
-            }
-            for c in summary.clusters
-        ],
+        "clusters": cluster_list(summary),
     }
     _emit_json(out, args.out)
     if args.table:
@@ -242,11 +231,7 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_names(args) -> int:
     trace = _load_trace(args)
-    breakdown = cp.name_breakdown(trace, args.weighting)
-    rows = [(w, f"{f:.9g}") for w, f in breakdown.entries]
-    if breakdown.other_fraction:
-        rows.append(("<other>", f"{breakdown.other_fraction:.9g}"))
-    _emit_tsv(rows, args.out)
+    _emit_tsv(name_columns(cp.name_breakdown(trace, args.weighting)), args.out)
     return 0
 
 
@@ -260,7 +245,7 @@ def _cmd_synthesize(args) -> int:
     with atomic_open(Path(args.out)) as fh:
         serialize_trace(workload.jobs, fh)
     if args.data_plan:
-        write_tsv_atomic(Path(args.data_plan), data_prepopulation_plan(workload).files)
+        write_tsv_atomic(Path(args.data_plan), list(zip(*data_prepopulation_plan(workload).files)))
     print(
         f"synthesized {len(workload.jobs)} jobs at scale {workload.scale_factor:.6g} "
         f"({args.mode}), seed {seed}",
@@ -293,7 +278,7 @@ def _cmd_simulate(args) -> int:
     }
     _emit_json(out, args.out)
     if series is not None:
-        _emit_tsv(list(zip(range(len(series)), series.values.tolist())), args.occupancy)
+        _emit_tsv(series_columns(series), args.occupancy)
     return 0
 
 
@@ -310,8 +295,8 @@ def _cmd_cachesim(args) -> int:
         rows = [("capacity_bytes", "hit_rate_by_accesses", "hit_rate_by_bytes")]
         for cap in args.sweep:
             report = simulate_cache(stream, _cache_config(args, cap))
-            rows.append((cap, f"{report.hit_rate_by_accesses:.9g}", f"{report.hit_rate_by_bytes:.9g}"))
-        _emit_tsv(rows, args.out)
+            rows.append((cap, report.hit_rate_by_accesses, report.hit_rate_by_bytes))
+        _emit_tsv(list(zip(*rows)), args.out)
         return 0
     report = simulate_cache(stream, _cache_config(args, args.capacity))
     _emit_json(

@@ -25,6 +25,10 @@ FEATURE_NAMES = (
 )
 
 UNNAMED = "<unnamed>"
+# Seeded k-means runs per k, and the least relative gain in residual
+# variance for which the elbow goes on to k+1.
+KMEANS_RESTARTS = 5
+ELBOW_IMPROVEMENT_THRESHOLD = 0.10
 _LETTERS = re.compile(r"[a-z]+")
 
 
@@ -37,17 +41,11 @@ class NameBreakdown:
 
 @dataclass
 class FeatureTransform:
-    """log10(1+x) then z-score; parameters kept so rows can be inverted."""
+    """The parameters of the log10(1+x) then z-score feature transform."""
 
     means: np.ndarray
     stds: np.ndarray  # 1.0 substituted for zero-variance dimensions
     zero_variance_dims: tuple[str, ...] = ()
-
-    def apply(self, raw: np.ndarray) -> np.ndarray:
-        return (np.log10(1.0 + raw) - self.means) / self.stds
-
-    def invert(self, rows: np.ndarray) -> np.ndarray:
-        return 10.0 ** (rows * self.stds + self.means) - 1.0
 
 
 @dataclass
@@ -317,7 +315,7 @@ def _restart_seed(seed: int, k: int, restart: int) -> int:
     return int(np.random.SeedSequence((seed, k, restart)).generate_state(1)[0])
 
 
-def fit_best(matrix: JobFeatureMatrix, k: int, seed: int, restarts: int = 5) -> ClusterModel:
+def fit_best(matrix: JobFeatureMatrix, k: int, seed: int, restarts: int = KMEANS_RESTARTS) -> ClusterModel:
     """Best of several seeded k-means runs by residual variance; a tie
     goes to the lowest restart.
 
@@ -339,9 +337,9 @@ def fit_best(matrix: JobFeatureMatrix, k: int, seed: int, restarts: int = 5) -> 
 def elbow_fit(
     matrix: JobFeatureMatrix,
     k_max: int,
-    improvement_threshold: float = 0.10,
+    improvement_threshold: float = ELBOW_IMPROVEMENT_THRESHOLD,
     seed: int = 42,
-    restarts: int = 5,
+    restarts: int = KMEANS_RESTARTS,
 ) -> ClusterModel:
     """Best model at the elbow: the smallest k whose k+1 refit improves
     residual variance by less than the threshold (relative); k_max if

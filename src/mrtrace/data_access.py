@@ -13,6 +13,9 @@ import numpy as np
 from .errors import InsufficientData, NoData
 from .trace import Trace
 
+# Share of accesses the 80-x rule asks the stored bytes to absorb.
+EIGHTY_X_QUANTILE = 0.80
+
 
 @dataclass
 class EmpiricalCDF:
@@ -210,7 +213,7 @@ def access_vs_size_curves(trace: Trace, side: str) -> tuple[EmpiricalCDF, Empiri
     return jobs_cdf, bytes_cdf
 
 
-def eighty_x_rule(trace: Trace, side: str, access_quantile: float = 0.80) -> float:
+def eighty_x_rule(trace: Trace, side: str, access_quantile: float = EIGHTY_X_QUANTILE) -> float:
     """Percent of stored bytes needed to absorb the given access quantile.
 
     Files are taken in order of non-increasing access count (digest

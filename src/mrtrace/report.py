@@ -180,9 +180,10 @@ def write_json_atomic(path: Path, obj) -> None:
     write_atomic(path, json_text(obj))
 
 
-def _cell_texts(column: list) -> Iterable[str]:
+def _cell_texts(column) -> Iterable[str]:
     """TSV cells of one column: floats (Python or numpy) to 9 significant
     digits, anything else as str."""
+    column = column.tolist() if isinstance(column, np.ndarray) else list(column)
     types = set(map(type, column))
     if types == {float}:
         return map("{:.9g}".format, column)
@@ -192,23 +193,22 @@ def _cell_texts(column: list) -> Iterable[str]:
     return [f"{float(c):.9g}" if type(c) in floats else str(c) for c in column]
 
 
-def tsv_text(rows: Sequence[Sequence]) -> str:
-    """The TSV text of every TSV output, file or stdout: one line per row,
-    formatted a column at a time. Raises ValueError when rows differ in
-    width."""
-    widths = set(map(len, rows))
-    if len(widths) > 1:
-        raise ValueError(f"TSV rows differ in width: {sorted(widths)}")
-    columns = [_cell_texts(list(map(itemgetter(i), rows))) for i in range(max(widths, default=0))]
-    return "\n".join(map("\t".join, zip(*columns))) + "\n"
+def tsv_text(columns: Sequence) -> str:
+    """The TSV text of every TSV output, file or stdout: one line per row
+    of equal-length columns (arrays, ranges or sequences), formatted a
+    column at a time. Raises ValueError when the columns differ in length."""
+    lengths = set(map(len, columns))
+    if len(lengths) > 1:
+        raise ValueError(f"TSV columns differ in length: {sorted(lengths)}")
+    return "\n".join(map("\t".join, zip(*map(_cell_texts, columns)))) + "\n"
 
 
-def write_tsv_atomic(path: Path, rows) -> None:
-    write_atomic(path, tsv_text(rows))
+def write_tsv_atomic(path: Path, columns: Sequence) -> None:
+    write_atomic(path, tsv_text(columns))
 
 
-def _plot_rows(*columns: np.ndarray) -> list[tuple]:
-    """Rows of parallel columns for plotting, decimated past MAX_PLOT_POINTS.
+def _plot_columns(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Parallel columns for plotting, decimated past MAX_PLOT_POINTS.
 
     Figures cannot resolve millions of steps; decimation keeps the first
     and last point so a curve still spans its full range.
@@ -216,8 +216,26 @@ def _plot_rows(*columns: np.ndarray) -> list[tuple]:
     n = columns[0].size
     if n > MAX_PLOT_POINTS:
         idx = np.unique(np.linspace(0, n - 1, MAX_PLOT_POINTS).astype(np.int64))
-        columns = [c[idx] for c in columns]
-    return list(zip(*(c.tolist() for c in columns)))
+        columns = tuple(c[idx] for c in columns)
+    return columns
+
+
+def series_columns(series: ts.TimeSeries) -> tuple:
+    """The (bucket, value) TSV columns of fig7 and `simulate --occupancy`."""
+    return range(len(series)), series.values
+
+
+def name_columns(breakdown: cp.NameBreakdown) -> list:
+    """The (word, fraction) TSV columns of fig10 and `mrtrace names`; a
+    nonzero fraction under the cutoff ends them as one "<other>" row."""
+    other = [("<other>", breakdown.other_fraction)] if breakdown.other_fraction else []
+    return list(zip(*breakdown.entries, *other))
+
+
+def cluster_list(summary: cp.ClusterSummary) -> list[dict]:
+    """The clusters of `analyze` and `mrtrace cluster`: a ClusterRow's
+    fields, in order, are the keys of its JSON object."""
+    return [vars(row) for row in summary.clusters]
 
 
 def _cdf_section(cdf: da.EmpiricalCDF, excluded: int) -> dict:
@@ -249,7 +267,7 @@ class ReportBuilder:
         self.k_max = k_max
         self.cluster_sample_cap = cluster_sample_cap
         self.sections: dict = {}
-        self.plots: dict[str, list] = {}
+        self.plots: dict[str, Sequence] = {}  # TSV columns by file name
         self.skips: list[dict] = []
         self.cluster_table: Optional[str] = None
         # Series by dimension, built once for every section that reads it.
@@ -301,8 +319,8 @@ class ReportBuilder:
             "kmeans": {
                 "transform": "log10(1+x) then z-score",
                 "k_max": self.k_max,
-                "improvement_threshold": 0.10,
-                "restarts": 5,
+                "improvement_threshold": cp.ELBOW_IMPROVEMENT_THRESHOLD,
+                "restarts": cp.KMEANS_RESTARTS,
                 "sample_cap": self.cluster_sample_cap,
             },
             "name_cutoff_fraction": NAME_CUTOFF,
@@ -313,14 +331,14 @@ class ReportBuilder:
 
     def _data_sizes(self, dim: str) -> dict:
         cdf = da.data_size_cdf(self.trace, dim)
-        self.plots[f"fig1_{dim}.tsv"] = _plot_rows(cdf.values, cdf.fractions)
+        self.plots[f"fig1_{dim}.tsv"] = _plot_columns(cdf.values, cdf.fractions)
         out = {"operation": "data_size_cdf", "dimension": dim}
         out.update(_cdf_section(cdf, len(self.trace) - cdf.sample_count))
         return out
 
     def _zipf(self, side: str) -> dict:
         table = da.access_frequency_rank(self.trace, side)
-        self.plots[f"fig2_{side}.tsv"] = _plot_rows(np.arange(1, len(table) + 1), table.counts)
+        self.plots[f"fig2_{side}.tsv"] = _plot_columns(np.arange(1, len(table) + 1), table.counts)
         out = {"operation": "access_frequency_rank + fit_zipf", "side": side,
                "n_files": len(table), "n_accesses": int(table.counts.sum())}
         for label, tbl in (("full", table), ("tail_trimmed", da.tail_trimmed(table))):
@@ -339,8 +357,8 @@ class ReportBuilder:
     def _access_vs_size(self, side: str) -> dict:
         jobs_cdf, bytes_cdf = da.access_vs_size_curves(self.trace, side)
         fig = "fig3" if side == "input" else "fig4"
-        self.plots[f"{fig}_{side}_jobs.tsv"] = _plot_rows(jobs_cdf.values, jobs_cdf.fractions)
-        self.plots[f"{fig}_{side}_bytes.tsv"] = _plot_rows(bytes_cdf.values, bytes_cdf.fractions)
+        self.plots[f"{fig}_{side}_jobs.tsv"] = _plot_columns(jobs_cdf.values, jobs_cdf.fractions)
+        self.plots[f"{fig}_{side}_bytes.tsv"] = _plot_columns(bytes_cdf.values, bytes_cdf.fractions)
         return {
             "operation": "access_vs_size_curves",
             "side": side,
@@ -351,15 +369,13 @@ class ReportBuilder:
     def _eighty_x(self, side: str) -> dict:
         x = da.eighty_x_rule(self.trace, side)
         return {"operation": "eighty_x_rule", "side": side,
-                "access_quantile": 0.80, "x_percent_of_bytes": x}
+                "access_quantile": da.EIGHTY_X_QUANTILE, "x_percent_of_bytes": x}
 
     def _reaccess(self) -> dict:
         stats = da.reaccess_intervals(self.trace)
         gaps = stats.interval_cdf
-        self.plots["fig5_reaccess_intervals.tsv"] = _plot_rows(gaps.values, gaps.fractions)
-        self.plots["fig6_preexisting_input.tsv"] = [
-            (self.trace.label, stats.reaccess_job_fraction)
-        ]
+        self.plots["fig5_reaccess_intervals.tsv"] = _plot_columns(gaps.values, gaps.fractions)
+        self.plots["fig6_preexisting_input.tsv"] = ([self.trace.label], [stats.reaccess_job_fraction])
         out = {
             "operation": "reaccess_intervals",
             "reaccess_job_fraction": stats.reaccess_job_fraction,
@@ -374,17 +390,12 @@ class ReportBuilder:
 
     def _series(self, dim: str) -> ts.TimeSeries:
         if dim not in self._series_cache:
-            if dim == "occupancy_slots":
-                self._series_cache[dim] = ts.occupancy_series(self.trace, self.bucket_width)
-            else:
-                self._series_cache[dim] = ts.bucket_time_series(self.trace, dim, self.bucket_width)
+            self._series_cache[dim] = ts.dimension_series(self.trace, dim, self.bucket_width)
         return self._series_cache[dim]
 
     def _series_section(self, dim: str) -> dict:
         series = self._series(dim)
-        self.plots[f"fig7_{dim}.tsv"] = list(
-            zip(range(len(series)), series.values.tolist())
-        )
+        self.plots[f"fig7_{dim}.tsv"] = series_columns(series)
         operation = "occupancy_series" if dim == "occupancy_slots" else "bucket_time_series"
         out = {"operation": operation, "dimension": dim}
         out.update(_series_stats(series))
@@ -394,7 +405,7 @@ class ReportBuilder:
         out = {"operation": "burstiness_curve", "percentile_grid": "1..100",
                "bucket_width": self.bucket_width}
         curves = {}
-        for dim in ("jobs_submitted", "data_size_bytes", "compute_time_task_seconds"):
+        for dim in ts.SUM_DIMENSIONS:
             try:
                 series = self._series(dim)
                 curve = ts.burstiness_curve(series)
@@ -412,29 +423,27 @@ class ReportBuilder:
         if not curves:
             raise MRTraceError("no dimension supports a burstiness curve")
         if "compute_time_task_seconds" in curves:
-            self.plots["fig8_tasktime.tsv"] = curves["compute_time_task_seconds"].points
+            self.plots["fig8_tasktime.tsv"] = list(zip(*curves["compute_time_task_seconds"].points))
         buckets = max(24, len(self._series("jobs_submitted")))
         for kind, tag in (("range_equals_mean", "sine_mean"), ("range_equals_tenth_of_mean", "sine_tenth")):
             ref = ts.sine_reference(kind, buckets)
-            self.plots[f"fig8_{tag}.tsv"] = ts.burstiness_curve(ref).points
+            self.plots[f"fig8_{tag}.tsv"] = list(zip(*ts.burstiness_curve(ref).points))
         return out
 
     def _correlations(self) -> dict:
-        corr = ts.dimension_correlations(self.trace, self.bucket_width)
-        rows = [
-            ("jobs_vs_data", corr.r_jobs_data),
-            ("jobs_vs_compute", corr.r_jobs_compute),
-            ("data_vs_compute", corr.r_data_compute),
-        ]
-        self.plots["fig9_correlations.tsv"] = rows
+        corr = ts.series_correlations(*map(self._series, ts.SUM_DIMENSIONS))
+        pairs = ("jobs_vs_data", "jobs_vs_compute", "data_vs_compute")
+        rs = (corr.r_jobs_data, corr.r_jobs_compute, corr.r_data_compute)
+        self.plots["fig9_correlations.tsv"] = (pairs, rs)
         return {"operation": "dimension_correlations", "bucket_width": self.bucket_width} \
-            | {name: r for name, r in rows} | {"n_buckets": corr.n_buckets}
+            | dict(zip(pairs, rs)) | {"n_buckets": corr.n_buckets}
 
     def _periodogram(self) -> dict:
-        out = {"operation": "periodogram", "top_k": 5, "bucket_width": self.bucket_width}
+        out = {"operation": "periodogram", "top_k": ts.PERIODOGRAM_TOP_K,
+               "bucket_width": self.bucket_width}
         ran_any = False
         last_exc: Optional[MRTraceError] = None
-        for dim in ("jobs_submitted", "data_size_bytes", "compute_time_task_seconds"):
+        for dim in ts.SUM_DIMENSIONS:
             try:
                 peaks = ts.periodogram(self._series(dim))
                 out[dim] = {
@@ -456,9 +465,7 @@ class ReportBuilder:
         out = {"operation": "name_breakdown", "min_fraction": NAME_CUTOFF}
         for weighting in ("jobs", "io_bytes", "task_time"):
             breakdown = cp.name_breakdown(self.trace, weighting, NAME_CUTOFF)
-            self.plots[f"fig10_{weighting}.tsv"] = list(breakdown.entries) + (
-                [("<other>", breakdown.other_fraction)] if breakdown.other_fraction else []
-            )
+            self.plots[f"fig10_{weighting}.tsv"] = name_columns(breakdown)
             out[weighting] = {
                 "top": [{"word": w, "fraction": f} for w, f in breakdown.entries[:10]],
                 "other_fraction": breakdown.other_fraction,
@@ -493,15 +500,7 @@ class ReportBuilder:
             "clustered_jobs": len(matrix),
             "excluded_jobs": matrix.excluded_count,
             "sampled_from": sampled_from,
-            "clusters": [
-                {
-                    "job_count": row.job_count,
-                    "medians": row.medians,
-                    "suggested_label": row.suggested_label,
-                    "label": row.label,
-                }
-                for row in summary.clusters
-            ],
+            "clusters": cluster_list(summary),
         }
 
 
@@ -583,8 +582,8 @@ def write_report(
     if plots_dir is not None:
         plots_dir = Path(plots_dir)
         plots_dir.mkdir(parents=True, exist_ok=True)
-        for name, rows in builder.plots.items():
-            write_tsv_atomic(plots_dir / name, rows)
-        if getattr(builder, "cluster_table", None):
+        for name, columns in builder.plots.items():
+            write_tsv_atomic(plots_dir / name, columns)
+        if builder.cluster_table:
             write_atomic(plots_dir / "table2_clusters.txt", builder.cluster_table)
     return report

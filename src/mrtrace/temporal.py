@@ -20,13 +20,16 @@ from .errors import (
 )
 from .trace import Trace
 
-DIMENSIONS = ("jobs_submitted", "data_size_bytes", "compute_time_task_seconds", "occupancy_slots")
+# The dimensions bucket_time_series sums, and all that dimension_series builds.
+SUM_DIMENSIONS = ("jobs_submitted", "data_size_bytes", "compute_time_task_seconds")
+DIMENSIONS = SUM_DIMENSIONS + ("occupancy_slots",)
+PERIODOGRAM_TOP_K = 5
 
 DAY_SECONDS = 86400
 HOUR_SECONDS = 3600
-# Most buckets one series may have. analyze holds several series and their
-# plot rows at once, about 570 bytes a bucket: at this cap it peaked at
-# 606 MB on a 3000-job trace, and at 10M buckets at 4.4 GB.
+# Most buckets one series may have. analyze holds each series as one array
+# and writes its plot a column at a time, about 190 bytes a bucket at the
+# peak: at this cap it peaked at 230 MB on a 3000-job trace.
 MAX_BUCKETS = 1_000_000
 
 
@@ -162,6 +165,14 @@ def occupancy_series(trace: Trace, bucket_width: int = HOUR_SECONDS) -> TimeSeri
     )
 
 
+def dimension_series(trace: Trace, dimension: str, bucket_width: int = HOUR_SECONDS) -> TimeSeries:
+    """The series of one of DIMENSIONS: occupancy_series for
+    occupancy_slots, bucket_time_series for the others."""
+    if dimension == "occupancy_slots":
+        return occupancy_series(trace, bucket_width)
+    return bucket_time_series(trace, dimension, bucket_width)
+
+
 def _percentiles(values: np.ndarray, grid) -> np.ndarray:
     # Linear interpolation between order statistics (inclusive scheme).
     return np.percentile(values, grid, method="linear")
@@ -210,9 +221,12 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 def dimension_correlations(trace: Trace, bucket_width: int = HOUR_SECONDS) -> CorrelationMatrix:
     """Pearson correlation between the jobs, bytes, and task-time series."""
-    jobs = bucket_time_series(trace, "jobs_submitted", bucket_width)
-    data = bucket_time_series(trace, "data_size_bytes", bucket_width)
-    compute = bucket_time_series(trace, "compute_time_task_seconds", bucket_width)
+    return series_correlations(*(bucket_time_series(trace, d, bucket_width) for d in SUM_DIMENSIONS))
+
+
+def series_correlations(jobs: TimeSeries, data: TimeSeries, compute: TimeSeries) -> CorrelationMatrix:
+    """Pearson correlation between built jobs, bytes, and task-time series
+    of one bucketing."""
     for s in (jobs, data, compute):
         if np.ptp(s.values) == 0:
             raise ZeroVariance(f"{s.dimension} series is constant")
@@ -224,7 +238,7 @@ def dimension_correlations(trace: Trace, bucket_width: int = HOUR_SECONDS) -> Co
     )
 
 
-def periodogram(series: TimeSeries, top_k: int = 5) -> SpectralPeaks:
+def periodogram(series: TimeSeries, top_k: int = PERIODOGRAM_TOP_K) -> SpectralPeaks:
     """Strongest periodic components of the mean-removed series.
 
     diurnal is set when a component within one bucket of 24 hours carries

@@ -547,13 +547,12 @@ def parse_trace(
     *,
     label: str = "trace",
     machine_count: int = 1,
-    span: Optional[tuple[int, int]] = None,
 ) -> Trace:
     """Parse a trace file into an immutable Trace.
 
     source may be a path, bytes, or an open file. Records are sorted by
-    submit_time (stable, so ties keep source order). If span is not given
-    it is derived from the min/max submit times.
+    submit_time (stable, so ties keep source order), and the span runs
+    from the first submit time to the last.
     """
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown trace format {fmt!r}")
@@ -569,8 +568,7 @@ def parse_trace(
         raise EmptyTrace("trace contains no records")
 
     cols = cols.take(np.argsort(cols.submit_time, kind="stable"))
-    if span is None:
-        span = (int(cols.submit_time[0]), int(cols.submit_time[-1]))
+    span = (int(cols.submit_time[0]), int(cols.submit_time[-1]))
     return Trace(label=label, machine_count=machine_count, columns=cols, span=span)
 
 

@@ -4,6 +4,7 @@ import math
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mrtrace import SimConfig, build_workload_model, parse_trace, simulate, synthesize
@@ -77,8 +78,17 @@ class TestAnalyze:
             monkeypatch.setattr(ts, fn, lambda *a, _fn=fn, _exact=getattr(ts, fn):
                                 calls.append(_fn) or _exact(*a))
         ReportBuilder(parse_trace(trace_file)).build()
-        # One per dimension, and the three dimension_correlations builds.
-        assert sorted(calls) == ["bucket_time_series"] * 6 + ["occupancy_series"]
+        # One per dimension; the correlations read the same three series.
+        assert sorted(calls) == ["bucket_time_series"] * 3 + ["occupancy_series"]
+
+    def test_fig7_payloads_hold_the_series_arrays(self, trace_file):
+        builder = ReportBuilder(parse_trace(trace_file))
+        builder.build()
+        for dim in ts.DIMENSIONS:
+            buckets, values = builder.plots[f"fig7_{dim}.tsv"]
+            assert buckets == range(values.size)
+            assert isinstance(values, np.ndarray)
+            assert values is builder._series(dim).values
 
     def test_a_series_that_raises_is_skipped_by_each_section(self, tmp_path):
         t = make_trace([full_rec(i, 3600 * i, input_bytes=None) for i in range(60)])

@@ -15,14 +15,16 @@ from mrtrace import (
     bucket_time_series,
     burstiness_curve,
     dimension_correlations,
+    dimension_series,
     occupancy_series,
     peak_to_median,
     periodogram,
+    series_correlations,
     sine_reference,
     zero_runs,
 )
-from mrtrace.temporal import MAX_BUCKETS, TimeSeries
-from conftest import full_rec, make_trace, rec
+from mrtrace.temporal import DIMENSIONS, MAX_BUCKETS, SUM_DIMENSIONS, TimeSeries
+from conftest import full_rec, make_trace, mixed_workload_trace, rec
 
 
 def series(values, width=3600):
@@ -257,6 +259,21 @@ class TestCorrelations:
         t = triple_trace([2] * 60, [100] * 60, [5] * 60)
         with pytest.raises(ZeroVariance):
             dimension_correlations(t, 3600)
+
+    def test_built_series_give_the_trace_correlations(self):
+        rng = random.Random(17)
+        t = triple_trace(*([rng.randrange(1, 100) for _ in range(80)] for _ in range(3)))
+        built = [dimension_series(t, d, 1800) for d in SUM_DIMENSIONS]
+        assert series_correlations(*built) == dimension_correlations(t, 1800)
+
+
+def test_dimension_series_builds_each_dimension():
+    t = mixed_workload_trace(n_jobs=200, seed=5, hours=30)
+    for dim in DIMENSIONS:
+        exact = occupancy_series(t, 3600) if dim == "occupancy_slots" else bucket_time_series(t, dim, 3600)
+        built = dimension_series(t, dim, 3600)
+        assert built.dimension == exact.dimension == dim
+        np.testing.assert_array_equal(built.values, exact.values)
 
 
 def dft_power_oracle(values):

@@ -223,22 +223,35 @@ tsv_cells = st.one_of(
 )
 
 
+def columns_of(rows, width):
+    return [[row[i] for row in rows] for i in range(width)]
+
+
 class TestTsvText:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), width=st.integers(1, 4))
     def test_matches_per_cell_writer(self, data, width):
         rows = data.draw(st.lists(st.tuples(*[tsv_cells] * width), max_size=8))
-        assert tsv_text(rows) == tsv_text_per_cell(rows)
+        assert tsv_text(columns_of(rows, width)) == tsv_text_per_cell(rows)
 
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.tuples(st.integers(), st.text(alphabet="ab.9", max_size=4)), min_size=1))
     def test_stdout_without_float_cells_is_unchanged(self, rows):
         # The CLI printed str(cell); every float it prints is preformatted.
-        assert tsv_text(rows) == tsv_stdout_per_cell(rows)
+        assert tsv_text(columns_of(rows, 2)) == tsv_stdout_per_cell(rows)
 
-    def test_ragged_rows_raise(self):
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.floats(allow_nan=False), max_size=8),
+           dtype=st.sampled_from([np.float64, np.float32, np.int64, np.bool_]))
+    def test_arrays_and_ranges_format_as_their_elements(self, values, dtype):
+        with np.errstate(over="ignore", invalid="ignore"):
+            column = np.array(values).astype(dtype)
+        rows = list(zip(range(len(values)), column))
+        assert tsv_text([range(len(values)), column]) == tsv_text_per_cell(rows)
+
+    def test_unequal_columns_raise(self):
         with pytest.raises(ValueError):
-            tsv_text([(1, 2), (3,)])
+            tsv_text([[1, 3], [2]])
 
 
 class TestAtomicOpen:
