@@ -64,11 +64,9 @@ from .temporal import (
     bucket_time_series,
     burstiness_curve,
     dimension_correlations,
-    dimension_series,
     occupancy_series,
     peak_to_median,
     periodogram,
-    series_correlations,
     sine_reference,
     zero_runs,
 )

@@ -27,9 +27,9 @@ PERIODOGRAM_TOP_K = 5
 
 DAY_SECONDS = 86400
 HOUR_SECONDS = 3600
-# Most buckets one series may have. analyze holds each series as one array
-# and writes its plot a column at a time, about 190 bytes a bucket at the
-# peak: at this cap it peaked at 230 MB on a 3000-job trace.
+# Most buckets one series may have. At this cap analyze peaked at 230 MB on
+# a 3000-job trace, most of it periodogram's FFT of a 996,421-bucket series,
+# a length with a large prime factor (17 x 58,613).
 MAX_BUCKETS = 1_000_000
 
 

@@ -15,15 +15,20 @@ from mrtrace import (
     bucket_time_series,
     burstiness_curve,
     dimension_correlations,
-    dimension_series,
     occupancy_series,
     peak_to_median,
     periodogram,
-    series_correlations,
     sine_reference,
     zero_runs,
 )
-from mrtrace.temporal import DIMENSIONS, MAX_BUCKETS, SUM_DIMENSIONS, TimeSeries
+from mrtrace.temporal import (
+    DIMENSIONS,
+    MAX_BUCKETS,
+    SUM_DIMENSIONS,
+    TimeSeries,
+    dimension_series,
+    series_correlations,
+)
 from conftest import full_rec, make_trace, mixed_workload_trace, rec
 
 

@@ -237,7 +237,7 @@ class TestTsvText:
     @settings(max_examples=200, deadline=None)
     @given(rows=st.lists(st.tuples(st.integers(), st.text(alphabet="ab.9", max_size=4)), min_size=1))
     def test_stdout_without_float_cells_is_unchanged(self, rows):
-        # The CLI printed str(cell); every float it prints is preformatted.
+        # Cells that are not floats are written as str(cell).
         assert tsv_text(columns_of(rows, 2)) == tsv_stdout_per_cell(rows)
 
     @settings(max_examples=200, deadline=None)
