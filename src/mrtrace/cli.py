@@ -2,8 +2,9 @@
 
 Subcommands: analyze, burstiness, cluster, names, synthesize, simulate,
 cachesim. Exit status 0 on success, 1 on usage errors, 2 on data errors.
-All randomized steps take --seed (default 42, overridable via the
-MRTRACE_SEED environment variable); outputs are written atomically.
+All randomized steps take --seed, a non-negative integer (default 42,
+overridable via the MRTRACE_SEED environment variable, where any other
+value is a usage error); outputs are written atomically.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .report import (
     DEFAULT_BUCKET_WIDTH,
     DEFAULT_CLUSTER_SAMPLE_CAP,
     DEFAULT_K_MAX,
+    DEFAULT_SEED,
     atomic_open,
     cluster_list,
     json_text,
@@ -49,23 +51,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_ERROR)
 
 
-def _default_seed() -> int:
-    env = os.environ.get("MRTRACE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            pass
-    return 42
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _seed(text: str) -> int:
+    value = _int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     return value
 
 
@@ -112,8 +115,8 @@ def build_parser() -> _Parser:
     _add_trace_args(p)
     p.add_argument("--out", help="report JSON path (default: stdout)")
     p.add_argument("--plots", help="directory for per-figure TSV plot data")
-    p.add_argument("--bucket-width", type=int, default=DEFAULT_BUCKET_WIDTH)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--bucket-width", type=_positive_int, default=DEFAULT_BUCKET_WIDTH)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--k-max", type=_positive_int, default=DEFAULT_K_MAX)
     p.add_argument("--cluster-sample", type=_positive_int, default=DEFAULT_CLUSTER_SAMPLE_CAP,
                    help="subsample cap for k-means on very large traces")
@@ -121,13 +124,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("burstiness", help="percentile-to-median curve for one dimension")
     _add_trace_args(p)
     p.add_argument("--dimension", default="compute_time_task_seconds", choices=ts.DIMENSIONS)
-    p.add_argument("--bucket-width", type=int, default=DEFAULT_BUCKET_WIDTH)
+    p.add_argument("--bucket-width", type=_positive_int, default=DEFAULT_BUCKET_WIDTH)
     p.add_argument("--out", help="TSV output (ratio, percentile); default stdout")
 
     p = sub.add_parser("cluster", help="k-means job typing with elbow k selection")
     _add_trace_args(p)
     p.add_argument("--k-max", type=_positive_int, default=DEFAULT_K_MAX)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", help="cluster summary JSON; default stdout")
     p.add_argument("--table", help="aligned-column text table output path")
 
@@ -143,7 +146,7 @@ def build_parser() -> _Parser:
                    help="seconds of workload to produce (default: source span)")
     p.add_argument("--mode", default="sampled", choices=("sampled", "replay_scaled"))
     p.add_argument("--window-width", type=_positive_int, default=DEFAULT_BUCKET_WIDTH)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--out", required=True, help="synthetic workload jsonl")
     p.add_argument("--data-plan", help="pre-population plan TSV (file_id, size_bytes)")
 
@@ -187,12 +190,11 @@ def _emit_tsv(columns, out_path):
 
 def _cmd_analyze(args) -> int:
     trace = _load_trace(args)
-    seed = args.seed if args.seed is not None else _default_seed()
     report = write_report(
         trace,
         Path(args.out) if args.out else None,
         Path(args.plots) if args.plots else None,
-        seed=seed,
+        seed=args.seed,
         bucket_width=args.bucket_width,
         k_max=args.k_max,
         cluster_sample_cap=args.cluster_sample,
@@ -211,13 +213,12 @@ def _cmd_burstiness(args) -> int:
 
 def _cmd_cluster(args) -> int:
     trace = _load_trace(args)
-    seed = args.seed if args.seed is not None else _default_seed()
     matrix = cp.job_feature_vectors(trace)
-    model = cp.elbow_fit(matrix, min(args.k_max, len(matrix)), seed=seed)
+    model = cp.elbow_fit(matrix, min(args.k_max, len(matrix)), seed=args.seed)
     summary = cp.summarize_clusters(trace, model)
     out = {
         "k": model.k,
-        "seed": seed,
+        "seed": args.seed,
         "residual_variance": model.residual_variance,
         "clustered_jobs": len(matrix),
         "excluded_jobs": matrix.excluded_count,
@@ -237,18 +238,17 @@ def _cmd_names(args) -> int:
 
 def _cmd_synthesize(args) -> int:
     trace = _load_trace(args)
-    seed = args.seed if args.seed is not None else _default_seed()
     model = build_workload_model(trace, args.window_width)
     span = trace.span[1] - trace.span[0]
     target_span = args.target_span if args.target_span is not None else max(span, 1)
-    workload = synthesize(model, args.target_machines, target_span, args.mode, seed)
+    workload = synthesize(model, args.target_machines, target_span, args.mode, args.seed)
     with atomic_open(Path(args.out)) as fh:
         serialize_trace(workload.jobs, fh)
     if args.data_plan:
         write_tsv_atomic(Path(args.data_plan), list(zip(*data_prepopulation_plan(workload).files)))
     print(
         f"synthesized {len(workload.jobs)} jobs at scale {workload.scale_factor:.6g} "
-        f"({args.mode}), seed {seed}",
+        f"({args.mode}), seed {args.seed}",
         file=sys.stderr,
     )
     return 0
@@ -327,6 +327,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Only a command that takes --seed reads MRTRACE_SEED, and --seed wins.
+    if "seed" in args and args.seed is None:
+        try:
+            args.seed = _seed(os.environ.get("MRTRACE_SEED", str(DEFAULT_SEED)))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(f"MRTRACE_SEED: {exc}")
     try:
         return _COMMANDS[args.command](args)
     except MRTraceError as exc:

@@ -4,6 +4,15 @@ one JSON document plus per-figure TSV plot data.
 Analyses whose dimensions are missing are skipped by name, never
 zero-filled, and every randomized step records its seed so reruns are
 byte-identical.
+
+`ReportBuilder.build` uses two threads. The k-means elbow fit of the
+clusters section, the largest single cost, runs on one background worker
+over the sampled feature rows, while the main thread runs every other
+section. The main thread alone writes the report's sections, skips and
+plots, in a fixed order, and reads the fit's result only when the
+clusters section's turn comes; the fit depends on nothing but its
+sample and seed. So the output bytes do not depend on which thread
+finishes first.
 """
 
 from __future__ import annotations
@@ -12,6 +21,7 @@ import json
 import math
 import os
 import tempfile
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -250,7 +260,16 @@ def _cdf_section(cdf: da.EmpiricalCDF, excluded: int) -> dict:
 
 
 class ReportBuilder:
-    """Accumulates sections and plot payloads for one trace."""
+    """Accumulates sections and plot payloads for one trace.
+
+    `build` makes the feature rows and their sample on the calling
+    thread before any other section: made on the worker, their copies
+    would overlap the other sections' arrays and raise peak memory. The
+    worker then fits the sample alone, and the clusters section reads
+    the model in its usual place. An MRTraceError from the feature
+    build or the fit becomes the clusters skip; any other exception
+    propagates from `build` once the worker has stopped.
+    """
 
     def __init__(
         self,
@@ -292,20 +311,23 @@ class ReportBuilder:
         }
         self.sections["missing_fields"] = t.columns.missing_counts()
 
-        for dim in ("input", "shuffle", "output"):
-            self._run(f"data_sizes.{dim}", lambda d=dim: self._data_sizes(d))
-        for side in ("input", "output"):
-            self._run(f"zipf.{side}", lambda s=side: self._zipf(s))
-            self._run(f"access_vs_size.{side}", lambda s=side: self._access_vs_size(s))
-            self._run(f"eighty_x.{side}", lambda s=side: self._eighty_x(s))
-        self._run("reaccess", self._reaccess)
-        for dim in ts.DIMENSIONS:
-            self._run(f"time_series.{dim}", lambda d=dim: self._series_section(d))
-        self._run("burstiness", self._burstiness)
-        self._run("correlations", self._correlations)
-        self._run("periodogram", self._periodogram)
-        self._run("names", self._names)
-        self._run("clusters", self._clusters)
+        # Leaving the block waits for the fit, so no worker outlives build.
+        with ThreadPoolExecutor(max_workers=1) as elbow_pool:
+            sampled_from, fit = self._start_clusters(elbow_pool)
+            for dim in ("input", "shuffle", "output"):
+                self._run(f"data_sizes.{dim}", lambda d=dim: self._data_sizes(d))
+            for side in ("input", "output"):
+                self._run(f"zipf.{side}", lambda s=side: self._zipf(s))
+                self._run(f"access_vs_size.{side}", lambda s=side: self._access_vs_size(s))
+                self._run(f"eighty_x.{side}", lambda s=side: self._eighty_x(s))
+            self._run("reaccess", self._reaccess)
+            for dim in ts.DIMENSIONS:
+                self._run(f"time_series.{dim}", lambda d=dim: self._series_section(d))
+            self._run("burstiness", self._burstiness)
+            self._run("correlations", self._correlations)
+            self._run("periodogram", self._periodogram)
+            self._run("names", self._names)
+            self._run("clusters", lambda: self._clusters(fit.result(), sampled_from))
 
         self.sections["decisions"] = {
             "seed": self.seed,
@@ -472,14 +494,24 @@ class ReportBuilder:
             }
         return out
 
-    def _clusters(self) -> dict:
-        matrix = cp.job_feature_vectors(self.trace)
+    def _start_clusters(self, pool: ThreadPoolExecutor) -> tuple[Optional[int], Future]:
+        """Build the feature rows and, past the cap, their seeded sample on
+        this thread, then submit the elbow fit over them to pool. Returns
+        the row count sampled from (None when not sampled) and the future
+        model, which holds an MRTraceError from the feature build."""
+        try:
+            matrix = cp.job_feature_vectors(self.trace)
+        except MRTraceError as exc:
+            failed = Future()
+            failed.set_exception(exc)
+            return None, failed
         sampled_from = None
         if len(matrix) > self.cluster_sample_cap:
             sampled_from = len(matrix)
             rng = np.random.default_rng(self.seed)
             keep = rng.choice(len(matrix), size=self.cluster_sample_cap, replace=False)
             keep.sort()
+            # Rebinding drops the full matrix before the other sections run.
             matrix = cp.JobFeatureMatrix(
                 rows=matrix.rows[keep],
                 raw=matrix.raw[keep],
@@ -488,14 +520,17 @@ class ReportBuilder:
                 job_ids=matrix.job_ids[keep],
             )
         k_max = min(self.k_max, len(matrix))
-        model = cp.elbow_fit(matrix, k_max, seed=self.seed)
+        return sampled_from, pool.submit(cp.elbow_fit, matrix, k_max, seed=self.seed)
+
+    def _clusters(self, model: cp.ClusterModel, sampled_from: Optional[int]) -> dict:
+        matrix = model.matrix
         summary = cp.summarize_clusters(self.trace, model)
         self.cluster_table = render_cluster_table(summary)
         return {
             "operation": "job_feature_vectors + elbow_fit",
             "seed": self.seed,
             "k": model.k,
-            "k_max": k_max,
+            "k_max": min(self.k_max, len(matrix)),
             "residual_variance": model.residual_variance,
             "clustered_jobs": len(matrix),
             "excluded_jobs": matrix.excluded_count,

@@ -125,6 +125,34 @@ class TestAnalyze:
                      "--seed", "7"]) == 0
         assert json.loads(out.read_text())["decisions"]["seed"] == 7
 
+    @pytest.mark.parametrize("command", [
+        ["analyze"],
+        ["cluster"],
+        ["synthesize", "--target-machines", "1", "--mode", "sampled"],
+        ["synthesize", "--target-machines", "1", "--mode", "replay_scaled"],
+    ], ids=lambda c: c[-1])
+    @pytest.mark.parametrize("env", ["-5", "abc", "", "1.5"])
+    def test_bad_env_seed_is_usage_error(self, tmp_path, trace_file, monkeypatch, capsys,
+                                         command, env):
+        monkeypatch.setenv("MRTRACE_SEED", env)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as ei:
+            main([*command, "--trace", str(trace_file), "--out", str(out)])
+        assert ei.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mrtrace")
+        assert "error: MRTRACE_SEED: " in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_bad_env_seed_is_ignored_without_a_seed(self, tmp_path, trace_file, monkeypatch):
+        monkeypatch.setenv("MRTRACE_SEED", "abc")
+        out = tmp_path / "r.json"
+        # The flag wins over the variable, and names has no seed to read.
+        assert main(["analyze", "--trace", str(trace_file), "--out", str(out),
+                     "--seed", "7"]) == 0
+        assert main(["names", "--trace", str(trace_file), "--out", str(tmp_path / "n.tsv")]) == 0
+
     def test_int64_wide_span_skips_time_series(self, tmp_path, capsys):
         t = make_trace([full_rec(0, 0), full_rec(1, 2**62)])
         path = trace_to_jsonl(t, tmp_path / "wide.jsonl")
@@ -175,7 +203,12 @@ BAD_ARGUMENTS = [
     ["analyze", "--machines", "0"],
     ["analyze", "--k-max", "0"],
     ["analyze", "--cluster-sample", "0"],
+    ["analyze", "--seed", "-1"],
+    ["analyze", "--bucket-width", "0"],
+    ["analyze", "--bucket-width", "-5"],
+    ["burstiness", "--bucket-width", "0"],
     ["cluster", "--k-max", "0"],
+    ["cluster", "--seed", "-2"],
     ["cachesim", "--capacity", "0"],
     ["cachesim", "--capacity", "1", "--admission", "size:abc"],
     ["cachesim", "--capacity", "1", "--eviction", "ttl:x"],
@@ -183,6 +216,8 @@ BAD_ARGUMENTS = [
     ["synthesize", "--target-machines", "0"],
     ["synthesize", "--target-machines", "1", "--window-width", "0"],
     ["synthesize", "--target-machines", "1", "--target-span", "0"],
+    ["synthesize", "--target-machines", "1", "--mode", "sampled", "--seed", "-1"],
+    ["synthesize", "--target-machines", "1", "--mode", "replay_scaled", "--seed", "-1"],
     ["simulate", "--nodes", "0"],
     ["simulate", "--nodes", "1", "--map-slots", "-1"],
     ["simulate", "--nodes", "1", "--occupancy", "occ.tsv", "--bucket-width", "0"],
