@@ -22,7 +22,6 @@ from .errors import MRTraceError
 from .replay_sim import SimConfig, sim_occupancy_series, simulate
 from .report import (
     DEFAULT_BUCKET_WIDTH,
-    DEFAULT_CLUSTER_SAMPLE_CAP,
     DEFAULT_K_MAX,
     DEFAULT_SEED,
     atomic_open,
@@ -118,8 +117,6 @@ def build_parser() -> _Parser:
     p.add_argument("--bucket-width", type=_positive_int, default=DEFAULT_BUCKET_WIDTH)
     p.add_argument("--seed", type=_seed, default=None)
     p.add_argument("--k-max", type=_positive_int, default=DEFAULT_K_MAX)
-    p.add_argument("--cluster-sample", type=_positive_int, default=DEFAULT_CLUSTER_SAMPLE_CAP,
-                   help="subsample cap for k-means on very large traces")
 
     p = sub.add_parser("burstiness", help="percentile-to-median curve for one dimension")
     _add_trace_args(p)
@@ -197,7 +194,6 @@ def _cmd_analyze(args) -> int:
         seed=args.seed,
         bucket_width=args.bucket_width,
         k_max=args.k_max,
-        cluster_sample_cap=args.cluster_sample,
     )
     if not args.out:
         _emit_json(report, None)

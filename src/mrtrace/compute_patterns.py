@@ -25,10 +25,12 @@ FEATURE_NAMES = (
 )
 
 UNNAMED = "<unnamed>"
-# Seeded k-means runs per k, and the least relative gain in residual
-# variance for which the elbow goes on to k+1.
+# Seeded k-means runs per k, the least relative gain in residual variance
+# for which the elbow goes on to k+1, and the most feature rows the elbow
+# fits: past it, a seeded sample of that many.
 KMEANS_RESTARTS = 5
 ELBOW_IMPROVEMENT_THRESHOLD = 0.10
+CLUSTER_SAMPLE_CAP = 50_000
 _LETTERS = re.compile(r"[a-z]+")
 
 
@@ -315,45 +317,37 @@ def _restart_seed(seed: int, k: int, restart: int) -> int:
     return int(np.random.SeedSequence((seed, k, restart)).generate_state(1)[0])
 
 
-def fit_best(matrix: JobFeatureMatrix, k: int, seed: int, restarts: int = KMEANS_RESTARTS) -> ClusterModel:
+def fit_best(matrix: JobFeatureMatrix, k: int, seed: int) -> ClusterModel:
     """Best of several seeded k-means runs by residual variance; a tie
-    goes to the lowest restart.
+    goes to the lowest of the KMEANS_RESTARTS restarts.
 
     The restarts run on a thread pool with a worker per usable core, up to
     one per restart: numpy releases the GIL in the array loops that take
     most of a round. Each restart's model depends only on its own seed, so
     the result is the one a serial loop gives.
     """
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(restarts, cores or 1)
+    workers = min(KMEANS_RESTARTS, cores or 1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         models = list(pool.map(lambda r: kmeans(matrix, k, _restart_seed(seed, k, r)),
-                               range(restarts)))
+                               range(KMEANS_RESTARTS)))
     return min(models, key=lambda model: model.residual_variance)  # the first of equals
 
 
-def elbow_fit(
-    matrix: JobFeatureMatrix,
-    k_max: int,
-    improvement_threshold: float = ELBOW_IMPROVEMENT_THRESHOLD,
-    seed: int = 42,
-    restarts: int = KMEANS_RESTARTS,
-) -> ClusterModel:
+def elbow_fit(matrix: JobFeatureMatrix, k_max: int, seed: int = 42) -> ClusterModel:
     """Best model at the elbow: the smallest k whose k+1 refit improves
-    residual variance by less than the threshold (relative); k_max if
-    the improvement never levels off.
+    residual variance by less than ELBOW_IMPROVEMENT_THRESHOLD (relative);
+    k_max if the improvement never levels off.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    best = fit_best(matrix, 1, seed, restarts)
+    best = fit_best(matrix, 1, seed)
     for k in range(1, k_max):
         if best.residual_variance <= 0.0:
             return best  # already a perfect fit
-        nxt = fit_best(matrix, k + 1, seed, restarts)
+        nxt = fit_best(matrix, k + 1, seed)
         gain = (best.residual_variance - nxt.residual_variance) / best.residual_variance
-        if gain < improvement_threshold:
+        if gain < ELBOW_IMPROVEMENT_THRESHOLD:
             return best
         best = nxt
     return best

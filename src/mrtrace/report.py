@@ -40,7 +40,6 @@ from .trace import FNV64_OFFSET_BASIS, HASH_ALGORITHM, Trace
 DEFAULT_SEED = 42
 DEFAULT_BUCKET_WIDTH = 3600
 DEFAULT_K_MAX = 10
-DEFAULT_CLUSTER_SAMPLE_CAP = 50_000
 NAME_CUTOFF = 0.01
 MAX_PLOT_POINTS = 20_000
 
@@ -278,13 +277,11 @@ class ReportBuilder:
         seed: int = DEFAULT_SEED,
         bucket_width: int = DEFAULT_BUCKET_WIDTH,
         k_max: int = DEFAULT_K_MAX,
-        cluster_sample_cap: int = DEFAULT_CLUSTER_SAMPLE_CAP,
     ):
         self.trace = trace
         self.seed = seed
         self.bucket_width = bucket_width
         self.k_max = k_max
-        self.cluster_sample_cap = cluster_sample_cap
         self.sections: dict = {}
         self.plots: dict[str, Sequence] = {}  # TSV columns by file name
         self.skips: list[dict] = []
@@ -343,7 +340,7 @@ class ReportBuilder:
                 "k_max": self.k_max,
                 "improvement_threshold": cp.ELBOW_IMPROVEMENT_THRESHOLD,
                 "restarts": cp.KMEANS_RESTARTS,
-                "sample_cap": self.cluster_sample_cap,
+                "sample_cap": cp.CLUSTER_SAMPLE_CAP,
             },
             "name_cutoff_fraction": NAME_CUTOFF,
             "max_plot_points": MAX_PLOT_POINTS,
@@ -506,10 +503,10 @@ class ReportBuilder:
             failed.set_exception(exc)
             return None, failed
         sampled_from = None
-        if len(matrix) > self.cluster_sample_cap:
+        if len(matrix) > cp.CLUSTER_SAMPLE_CAP:
             sampled_from = len(matrix)
             rng = np.random.default_rng(self.seed)
-            keep = rng.choice(len(matrix), size=self.cluster_sample_cap, replace=False)
+            keep = rng.choice(len(matrix), size=cp.CLUSTER_SAMPLE_CAP, replace=False)
             keep.sort()
             # Rebinding drops the full matrix before the other sections run.
             matrix = cp.JobFeatureMatrix(

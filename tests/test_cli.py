@@ -202,7 +202,6 @@ def test_json_output_is_strict():
 BAD_ARGUMENTS = [
     ["analyze", "--machines", "0"],
     ["analyze", "--k-max", "0"],
-    ["analyze", "--cluster-sample", "0"],
     ["analyze", "--seed", "-1"],
     ["analyze", "--bucket-width", "0"],
     ["analyze", "--bucket-width", "-5"],

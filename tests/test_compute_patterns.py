@@ -236,11 +236,6 @@ class TestKMeans:
         assert model.converged
         assert 2 <= model.rounds < 100
 
-    def test_restarts_must_be_positive(self):
-        trace, _ = planted_clusters(n_per=5)
-        with pytest.raises(ValueError):
-            fit_best(job_feature_vectors(trace), 2, seed=0, restarts=0)
-
     def test_more_clusters_than_distinct_rows_stay_finite(self):
         # Every d2 is 0 once both values hold a centroid, so the farthest
         # point is the first one each time; a reseed used to move it from

@@ -86,6 +86,12 @@ def _sampled_trace():
     return mixed_workload_trace(n_jobs=400, seed=60, hours=50)
 
 
+@pytest.fixture
+def sample_cap_150(monkeypatch):
+    """A cap under _sampled_trace's 400 complete rows, so its fit samples."""
+    monkeypatch.setattr(cp, "CLUSTER_SAMPLE_CAP", 150)
+
+
 def _trace_without_input_bytes():
     return make_trace([full_rec(i, 3600 * i, input_bytes=None) for i in range(60)])
 
@@ -95,9 +101,9 @@ def _six_job_trace():
                        for i in range(6)])
 
 
-@pytest.mark.usefixtures("no_thread_outlives_the_build")
+@pytest.mark.usefixtures("no_thread_outlives_the_build", "sample_cap_150")
 @pytest.mark.parametrize("make, kwargs, clusters_ran", [
-    (_sampled_trace, {"cluster_sample_cap": 150, "k_max": 5, "seed": 3}, True),
+    (_sampled_trace, {"k_max": 5, "seed": 3}, True),
     (_trace_without_input_bytes, {}, False),
     (_six_job_trace, {"k_max": 10}, True),
 ], ids=["sampled", "no-clustering-field", "k-max-over-rows"])
@@ -116,8 +122,9 @@ def test_threaded_build_matches_inline_build(monkeypatch, make, kwargs, clusters
         assert doc["skipped"][-1]["reason"].startswith("NoData: ")
 
 
+@pytest.mark.usefixtures("sample_cap_150")
 def test_sampled_and_clamped_fits_record_their_inputs():
-    sampled = ReportBuilder(_sampled_trace(), cluster_sample_cap=150, k_max=5).build()["clusters"]
+    sampled = ReportBuilder(_sampled_trace(), k_max=5).build()["clusters"]
     assert sampled["sampled_from"] == 400 and sampled["clustered_jobs"] == 150
     assert sampled["k_max"] == 5
     clamped = ReportBuilder(_six_job_trace(), k_max=10).build()["clusters"]
