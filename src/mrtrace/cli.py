@@ -25,10 +25,9 @@ from .report import (
     DEFAULT_K_MAX,
     DEFAULT_SEED,
     atomic_open,
-    cluster_list,
+    cluster_section,
     json_text,
     name_columns,
-    render_cluster_table,
     series_columns,
     tsv_text,
     write_atomic,
@@ -209,20 +208,12 @@ def _cmd_burstiness(args) -> int:
 
 def _cmd_cluster(args) -> int:
     trace = _load_trace(args)
-    matrix = cp.job_feature_vectors(trace)
-    model = cp.elbow_fit(matrix, min(args.k_max, len(matrix)), seed=args.seed)
-    summary = cp.summarize_clusters(trace, model)
-    out = {
-        "k": model.k,
-        "seed": args.seed,
-        "residual_variance": model.residual_variance,
-        "clustered_jobs": len(matrix),
-        "excluded_jobs": matrix.excluded_count,
-        "clusters": cluster_list(summary),
-    }
-    _emit_json(out, args.out)
+    matrix, k_max, sampled_from = cp.cluster_sample(trace, args.seed, args.k_max)
+    model = cp.elbow_fit(matrix, k_max, seed=args.seed)
+    section, table = cluster_section(trace, model, args.seed, k_max, sampled_from)
+    _emit_json(section, args.out)
     if args.table:
-        write_atomic(Path(args.table), render_cluster_table(summary))
+        write_atomic(Path(args.table), table)
     return 0
 
 

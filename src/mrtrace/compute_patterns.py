@@ -188,6 +188,30 @@ def job_feature_vectors(trace: Trace) -> JobFeatureMatrix:
     )
 
 
+def cluster_sample(trace: Trace, seed: int, k_max: int) -> tuple[JobFeatureMatrix, int, Optional[int]]:
+    """The feature rows the elbow fits: those of every complete job or,
+    past CLUSTER_SAMPLE_CAP, a seeded sample of that many in row order.
+
+    Returns the rows, k_max clamped to their count, and the count they
+    were sampled from (None when not sampled). The full rows are dropped
+    on return: on 1M jobs each n x 6 copy is 48 MB.
+    """
+    matrix = job_feature_vectors(trace)
+    sampled_from = None
+    if len(matrix) > CLUSTER_SAMPLE_CAP:
+        sampled_from = len(matrix)
+        keep = np.random.default_rng(seed).choice(len(matrix), size=CLUSTER_SAMPLE_CAP, replace=False)
+        keep.sort()
+        matrix = JobFeatureMatrix(
+            rows=matrix.rows[keep],
+            raw=matrix.raw[keep],
+            transform=matrix.transform,
+            excluded_count=matrix.excluded_count,
+            job_ids=matrix.job_ids[keep],
+        )
+    return matrix, min(k_max, len(matrix)), sampled_from
+
+
 # Points per block of the transposing copy in _nearest; a block of a
 # 10-centroid product, 320 KB, stays in cache while it is transposed.
 _BLOCK = 4096

@@ -241,12 +241,6 @@ def name_columns(breakdown: cp.NameBreakdown) -> list:
     return list(zip(*breakdown.entries, *other))
 
 
-def cluster_list(summary: cp.ClusterSummary) -> list[dict]:
-    """The clusters of `analyze` and `mrtrace cluster`: a ClusterRow's
-    fields, in order, are the keys of its JSON object."""
-    return [vars(row) for row in summary.clusters]
-
-
 def _cdf_section(cdf: da.EmpiricalCDF, excluded: int) -> dict:
     vals = cdf.values
     return {
@@ -310,7 +304,7 @@ class ReportBuilder:
 
         # Leaving the block waits for the fit, so no worker outlives build.
         with ThreadPoolExecutor(max_workers=1) as elbow_pool:
-            sampled_from, fit = self._start_clusters(elbow_pool)
+            fit, k_max, sampled_from = self._start_clusters(elbow_pool)
             for dim in ("input", "shuffle", "output"):
                 self._run(f"data_sizes.{dim}", lambda d=dim: self._data_sizes(d))
             for side in ("input", "output"):
@@ -324,7 +318,7 @@ class ReportBuilder:
             self._run("correlations", self._correlations)
             self._run("periodogram", self._periodogram)
             self._run("names", self._names)
-            self._run("clusters", lambda: self._clusters(fit.result(), sampled_from))
+            self._run("clusters", lambda: self._clusters(fit.result(), k_max, sampled_from))
 
         self.sections["decisions"] = {
             "seed": self.seed,
@@ -491,49 +485,44 @@ class ReportBuilder:
             }
         return out
 
-    def _start_clusters(self, pool: ThreadPoolExecutor) -> tuple[Optional[int], Future]:
-        """Build the feature rows and, past the cap, their seeded sample on
-        this thread, then submit the elbow fit over them to pool. Returns
-        the row count sampled from (None when not sampled) and the future
-        model, which holds an MRTraceError from the feature build."""
+    def _start_clusters(self, pool: ThreadPoolExecutor) -> tuple[Future, Optional[int], Optional[int]]:
+        """Draw the sample on this thread and submit the elbow fit over it
+        to pool. Returns the future model, which holds an MRTraceError from
+        the sampling, and the clamped k_max and sampled_from count of
+        cp.cluster_sample (None when it raised)."""
         try:
-            matrix = cp.job_feature_vectors(self.trace)
+            matrix, k_max, sampled_from = cp.cluster_sample(self.trace, self.seed, self.k_max)
         except MRTraceError as exc:
             failed = Future()
             failed.set_exception(exc)
-            return None, failed
-        sampled_from = None
-        if len(matrix) > cp.CLUSTER_SAMPLE_CAP:
-            sampled_from = len(matrix)
-            rng = np.random.default_rng(self.seed)
-            keep = rng.choice(len(matrix), size=cp.CLUSTER_SAMPLE_CAP, replace=False)
-            keep.sort()
-            # Rebinding drops the full matrix before the other sections run.
-            matrix = cp.JobFeatureMatrix(
-                rows=matrix.rows[keep],
-                raw=matrix.raw[keep],
-                transform=matrix.transform,
-                excluded_count=matrix.excluded_count,
-                job_ids=matrix.job_ids[keep],
-            )
-        k_max = min(self.k_max, len(matrix))
-        return sampled_from, pool.submit(cp.elbow_fit, matrix, k_max, seed=self.seed)
+            return failed, None, None
+        return pool.submit(cp.elbow_fit, matrix, k_max, seed=self.seed), k_max, sampled_from
 
-    def _clusters(self, model: cp.ClusterModel, sampled_from: Optional[int]) -> dict:
-        matrix = model.matrix
-        summary = cp.summarize_clusters(self.trace, model)
-        self.cluster_table = render_cluster_table(summary)
-        return {
-            "operation": "job_feature_vectors + elbow_fit",
-            "seed": self.seed,
-            "k": model.k,
-            "k_max": min(self.k_max, len(matrix)),
-            "residual_variance": model.residual_variance,
-            "clustered_jobs": len(matrix),
-            "excluded_jobs": matrix.excluded_count,
-            "sampled_from": sampled_from,
-            "clusters": cluster_list(summary),
-        }
+    def _clusters(self, model: cp.ClusterModel, k_max: int, sampled_from: Optional[int]) -> dict:
+        section, self.cluster_table = cluster_section(self.trace, model, self.seed, k_max, sampled_from)
+        return section
+
+
+def cluster_section(trace: Trace, model: cp.ClusterModel, seed: int, k_max: int,
+                    sampled_from: Optional[int]) -> tuple[dict, str]:
+    """The clusters section of `analyze`, which `mrtrace cluster` prints,
+    and its text table, for the elbow model over cp.cluster_sample's rows
+    with the k_max and sampled_from it returned. A ClusterRow's fields, in
+    order, are the keys of its JSON object."""
+    matrix = model.matrix
+    summary = cp.summarize_clusters(trace, model)
+    section = {
+        "operation": "job_feature_vectors + elbow_fit",
+        "seed": seed,
+        "k": model.k,
+        "k_max": k_max,
+        "residual_variance": model.residual_variance,
+        "clustered_jobs": len(matrix),
+        "excluded_jobs": matrix.excluded_count,
+        "sampled_from": sampled_from,
+        "clusters": [vars(row) for row in summary.clusters],
+    }
+    return section, render_cluster_table(summary)
 
 
 def cdf_summary(cdf: da.EmpiricalCDF) -> dict:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from mrtrace import SimConfig, build_workload_model, parse_trace, simulate, synthesize
+from mrtrace import compute_patterns as cp
 from mrtrace import temporal as ts
 from mrtrace.cli import main
 from mrtrace.report import ReportBuilder, json_text, write_json_atomic
@@ -175,6 +176,33 @@ def test_stdout_json_is_the_out_file(argv, tmp_path, trace_file, capsys):
     capsys.readouterr()
     assert main([*argv, "--trace", str(trace_file)]) == 0
     assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+@pytest.mark.parametrize("cap", [None, 150], ids=["unsampled", "sampled"])
+def test_cluster_prints_the_analyze_clusters_section(cap, tmp_path, trace_file, monkeypatch):
+    if cap:
+        monkeypatch.setattr(cp, "CLUSTER_SAMPLE_CAP", cap)
+    argv = ["--trace", str(trace_file), "--seed", "3", "--k-max", "5"]
+    report, out = tmp_path / "r.json", tmp_path / "c.json"
+    assert main(["analyze", *argv, "--out", str(report)]) == 0
+    assert main(["cluster", *argv, "--out", str(out)]) == 0
+    clusters = json.loads(report.read_text())["clusters"]
+    assert out.read_bytes() == json_text(clusters).encode()
+    assert clusters["clustered_jobs"] == (cap or 400)
+    assert clusters["sampled_from"] == (400 if cap else None)
+
+
+def test_cluster_without_complete_rows_fails_with_the_analyze_skip(tmp_path, capsys):
+    t = make_trace([full_rec(i, 3600 * i, input_bytes=None) for i in range(60)])
+    path = trace_to_jsonl(t, tmp_path / "t.jsonl")
+    report, out = tmp_path / "r.json", tmp_path / "c.json"
+    assert main(["analyze", "--trace", str(path), "--out", str(report)]) == 0
+    skipped = {s["section"]: s["reason"] for s in json.loads(report.read_text())["skipped"]}
+    assert skipped["clusters"].startswith("NoData: ")
+    capsys.readouterr()
+    assert main(["cluster", "--trace", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"mrtrace cluster: {skipped['clusters'][len('NoData: '):]}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

@@ -100,7 +100,7 @@ CLI_GOLDEN = {
     "names_jobs.tsv": "85ab90dae773fbd3b390334f3ccede956bd41799ba8d9cc5c4da3aab02c0a0e7",
     "names_io_bytes.tsv": "792e24d5e7d006592922566513e904d630eef2e38e62ebb34c75ac1cf3507108",
     "names_task_time.tsv": "1cda79614466242a9759b66d03f89200e1f4f371781e9c343117483c9fc0c65c",
-    "cluster.json": "585a987b6781d5179725b92e9d7691f9ee6f8df5801afc85958e3b0eec6d4bfe",
+    "cluster.json": "d87fce0c46dbccd2ef466797235eed97673526987191b3489b774c4602bc05d5",
     "cluster_table.txt": "338d3f9776d1841ea9474c5f7b4809f418d4b2418ffc01fd334c47161c281e4b",
 }
 
