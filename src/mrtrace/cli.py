@@ -210,7 +210,7 @@ def _cmd_cluster(args) -> int:
     trace = _load_trace(args)
     matrix, k_max, sampled_from = cp.cluster_sample(trace, args.seed, args.k_max)
     model = cp.elbow_fit(matrix, k_max, seed=args.seed)
-    section, table = cluster_section(trace, model, args.seed, k_max, sampled_from)
+    section, table = cluster_section(model, args.seed, k_max, sampled_from)
     _emit_json(section, args.out)
     if args.table:
         write_atomic(Path(args.table), table)

@@ -56,7 +56,6 @@ class JobFeatureMatrix:
     raw: np.ndarray  # n x 6, original units
     transform: FeatureTransform
     excluded_count: int
-    job_ids: np.ndarray
 
     def __len__(self) -> int:
         return int(self.rows.shape[0])
@@ -178,13 +177,11 @@ def job_feature_vectors(trace: Trace) -> JobFeatureMatrix:
         stds=stds_adj,
         zero_variance_dims=tuple(np.array(FEATURE_NAMES)[zero_var]),
     )
-    job_ids = cols.job_id[complete]
     return JobFeatureMatrix(
         rows=rows,
         raw=raw,
         transform=transform,
         excluded_count=int((~complete).sum()),
-        job_ids=job_ids,
     )
 
 
@@ -207,7 +204,6 @@ def cluster_sample(trace: Trace, seed: int, k_max: int) -> tuple[JobFeatureMatri
             raw=matrix.raw[keep],
             transform=matrix.transform,
             excluded_count=matrix.excluded_count,
-            job_ids=matrix.job_ids[keep],
         )
     return matrix, min(k_max, len(matrix)), sampled_from
 
@@ -377,7 +373,7 @@ def elbow_fit(matrix: JobFeatureMatrix, k_max: int, seed: int = 42) -> ClusterMo
     return best
 
 
-def summarize_clusters(trace: Trace, model: ClusterModel) -> ClusterSummary:
+def summarize_clusters(model: ClusterModel) -> ClusterSummary:
     """Table of per-cluster sizes and per-dimension medians in original units.
 
     The suggested label names the one or two dimensions with the largest

@@ -499,18 +499,18 @@ class ReportBuilder:
         return pool.submit(cp.elbow_fit, matrix, k_max, seed=self.seed), k_max, sampled_from
 
     def _clusters(self, model: cp.ClusterModel, k_max: int, sampled_from: Optional[int]) -> dict:
-        section, self.cluster_table = cluster_section(self.trace, model, self.seed, k_max, sampled_from)
+        section, self.cluster_table = cluster_section(model, self.seed, k_max, sampled_from)
         return section
 
 
-def cluster_section(trace: Trace, model: cp.ClusterModel, seed: int, k_max: int,
+def cluster_section(model: cp.ClusterModel, seed: int, k_max: int,
                     sampled_from: Optional[int]) -> tuple[dict, str]:
     """The clusters section of `analyze`, which `mrtrace cluster` prints,
     and its text table, for the elbow model over cp.cluster_sample's rows
     with the k_max and sampled_from it returned. A ClusterRow's fields, in
     order, are the keys of its JSON object."""
     matrix = model.matrix
-    summary = cp.summarize_clusters(trace, model)
+    summary = cp.summarize_clusters(model)
     section = {
         "operation": "job_feature_vectors + elbow_fit",
         "seed": seed,

@@ -27,7 +27,7 @@ def make_trace(records, label="test", machines=1, span=None):
 def matrix_of(rows):
     """A feature matrix over ``rows`` as given, for the k-means tests."""
     rows = np.asarray(rows, dtype=np.float64)
-    return JobFeatureMatrix(rows=rows, raw=rows, excluded_count=0, job_ids=np.arange(len(rows)),
+    return JobFeatureMatrix(rows=rows, raw=rows, excluded_count=0,
                             transform=FeatureTransform(np.zeros(rows.shape[1]), np.ones(rows.shape[1])))
 
 

@@ -291,13 +291,13 @@ class TestSummaries:
         t = make_trace([full_rec(i, i, input_bytes=b) for i, b in enumerate((1, 2, 3))])
         m = job_feature_vectors(t)
         model = kmeans(m, 1, seed=0)
-        summary = summarize_clusters(t, model)
+        summary = summarize_clusters(model)
         assert summary.clusters[0].medians["input_bytes"] == 2.0
 
     def test_single_job_cluster(self):
         t = make_trace([full_rec(0, 0, input_bytes=123, duration=45)])
         model = kmeans(job_feature_vectors(t), 1, seed=0)
-        row = summarize_clusters(t, model).clusters[0]
+        row = summarize_clusters(model).clusters[0]
         assert row.job_count == 1
         assert row.medians["input_bytes"] == 123.0
         assert row.medians["duration"] == 45.0
@@ -306,12 +306,12 @@ class TestSummaries:
         trace, _ = planted_clusters(n_per=70)
         m = job_feature_vectors(trace)
         model = kmeans(m, 3, seed=2)
-        summary = summarize_clusters(trace, model)
+        summary = summarize_clusters(model)
         assert sum(c.job_count for c in summary.clusters) == len(m)
 
     def test_label_is_marked_suggestion(self):
         trace, _ = planted_clusters(n_per=30)
         model = kmeans(job_feature_vectors(trace), 2, seed=0)
-        for row in summarize_clusters(trace, model).clusters:
+        for row in summarize_clusters(model).clusters:
             assert row.suggested_label.endswith("(suggested)")
             assert row.label == ""
