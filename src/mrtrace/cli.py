@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import ExitStack
 from pathlib import Path
 from typing import Optional
 
@@ -30,7 +31,6 @@ from .report import (
     name_columns,
     series_columns,
     tsv_text,
-    write_atomic,
     write_json_atomic,
     write_report,
     write_tsv_atomic,
@@ -170,6 +170,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _open_outputs(stack: ExitStack, out_path: Optional[str], *paths: Optional[str]) -> list:
+    """Files for a command's outputs: stdout for an out_path of None, and
+    None for each other path that is None. Each file is an atomic_open
+    temp file that stack renames into place when it closes; all are
+    created before any is written, so a path that cannot be written
+    leaves no partial output."""
+    files = [stack.enter_context(atomic_open(Path(p))) if p else None for p in (out_path, *paths)]
+    return [files[0] or sys.stdout, *files[1:]]
+
+
 def _emit_json(obj, out_path):
     if out_path:
         write_json_atomic(Path(out_path), obj)
@@ -210,10 +220,12 @@ def _cmd_cluster(args) -> int:
     trace = _load_trace(args)
     matrix, k_max, sampled_from = cp.cluster_sample(trace, args.seed, args.k_max)
     model = cp.elbow_fit(matrix, k_max, seed=args.seed)
-    section, table = cluster_section(model, args.seed, k_max, sampled_from)
-    _emit_json(section, args.out)
-    if args.table:
-        write_atomic(Path(args.table), table)
+    section, table_text = cluster_section(model, args.seed, k_max, sampled_from)
+    with ExitStack() as stack:
+        out, table = _open_outputs(stack, args.out, args.table)
+        out.write(json_text(section))
+        if table:
+            table.write(table_text)
     return 0
 
 
@@ -229,10 +241,11 @@ def _cmd_synthesize(args) -> int:
     span = trace.span[1] - trace.span[0]
     target_span = args.target_span if args.target_span is not None else max(span, 1)
     workload = synthesize(model, args.target_machines, target_span, args.mode, args.seed)
-    with atomic_open(Path(args.out)) as fh:
-        serialize_trace(workload.jobs, fh)
-    if args.data_plan:
-        write_tsv_atomic(Path(args.data_plan), list(zip(*data_prepopulation_plan(workload).files)))
+    with ExitStack() as stack:
+        out, plan = _open_outputs(stack, args.out, args.data_plan)
+        serialize_trace(workload.jobs, out)
+        if plan:
+            plan.write(tsv_text(list(zip(*data_prepopulation_plan(workload).files))))
     print(
         f"synthesized {len(workload.jobs)} jobs at scale {workload.scale_factor:.6g} "
         f"({args.mode}), seed {args.seed}",
@@ -252,7 +265,7 @@ def _cmd_simulate(args) -> int:
     )
     result = simulate(trace, config)
     # Built before anything is written, so a series that cannot be built
-    # leaves no partial output.
+    # leaves nothing on stdout either.
     series = sim_occupancy_series(result, args.bucket_width) if args.occupancy else None
     out = {
         "jobs": len(result.job_timings),
@@ -263,9 +276,11 @@ def _cmd_simulate(args) -> int:
         # A JobTiming's fields, in order, are the keys of its JSON object.
         "job_timings": [vars(t) for t in result.job_timings],
     }
-    _emit_json(out, args.out)
-    if series is not None:
-        _emit_tsv(series_columns(series), args.occupancy)
+    with ExitStack() as stack:
+        out_file, occupancy = _open_outputs(stack, args.out, args.occupancy)
+        out_file.write(json_text(out))
+        if occupancy:
+            occupancy.write(tsv_text(series_columns(series)))
     return 0
 
 

@@ -22,7 +22,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
@@ -595,16 +595,21 @@ def write_report(
     plots_dir: Optional[Path],
     **kwargs,
 ) -> dict:
-    """Assemble the report; write JSON and per-figure TSVs atomically."""
+    """Assemble the report; write JSON and per-figure TSVs, all or none:
+    every file is an atomic_open temp file until all are written."""
     builder = ReportBuilder(trace, **kwargs)
     report = builder.build()
-    if out_path is not None:
-        write_json_atomic(Path(out_path), report)
-    if plots_dir is not None:
-        plots_dir = Path(plots_dir)
-        plots_dir.mkdir(parents=True, exist_ok=True)
-        for name, columns in builder.plots.items():
-            write_tsv_atomic(plots_dir / name, columns)
-        if builder.cluster_table:
-            write_atomic(plots_dir / "table2_clusters.txt", builder.cluster_table)
+    with ExitStack() as stack:
+        def write(path: Path, text: str) -> None:
+            stack.enter_context(atomic_open(path)).write(text)
+
+        if out_path is not None:
+            write(Path(out_path), json_text(report))
+        if plots_dir is not None:
+            plots_dir = Path(plots_dir)
+            plots_dir.mkdir(parents=True, exist_ok=True)
+            for name, columns in builder.plots.items():
+                write(plots_dir / name, tsv_text(columns))
+            if builder.cluster_table:
+                write(plots_dir / "table2_clusters.txt", builder.cluster_table)
     return report

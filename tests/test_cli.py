@@ -264,6 +264,24 @@ def test_bad_argument_is_usage_error(argv, tmp_path, trace_file, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--out", "r.json", "--plots", "a_file"],
+    ["cluster", "--out", "c.json", "--table", "nodir/x.txt"],
+    ["synthesize", "--target-machines", "10", "--out", "w.jsonl", "--data-plan", "nodir/p.tsv"],
+    ["simulate", "--nodes", "10", "--out", "s.json", "--occupancy", "nodir/o.tsv"],
+], ids=lambda argv: argv[0])
+def test_unwritable_output_leaves_no_other_output(argv, tmp_path, trace_file, monkeypatch, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    (out_dir / "a_file").write_text("")
+    monkeypatch.chdir(out_dir)
+    source = "--workload" if argv[0] == "simulate" else "--trace"
+    assert main([*argv, source, str(trace_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"mrtrace {argv[0]}: ") and "Traceback" not in err
+    assert os.listdir(out_dir) == ["a_file"]
+
+
 class TestSubcommands:
     def test_burstiness_tsv(self, tmp_path, trace_file):
         out = tmp_path / "b.tsv"
