@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Subcommands: analyze, burstiness, cluster, names, synthesize, simulate,
-cachesim. Exit status 0 on success, 1 on usage errors, 2 on data errors.
-All randomized steps take --seed, a non-negative integer (default 42,
-overridable via the MRTRACE_SEED environment variable, where any other
-value is a usage error); outputs are written atomically.
+cachesim. `cluster` prints analyze's clusters section, k-means job typing
+over a seeded sample of at most 50,000 complete jobs. Exit status 0 on
+success, 1 on usage errors, 2 on data errors. All randomized steps take
+--seed, a non-negative integer (default 42, overridable via the
+MRTRACE_SEED environment variable, where any other value is a usage
+error); outputs are written atomically, and on exit 2 none is written.
 """
 
 from __future__ import annotations
@@ -123,7 +125,8 @@ def build_parser() -> _Parser:
     p.add_argument("--bucket-width", type=_positive_int, default=DEFAULT_BUCKET_WIDTH)
     p.add_argument("--out", help="TSV output (ratio, percentile); default stdout")
 
-    p = sub.add_parser("cluster", help="k-means job typing with elbow k selection")
+    p = sub.add_parser("cluster", help="analyze's clusters section: k-means job typing over a "
+                                       f"seeded sample of at most {cp.CLUSTER_SAMPLE_CAP:,} complete jobs")
     _add_trace_args(p)
     p.add_argument("--k-max", type=_positive_int, default=DEFAULT_K_MAX)
     p.add_argument("--seed", type=_seed, default=None)
@@ -171,11 +174,9 @@ def build_parser() -> _Parser:
 
 
 def _open_outputs(stack: ExitStack, out_path: Optional[str], *paths: Optional[str]) -> list:
-    """Files for a command's outputs: stdout for an out_path of None, and
-    None for each other path that is None. Each file is an atomic_open
-    temp file that stack renames into place when it closes; all are
-    created before any is written, so a path that cannot be written
-    leaves no partial output."""
+    """Files for a command's outputs, stdout for an out_path of None and None
+    for any other None: atomic_open temp files, all created before any is
+    written and renamed only when stack closes, so none is left partial."""
     files = [stack.enter_context(atomic_open(Path(p))) if p else None for p in (out_path, *paths)]
     return [files[0] or sys.stdout, *files[1:]]
 

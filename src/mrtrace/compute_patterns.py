@@ -7,7 +7,7 @@ from __future__ import annotations
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -186,25 +186,15 @@ def job_feature_vectors(trace: Trace) -> JobFeatureMatrix:
 
 
 def cluster_sample(trace: Trace, seed: int, k_max: int) -> tuple[JobFeatureMatrix, int, Optional[int]]:
-    """The feature rows the elbow fits: those of every complete job or,
-    past CLUSTER_SAMPLE_CAP, a seeded sample of that many in row order.
-
-    Returns the rows, k_max clamped to their count, and the count they
-    were sampled from (None when not sampled). The full rows are dropped
-    on return: on 1M jobs each n x 6 copy is 48 MB.
-    """
+    """The rows the elbow fits, k_max clamped to their count, and the count
+    they were sampled from: every complete job's feature rows (None), or
+    past CLUSTER_SAMPLE_CAP a seeded sample of that many in row order."""
     matrix = job_feature_vectors(trace)
     sampled_from = None
     if len(matrix) > CLUSTER_SAMPLE_CAP:
         sampled_from = len(matrix)
-        keep = np.random.default_rng(seed).choice(len(matrix), size=CLUSTER_SAMPLE_CAP, replace=False)
-        keep.sort()
-        matrix = JobFeatureMatrix(
-            rows=matrix.rows[keep],
-            raw=matrix.raw[keep],
-            transform=matrix.transform,
-            excluded_count=matrix.excluded_count,
-        )
+        keep = np.sort(np.random.default_rng(seed).choice(sampled_from, CLUSTER_SAMPLE_CAP, replace=False))
+        matrix = replace(matrix, rows=matrix.rows[keep], raw=matrix.raw[keep])
     return matrix, min(k_max, len(matrix)), sampled_from
 
 

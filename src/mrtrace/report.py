@@ -7,12 +7,13 @@ byte-identical.
 
 `ReportBuilder.build` uses two threads. The k-means elbow fit of the
 clusters section, the largest single cost, runs on one background worker
-over the sampled feature rows, while the main thread runs every other
-section. The main thread alone writes the report's sections, skips and
-plots, in a fixed order, and reads the fit's result only when the
-clusters section's turn comes; the fit depends on nothing but its
-sample and seed. So the output bytes do not depend on which thread
-finishes first.
+over the rows `cp.cluster_sample` drew, while the main thread runs every
+other section. The main thread alone writes the report's sections, skips
+and plots, in a fixed order, and reads the fit's result only when the
+clusters section's turn comes; the fit depends on nothing but its sample
+and seed. So the output bytes do not depend on which thread finishes
+first. `cluster_section` builds the clusters section here and for
+`mrtrace cluster`, so the two type jobs through one path.
 """
 
 from __future__ import annotations
@@ -255,13 +256,13 @@ def _cdf_section(cdf: da.EmpiricalCDF, excluded: int) -> dict:
 class ReportBuilder:
     """Accumulates sections and plot payloads for one trace.
 
-    `build` makes the feature rows and their sample on the calling
-    thread before any other section: made on the worker, their copies
+    `build` draws the sample with `cp.cluster_sample` on the calling
+    thread before any other section: made on the worker, its copies
     would overlap the other sections' arrays and raise peak memory. The
-    worker then fits the sample alone, and the clusters section reads
-    the model in its usual place. An MRTraceError from the feature
-    build or the fit becomes the clusters skip; any other exception
-    propagates from `build` once the worker has stopped.
+    worker runs `cp.elbow_fit` on it alone, and the clusters section
+    passes the model to `cluster_section`, as `mrtrace cluster` does. An
+    MRTraceError from the sampling or the fit becomes the clusters skip;
+    any other exception propagates from `build` once the worker stops.
     """
 
     def __init__(
@@ -486,10 +487,9 @@ class ReportBuilder:
         return out
 
     def _start_clusters(self, pool: ThreadPoolExecutor) -> tuple[Future, Optional[int], Optional[int]]:
-        """Draw the sample on this thread and submit the elbow fit over it
-        to pool. Returns the future model, which holds an MRTraceError from
-        the sampling, and the clamped k_max and sampled_from count of
-        cp.cluster_sample (None when it raised)."""
+        """Draw the sample on this thread and submit the elbow fit over it to
+        pool. Returns the future model, which holds an MRTraceError from the
+        sampling, and cp.cluster_sample's k_max and sampled_from."""
         try:
             matrix, k_max, sampled_from = cp.cluster_sample(self.trace, self.seed, self.k_max)
         except MRTraceError as exc:
@@ -506,9 +506,8 @@ class ReportBuilder:
 def cluster_section(model: cp.ClusterModel, seed: int, k_max: int,
                     sampled_from: Optional[int]) -> tuple[dict, str]:
     """The clusters section of `analyze`, which `mrtrace cluster` prints,
-    and its text table, for the elbow model over cp.cluster_sample's rows
-    with the k_max and sampled_from it returned. A ClusterRow's fields, in
-    order, are the keys of its JSON object."""
+    and its text table. A ClusterRow's fields, in order, are the keys of
+    its JSON object."""
     matrix = model.matrix
     summary = cp.summarize_clusters(model)
     section = {
