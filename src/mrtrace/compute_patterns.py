@@ -186,9 +186,9 @@ def job_feature_vectors(trace: Trace) -> JobFeatureMatrix:
 
 
 def cluster_sample(trace: Trace, seed: int, k_max: int) -> tuple[JobFeatureMatrix, int, Optional[int]]:
-    """The rows the elbow fits, k_max clamped to their count, and the count
-    they were sampled from: every complete job's feature rows (None), or
-    past CLUSTER_SAMPLE_CAP a seeded sample of that many in row order."""
+    """Every complete job's feature rows or, past CLUSTER_SAMPLE_CAP, a
+    seeded sample of that many in row order; with k_max clamped to the rows
+    returned and the count sampled from (None when not sampled)."""
     matrix = job_feature_vectors(trace)
     sampled_from = None
     if len(matrix) > CLUSTER_SAMPLE_CAP:

@@ -201,7 +201,7 @@ def test_cluster_without_complete_rows_fails_with_the_analyze_skip(tmp_path, cap
     assert skipped["clusters"].startswith("NoData: ")
     capsys.readouterr()
     assert main(["cluster", "--trace", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"mrtrace cluster: {skipped['clusters'][len('NoData: '):]}\n"
+    assert capsys.readouterr().err == f"mrtrace cluster: {skipped['clusters'].removeprefix('NoData: ')}\n"
     assert not out.exists()
 
 
