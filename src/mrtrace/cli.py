@@ -6,7 +6,9 @@ over a seeded sample of at most 50,000 complete jobs. Exit status 0 on
 success, 1 on usage errors, 2 on data errors. All randomized steps take
 --seed, a non-negative integer (default 42, overridable via the
 MRTRACE_SEED environment variable, where any other value is a usage
-error); outputs are written atomically, and on exit 2 none is written.
+error). This module writes every output file, each through atomic_open;
+`_outputs` opens all of a command's outputs before writing any, so on exit 2
+none is written. `mrtrace.report` only builds the sections and their text.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import ExitStack
+import tempfile
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -27,15 +30,12 @@ from .report import (
     DEFAULT_BUCKET_WIDTH,
     DEFAULT_K_MAX,
     DEFAULT_SEED,
-    atomic_open,
+    ReportBuilder,
     cluster_section,
     json_text,
     name_columns,
     series_columns,
     tsv_text,
-    write_json_atomic,
-    write_report,
-    write_tsv_atomic,
 )
 from .synthesis import build_workload_model, data_prepopulation_plan, synthesize
 from .trace import parse_trace, serialize_trace
@@ -173,47 +173,56 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _open_outputs(stack: ExitStack, out_path: Optional[str], *paths: Optional[str]) -> list:
-    """Files for a command's outputs, stdout for an out_path of None and None
-    for any other None: atomic_open temp files, all created before any is
-    written and renamed only when stack closes, so none is left partial."""
-    files = [stack.enter_context(atomic_open(Path(p))) if p else None for p in (out_path, *paths)]
-    return [files[0] or sys.stdout, *files[1:]]
+@contextmanager
+def atomic_open(path):
+    """A text file that replaces path only when the block completes: it is
+    written to a temp file and renamed, so readers never see partial output."""
+    path = Path(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
-def _emit_json(obj, out_path):
-    if out_path:
-        write_json_atomic(Path(out_path), obj)
-    else:
-        sys.stdout.write(json_text(obj))
-
-
-def _emit_tsv(columns, out_path):
-    if out_path:
-        write_tsv_atomic(Path(out_path), columns)
-    else:
-        sys.stdout.write(tsv_text(columns))
+@contextmanager
+def _outputs(out_path, *paths):
+    """Files for a command's outputs: stdout for an out_path of None, None
+    for any other None, and an atomic_open temp file for each path. All are
+    created before any is written and renamed only when the block
+    completes, so an error leaves none of them behind."""
+    with ExitStack() as stack:
+        files = [stack.enter_context(atomic_open(p)) if p else None for p in (out_path, *paths)]
+        yield [files[0] or sys.stdout, *files[1:]]
 
 
 def _cmd_analyze(args) -> int:
-    trace = _load_trace(args)
-    report = write_report(
-        trace,
-        Path(args.out) if args.out else None,
-        Path(args.plots) if args.plots else None,
-        seed=args.seed,
-        bucket_width=args.bucket_width,
-        k_max=args.k_max,
-    )
-    if not args.out:
-        _emit_json(report, None)
+    builder = ReportBuilder(_load_trace(args), seed=args.seed, bucket_width=args.bucket_width,
+                            k_max=args.k_max)
+    report = builder.build()
+    plots = Path(args.plots) if args.plots else None
+    if plots:
+        plots.mkdir(parents=True, exist_ok=True)
+    table = plots / "table2_clusters.txt" if plots and builder.cluster_table else None
+    tsvs = [plots / name for name in builder.plots] if plots else []
+    with _outputs(args.out, table, *tsvs) as (out, table_file, *tsv_files):
+        out.write(json_text(report))
+        if table_file:
+            table_file.write(builder.cluster_table)
+        for fh, columns in zip(tsv_files, builder.plots.values()):
+            fh.write(tsv_text(columns))
     return 0
 
 
 def _cmd_burstiness(args) -> int:
     trace = _load_trace(args)
     curve = ts.burstiness_curve(ts.dimension_series(trace, args.dimension, args.bucket_width))
-    _emit_tsv(list(zip(*curve.points)), args.out)
+    with _outputs(args.out) as (out,):
+        out.write(tsv_text(list(zip(*curve.points))))
     return 0
 
 
@@ -222,8 +231,7 @@ def _cmd_cluster(args) -> int:
     matrix, k_max, sampled_from = cp.cluster_sample(trace, args.seed, args.k_max)
     model = cp.elbow_fit(matrix, k_max, seed=args.seed)
     section, table_text = cluster_section(model, args.seed, k_max, sampled_from)
-    with ExitStack() as stack:
-        out, table = _open_outputs(stack, args.out, args.table)
+    with _outputs(args.out, args.table) as (out, table):
         out.write(json_text(section))
         if table:
             table.write(table_text)
@@ -232,7 +240,9 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_names(args) -> int:
     trace = _load_trace(args)
-    _emit_tsv(name_columns(cp.name_breakdown(trace, args.weighting)), args.out)
+    breakdown = cp.name_breakdown(trace, args.weighting)
+    with _outputs(args.out) as (out,):
+        out.write(tsv_text(name_columns(breakdown)))
     return 0
 
 
@@ -242,8 +252,7 @@ def _cmd_synthesize(args) -> int:
     span = trace.span[1] - trace.span[0]
     target_span = args.target_span if args.target_span is not None else max(span, 1)
     workload = synthesize(model, args.target_machines, target_span, args.mode, args.seed)
-    with ExitStack() as stack:
-        out, plan = _open_outputs(stack, args.out, args.data_plan)
+    with _outputs(args.out, args.data_plan) as (out, plan):
         serialize_trace(workload.jobs, out)
         if plan:
             plan.write(tsv_text(list(zip(*data_prepopulation_plan(workload).files))))
@@ -277,8 +286,7 @@ def _cmd_simulate(args) -> int:
         # A JobTiming's fields, in order, are the keys of its JSON object.
         "job_timings": [vars(t) for t in result.job_timings],
     }
-    with ExitStack() as stack:
-        out_file, occupancy = _open_outputs(stack, args.out, args.occupancy)
+    with _outputs(args.out, args.occupancy) as (out_file, occupancy):
         out_file.write(json_text(out))
         if occupancy:
             occupancy.write(tsv_text(series_columns(series)))
@@ -299,20 +307,19 @@ def _cmd_cachesim(args) -> int:
         for cap in args.sweep:
             report = simulate_cache(stream, _cache_config(args, cap))
             rows.append((cap, report.hit_rate_by_accesses, report.hit_rate_by_bytes))
-        _emit_tsv(list(zip(*rows)), args.out)
-        return 0
-    report = simulate_cache(stream, _cache_config(args, args.capacity))
-    _emit_json(
-        {
+        text = tsv_text(list(zip(*rows)))
+    else:
+        report = simulate_cache(stream, _cache_config(args, args.capacity))
+        text = json_text({
             "accesses": report.accesses,
             "hits": report.hits,
             "hit_rate_by_accesses": report.hit_rate_by_accesses,
             "hit_rate_by_bytes": report.hit_rate_by_bytes,
             "evictions": report.evictions,
             "peak_resident_bytes": report.peak_resident_bytes,
-        },
-        args.out,
-    )
+        })
+    with _outputs(args.out) as (out,):
+        out.write(text)
     return 0
 
 

@@ -1,5 +1,6 @@
-"""Report assembly: run every applicable analysis over a trace and emit
-one JSON document plus per-figure TSV plot data.
+"""Report assembly: run every applicable analysis over a trace and build
+one JSON document plus per-figure TSV plot data, as sections and text.
+This module writes no file: `mrtrace.cli` writes every output.
 
 Analyses whose dimensions are missing are skipped by name, never
 zero-filled, and every randomized step records its seed so reruns are
@@ -8,7 +9,7 @@ byte-identical.
 `ReportBuilder.build` uses two threads. The k-means elbow fit of the
 clusters section, the largest single cost, runs on one background worker
 over the rows `cp.cluster_sample` drew, while the main thread runs every
-other section. The main thread alone writes the report's sections, skips
+other section. The main thread alone fills in the report's sections, skips
 and plots, in a fixed order, and reads the fit's result only when the
 clusters section's turn comes; the fit depends on nothing but its sample
 and seed. So the output bytes do not depend on which thread finishes
@@ -20,13 +21,9 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import tempfile
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack, contextmanager
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
-from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -43,27 +40,6 @@ DEFAULT_BUCKET_WIDTH = 3600
 DEFAULT_K_MAX = 10
 NAME_CUTOFF = 0.01
 MAX_PLOT_POINTS = 20_000
-
-
-@contextmanager
-def atomic_open(path: Path):
-    """A text file that replaces path only when the block completes: it is
-    written to a temp file and renamed, so readers never see partial output."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def write_atomic(path: Path, text: str) -> None:
-    with atomic_open(path) as fh:
-        fh.write(text)
 
 
 _INDENT = "  "
@@ -186,10 +162,6 @@ def json_text(obj) -> str:
     return "".join(out)
 
 
-def write_json_atomic(path: Path, obj) -> None:
-    write_atomic(path, json_text(obj))
-
-
 def _cell_texts(column) -> Iterable[str]:
     """TSV cells of one column: floats (Python or numpy) to 9 significant
     digits, anything else as str."""
@@ -211,10 +183,6 @@ def tsv_text(columns: Sequence) -> str:
     if len(lengths) > 1:
         raise ValueError(f"TSV columns differ in length: {sorted(lengths)}")
     return "\n".join(map("\t".join, zip(*map(_cell_texts, columns)))) + "\n"
-
-
-def write_tsv_atomic(path: Path, columns: Sequence) -> None:
-    write_atomic(path, tsv_text(columns))
 
 
 def _plot_columns(*columns: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -587,28 +555,3 @@ def render_cluster_table(summary: "cp.ClusterSummary") -> str:
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     return "\n".join(lines) + "\n"
 
-
-def write_report(
-    trace: Trace,
-    out_path: Optional[Path],
-    plots_dir: Optional[Path],
-    **kwargs,
-) -> dict:
-    """Assemble the report; write JSON and per-figure TSVs, all or none:
-    every file is an atomic_open temp file until all are written."""
-    builder = ReportBuilder(trace, **kwargs)
-    report = builder.build()
-    with ExitStack() as stack:
-        def write(path: Path, text: str) -> None:
-            stack.enter_context(atomic_open(path)).write(text)
-
-        if out_path is not None:
-            write(Path(out_path), json_text(report))
-        if plots_dir is not None:
-            plots_dir = Path(plots_dir)
-            plots_dir.mkdir(parents=True, exist_ok=True)
-            for name, columns in builder.plots.items():
-                write(plots_dir / name, tsv_text(columns))
-            if builder.cluster_table:
-                write(plots_dir / "table2_clusters.txt", builder.cluster_table)
-    return report

@@ -10,8 +10,8 @@ import pytest
 from mrtrace import SimConfig, build_workload_model, parse_trace, simulate, synthesize
 from mrtrace import compute_patterns as cp
 from mrtrace import temporal as ts
-from mrtrace.cli import main
-from mrtrace.report import ReportBuilder, json_text, write_json_atomic
+from mrtrace.cli import atomic_open, main
+from mrtrace.report import ReportBuilder, json_text
 from mrtrace.temporal import MAX_BUCKETS
 from conftest import full_rec, make_trace, mixed_workload_trace, trace_to_jsonl
 
@@ -264,12 +264,21 @@ def test_bad_argument_is_usage_error(argv, tmp_path, trace_file, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze", "--out", "r.json", "--plots", "a_file"],
-    ["cluster", "--out", "c.json", "--table", "nodir/x.txt"],
-    ["synthesize", "--target-machines", "10", "--out", "w.jsonl", "--data-plan", "nodir/p.tsv"],
-    ["simulate", "--nodes", "10", "--out", "s.json", "--occupancy", "nodir/o.tsv"],
-], ids=lambda argv: argv[0])
+UNWRITABLE = {
+    "analyze": ["analyze", "--out", "r.json", "--plots", "a_file"],
+    "cluster": ["cluster", "--out", "c.json", "--table", "nodir/x.txt"],
+    "synthesize": ["synthesize", "--target-machines", "10", "--out", "w.jsonl",
+                   "--data-plan", "nodir/p.tsv"],
+    "simulate": ["simulate", "--nodes", "10", "--out", "s.json", "--occupancy", "nodir/o.tsv"],
+    "analyze to stdout": ["analyze", "--plots", "a_file"],
+    "burstiness": ["burstiness", "--out", "nodir/b.tsv"],
+    "names": ["names", "--out", "nodir/n.tsv"],
+    "cachesim": ["cachesim", "--capacity", "1000", "--out", "nodir/c.json"],
+    "cachesim --sweep": ["cachesim", "--capacity", "1", "--sweep", "1,1000", "--out", "nodir/s.tsv"],
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE.values(), ids=UNWRITABLE)
 def test_unwritable_output_leaves_no_other_output(argv, tmp_path, trace_file, monkeypatch, capsys):
     out_dir = tmp_path / "out"
     out_dir.mkdir()
@@ -277,9 +286,25 @@ def test_unwritable_output_leaves_no_other_output(argv, tmp_path, trace_file, mo
     monkeypatch.chdir(out_dir)
     source = "--workload" if argv[0] == "simulate" else "--trace"
     assert main([*argv, source, str(trace_file)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"mrtrace {argv[0]}: ") and "Traceback" not in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"mrtrace {argv[0]}: ") and "Traceback" not in captured.err
+    assert captured.out == ""
     assert os.listdir(out_dir) == ["a_file"]
+
+
+class TestAtomicOpen:
+    def test_replaces_only_on_success(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_open(path) as fh:
+                fh.write("partial")
+                raise RuntimeError("stop")
+        assert path.read_text() == "old\n"
+        with atomic_open(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
 class TestSubcommands:
@@ -346,14 +371,14 @@ class TestSubcommands:
         model = build_workload_model(parse_trace(trace_file, machine_count=100))
         workload = synthesize(model, 10, model.span_seconds, "replay_scaled")
         res = simulate(workload.jobs, SimConfig(nodes=3, scheduler="fair"))
-        write_json_atomic(tmp_path / "in_process.json", {
+        (tmp_path / "in_process.json").write_text(json_text({
             "jobs": len(workload.jobs),
             "makespan_seconds": res.makespan,
             "busy_map_slot_seconds": res.busy_map_slot_seconds,
             "busy_reduce_slot_seconds": res.busy_reduce_slot_seconds,
             "total_slots": res.total_slots,
             "job_timings": [vars(t) for t in res.job_timings],
-        })
+        }))
         assert (tmp_path / "in_process.json").read_bytes() == sim.read_bytes()
 
     def test_cachesim_sweep(self, tmp_path, trace_file):

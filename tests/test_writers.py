@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mrtrace import build_workload_model, serialize_trace, synthesize
 from mrtrace import trace as trace_mod
 from mrtrace.columns import TraceColumns
-from mrtrace.report import atomic_open, json_text, tsv_text, write_atomic
+from mrtrace.report import json_text, tsv_text
 from mrtrace.trace import numbered_path_digests
 from conftest import full_rec, make_trace, rec
 from writer_oracle import (
@@ -252,18 +252,3 @@ class TestTsvText:
     def test_unequal_columns_raise(self):
         with pytest.raises(ValueError):
             tsv_text([[1, 3], [2]])
-
-
-class TestAtomicOpen:
-    def test_replaces_only_on_success(self, tmp_path):
-        path = tmp_path / "out.txt"
-        write_atomic(path, "old\n")
-        with pytest.raises(RuntimeError):
-            with atomic_open(path) as fh:
-                fh.write("partial")
-                raise RuntimeError("stop")
-        assert path.read_text() == "old\n"
-        with atomic_open(path) as fh:
-            fh.write("new\n")
-        assert path.read_text() == "new\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

@@ -2,8 +2,8 @@
 kept as oracles for the differential tests in test_writers.py.
 
 serialize_trace_per_row is trace.serialize_trace, json_text_per_value is
-report.json_text and tsv_text_per_cell is report.write_tsv_atomic's
-formatting, as they were before the writers worked a column at a time;
+report.json_text and tsv_text_per_cell is the TSV file formatting of
+report.tsv_text, as they were before the writers worked a column at a time;
 synthetic_digests is the scalar hash_path loop of synthesis._scaled_workload.
 """
 
