@@ -14,7 +14,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .columns import FLOAT_FIELDS, MAX_EXACT
-from .errors import NoCompleteJobs, NoData, ScaledValueTooLarge, SpanTooLong
+from .errors import NoCompleteJobs, NoData, ScaledValueTooLarge, SpanTooLong, TooManyBuckets
+from .temporal import MAX_BUCKETS
 from .trace import Trace, numbered_path_digests
 
 # A job must carry all of these to be replayable; jobs missing any are
@@ -36,18 +37,25 @@ class WorkloadModel:
     trace: Trace
     window_width: int
     included: np.ndarray  # int64 rows of trace that carry every REQUIRED_FIELDS dimension
-    # Window w holds included[window_bounds[w]:window_bounds[w + 1]]; the
-    # trace is sorted, so each window is a contiguous run of included.
-    window_bounds: np.ndarray
+    offsets: np.ndarray  # submit time of each included row less the span start, sorted
     excluded_count: int
 
     @property
     def span_seconds(self) -> int:
         return self.trace.span[1] - self.trace.span[0]
 
+    @property
+    def n_windows(self) -> int:
+        return self.span_seconds // self.window_width + 1
+
     def window(self, w: int) -> np.ndarray:
-        """Trace rows of window w."""
-        return self.included[self.window_bounds[w]:self.window_bounds[w + 1]]
+        """Trace rows of window w, those at offsets [w, w + 1) x window_width.
+        The trace is sorted, so they are a contiguous run of included."""
+        # No offset passes the span, so a bound clamped there, where it
+        # fits int64, finds the same row.
+        end, width = self.span_seconds + 1, self.window_width
+        lo = self.offsets.searchsorted(min(w * width, end))
+        return self.included[lo:self.offsets.searchsorted(min((w + 1) * width, end))]
 
 
 @dataclass
@@ -77,14 +85,11 @@ def build_workload_model(trace: Trace, window_width: int = 3600) -> WorkloadMode
     if not included.size:
         raise NoCompleteJobs("no job carries every dimension needed for synthesis")
 
-    start = trace.span[0]
-    n_windows = (trace.span[1] - start) // window_width + 1
-    offsets = cols.submit_time[included] - start
     return WorkloadModel(
         trace=trace,
         window_width=window_width,
         included=included,
-        window_bounds=np.searchsorted(offsets, np.arange(n_windows + 1) * window_width),
+        offsets=cols.submit_time[included] - trace.span[0],
         excluded_count=len(trace) - included.size,
     )
 
@@ -176,17 +181,22 @@ def synthesize(
         # A trace occupying a single instant still offers a 1-second window.
         if target_span > max(span, 1):
             raise SpanTooLong(f"target_span {target_span} exceeds source span {span}")
-        offsets = model.trace.columns.submit_time[model.included] - model.trace.span[0]
         # Half-open [0, target_span); a full-span replay also keeps the
         # job sitting exactly on the end boundary.
-        keep = (offsets < target_span) | (full & (offsets == span))
-        return _scaled_workload(model, model.included[keep], offsets[keep], target_machine_count)
+        keep = (model.offsets < target_span) | (full & (model.offsets == span))
+        return _scaled_workload(model, model.included[keep], model.offsets[keep],
+                                target_machine_count)
     if mode != "sampled":
         raise ValueError(f"unknown synthesis mode {mode!r}")
 
     width = model.window_width
     n_target = (target_span - 1) // width + 1
-    n_source = len(model.window_bounds) - 1
+    if n_target > MAX_BUCKETS:
+        raise TooManyBuckets(
+            f"a target span of {target_span} s at window width {width} s needs {n_target} "
+            f"windows, more than {MAX_BUCKETS}"
+        )
+    n_source = model.n_windows
     rows, offsets = [], []
     for w in range(n_target):
         rng = np.random.default_rng(np.random.SeedSequence((seed, w)))

@@ -79,10 +79,6 @@ def _bucket_count(start: int, end: int, width: int) -> int:
     return n
 
 
-def _bucket_index(times: np.ndarray, start: int, width: int) -> np.ndarray:
-    return (times - start) // width
-
-
 def bucket_time_series(trace: Trace, dimension: str, bucket_width: int = HOUR_SECONDS) -> TimeSeries:
     """Per-bucket sums of one workload dimension, keyed by submit time.
 
@@ -95,7 +91,13 @@ def bucket_time_series(trace: Trace, dimension: str, bucket_width: int = HOUR_SE
     cols = trace.columns
     start, end = trace.span
     n = _bucket_count(start, end, bucket_width)
-    idx = _bucket_index(cols.submit_time, start, bucket_width)
+    # Offsets in uint64 hold a span past int64. A width past the span, which
+    # may not fit either, gives one bucket.
+    offsets = cols.submit_time.view(np.uint64) - np.uint64(start % 2**64)
+    if n > 1:
+        idx = (offsets // np.uint64(bucket_width)).astype(np.int64)
+    else:
+        idx = np.zeros(offsets.size, np.int64)
 
     if dimension == "jobs_submitted":
         values = np.bincount(idx, minlength=n).astype(np.float64)

@@ -169,6 +169,69 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith("mrtrace burstiness: a span of ")
 
 
+PAST_INT64 = str(10**23)
+
+
+class TestWidthsPastInt64:
+    """Any width past the span gives one bucket or window, and every output
+    keeps the width as given."""
+
+    @pytest.fixture
+    def two_jobs(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        return str(trace_to_jsonl(make_trace([full_rec(0, 0), full_rec(1, 7200)]),
+                                  tmp_path / "two.jsonl"))
+
+    def test_analyze(self, two_jobs, capsys):
+        assert main(["analyze", "--trace", two_jobs, "--bucket-width", PAST_INT64,
+                     "--out", "r.json"]) == 0
+        report = json.loads(Path("r.json").read_text())
+        assert report["decisions"]["bucket_width"] == 10**23
+        assert report["time_series.jobs_submitted"]["buckets"] == 1
+        assert report["time_series.occupancy_slots"]["bucket_width"] == 10**23
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_burstiness(self, two_jobs, capsys):
+        assert main(["burstiness", "--trace", two_jobs, "--dimension", "jobs_submitted",
+                     "--bucket-width", PAST_INT64]) == 0
+        assert capsys.readouterr().out == "".join(f"1\t{p}\n" for p in range(1, 101))
+
+    @pytest.mark.parametrize("mode", ["sampled", "replay_scaled"])
+    def test_synthesize_then_simulate(self, two_jobs, mode, capsys):
+        assert main(["synthesize", "--trace", two_jobs, "--target-machines", "1", "--mode", mode,
+                     "--window-width", PAST_INT64, "--out", "w.jsonl"]) == 0
+        assert len(Path("w.jsonl").read_text().splitlines()) == 2
+        assert main(["simulate", "--workload", "w.jsonl", "--nodes", "1", "--bucket-width",
+                     PAST_INT64, "--occupancy", "o.tsv", "--out", "s.json"]) == 0
+        assert len(Path("o.tsv").read_text().splitlines()) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+
+class TestSynthesizeManyWindows:
+    def test_window_per_second_over_a_long_span(self, tmp_path, capsys):
+        # 4e12 one-second windows: sampled mode would need one per target
+        # window, and replay_scaled reads no window at all.
+        path = trace_to_jsonl(make_trace([full_rec(0, 0), full_rec(1, 4 * 10**12)]),
+                              tmp_path / "long.jsonl")
+        argv = ["synthesize", "--trace", str(path), "--target-machines", "1", "--window-width", "1"]
+        assert main([*argv, "--out", str(tmp_path / "s.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"mrtrace synthesize: a target span of {4 * 10**12} s at window width 1 s "
+                       f"needs {4 * 10**12} windows, more than {MAX_BUCKETS}\n")
+        assert not (tmp_path / "s.jsonl").exists()
+        assert main([*argv, "--mode", "replay_scaled", "--out", str(tmp_path / "r.jsonl")]) == 0
+        assert len((tmp_path / "r.jsonl").read_text().splitlines()) == 2
+
+    def test_target_span_past_max_windows(self, tmp_path, capsys):
+        path = trace_to_jsonl(make_trace([full_rec(0, 0), full_rec(1, 7200)]), tmp_path / "t.jsonl")
+        assert main(["synthesize", "--trace", str(path), "--target-machines", "1",
+                     "--target-span", str(10**12), "--out", str(tmp_path / "s.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("mrtrace synthesize: a target span of 1000000000000 s at window "
+                              "width 3600 s needs 277777778 windows") and "Traceback" not in err
+        assert not (tmp_path / "s.jsonl").exists()
+
+
 @pytest.mark.parametrize("argv", [["analyze"], ["cluster", "--k-max", "4"]], ids=" ".join)
 def test_stdout_json_is_the_out_file(argv, tmp_path, trace_file, capsys):
     out = tmp_path / "o.json"

@@ -10,6 +10,7 @@ from mrtrace import (
     NoCompleteJobs,
     NoData,
     SpanTooLong,
+    TooManyBuckets,
     build_workload_model,
     data_prepopulation_plan,
     hash_path,
@@ -18,6 +19,7 @@ from mrtrace import (
 )
 from mrtrace.columns import RecordView, TraceColumns
 from mrtrace.synthesis import REQUIRED_FIELDS
+from mrtrace.temporal import MAX_BUCKETS
 from conftest import full_rec, make_trace, mixed_workload_trace, rec
 
 
@@ -144,24 +146,28 @@ def plan_oracle(jobs, sources):
     return files, sum(size for _, size in files)
 
 
+def window_sizes(model):
+    return [model.window(w).size for w in range(model.n_windows)]
+
+
 class TestModel:
     def test_two_hour_trace_two_windows(self):
         t = make_trace([full_rec(0, 10), full_rec(1, 3599), full_rec(2, 3600), full_rec(3, 7000)])
         model = build_workload_model(t, 3600)
         # span starts at the first submit (t=10), so windows are [10, 3610) etc.
-        assert model.window_bounds.tolist() == [0, 3, 4]
+        assert window_sizes(model) == [3, 1]
         assert model.window(0).tolist() == [0, 1, 2]
         assert model.window(1).tolist() == [3]
 
     def test_boundary_job_goes_to_later_window(self):
         t = make_trace([full_rec(0, 0), full_rec(1, 3600), full_rec(2, 7100)])
         model = build_workload_model(t, 3600)
-        assert model.window_bounds.tolist() == [0, 1, 3]
+        assert window_sizes(model) == [1, 2]
 
     def test_window_counts_resum_to_total(self):
         t = mixed_workload_trace(n_jobs=10_000, seed=22)
         model = build_workload_model(t)
-        assert np.diff(model.window_bounds).sum() == 10_000
+        assert sum(window_sizes(model)) == 10_000
         assert model.excluded_count == 0
 
     def test_incomplete_jobs_excluded(self):
@@ -226,6 +232,19 @@ class TestReplayScaled:
 
 
 class TestSampled:
+    def test_window_width_past_int64(self):
+        t = make_trace([full_rec(0, 10), full_rec(1, 7000)])
+        model = build_workload_model(t, 10**23)
+        assert window_sizes(model) == [2]
+        wl = synthesize(model, 1, model.span_seconds, "sampled", seed=1)
+        assert sorted(wl.source_job_id.tolist()) in ([0, 0], [0, 1], [1, 1])
+
+    def test_too_many_target_windows(self):
+        model = build_workload_model(make_trace([full_rec(0, 0), full_rec(1, 7200)]), 1)
+        with pytest.raises(TooManyBuckets):
+            synthesize(model, 1, MAX_BUCKETS + 1, "sampled")
+        assert len(synthesize(model, 1, 7200, "replay_scaled").jobs) == 2
+
     def test_deterministic_given_seed(self):
         t = mixed_workload_trace(n_jobs=1000, seed=26)
         model = build_workload_model(t)
@@ -242,8 +261,7 @@ class TestSampled:
         got = {}
         for off in wl.jobs.columns.submit_time.tolist():
             got[off // width] = got.get(off // width, 0) + 1
-        sizes = np.diff(model.window_bounds).tolist()
-        want = {i: size for i, size in enumerate(sizes) if size}
+        want = {i: size for i, size in enumerate(window_sizes(model)) if size}
         assert got == want
 
     def test_offsets_sorted(self):

@@ -43,6 +43,18 @@ class TestBucketing:
         s = bucket_time_series(t, "jobs_submitted", 3600)
         assert s.values.tolist() == [2.0, 1.0]
 
+    def test_width_past_the_span_gives_one_bucket(self):
+        t = make_trace([rec(0, 0), rec(1, 7200)])
+        s = bucket_time_series(t, "jobs_submitted", 10**23)
+        assert s.values.tolist() == [2.0] and s.bucket_width == 10**23
+        occupancy = occupancy_series(make_trace([full_rec(0, 0), full_rec(1, 7200)]), 10**23)
+        assert len(occupancy) == 1 and occupancy.bucket_width == 10**23
+
+    @pytest.mark.parametrize("width, counts", [(2**62, [1.0, 0.0, 1.0]), (2**63, [1.0, 1.0])])
+    def test_span_past_int64(self, width, counts):
+        t = make_trace([rec(0, -(2**62)), rec(1, 2**63 - 1)])
+        assert bucket_time_series(t, "jobs_submitted", width).values.tolist() == counts
+
     def test_data_size_sums_three_components(self):
         t = make_trace([rec(0, 0, input_bytes=1, shuffle_bytes=2, output_bytes=3)])
         s = bucket_time_series(t, "data_size_bytes", 3600)
