@@ -277,16 +277,8 @@ def zero_runs(series: TimeSeries, min_len: int = 24) -> list[tuple[int, int]]:
 
     Long all-zero stretches usually mean logging gaps, not true idleness.
     """
-    runs = []
-    run_start = None
-    for i, v in enumerate(series.values):
-        if v == 0:
-            if run_start is None:
-                run_start = i
-        else:
-            if run_start is not None and i - run_start >= min_len:
-                runs.append((run_start, i - run_start))
-            run_start = None
-    if run_start is not None and len(series) - run_start >= min_len:
-        runs.append((run_start, len(series) - run_start))
-    return runs
+    zero = np.concatenate(([False], series.values == 0, [False]))
+    edges = np.flatnonzero(zero[1:] != zero[:-1])  # alternate run starts and ends
+    starts, lengths = edges[::2], edges[1::2] - edges[::2]
+    keep = lengths >= min_len
+    return list(zip(starts[keep].tolist(), lengths[keep].tolist()))

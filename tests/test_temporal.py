@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mrtrace import (
     InvalidBucketWidth,
@@ -30,6 +32,7 @@ from mrtrace.temporal import (
     series_correlations,
 )
 from conftest import full_rec, make_trace, mixed_workload_trace, rec
+from temporal_oracle import zero_runs_per_bucket
 
 
 def series(values, width=3600):
@@ -355,3 +358,18 @@ class TestZeroRuns:
     def test_trailing_gap(self):
         vals = [5.0] * 5 + [0.0] * 24
         assert zero_runs(series(vals)) == [(5, 24)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.sampled_from([0.0, -0.0, 5e-324, -2.5, math.nan, math.inf]),
+                           max_size=80),
+           min_len=st.integers(1, 30))
+    @example(values=[0.0] * 40, min_len=24)  # all zero
+    @example(values=[1.0] * 40, min_len=1)  # no zero
+    @example(values=[0.0] * 3 + [1.0] + [-0.0] * 2, min_len=1)  # runs at both ends
+    @example(values=[-0.0, 0.0, math.nan, 0.0], min_len=1)  # -0.0 is zero, NaN is not
+    @example(values=[], min_len=1)
+    def test_matches_per_bucket_loop(self, values, min_len):
+        s = series(values)
+        got = zero_runs(s, min_len)
+        assert got == zero_runs_per_bucket(s, min_len)
+        assert all(type(x) is int for run in got for x in run)
