@@ -64,7 +64,8 @@ class NoCompleteJobs(MRTraceError):
 
 
 class SpanTooLong(MRTraceError):
-    """Requested replay span exceeds the source trace span."""
+    """Requested replay span exceeds the source trace span, or that span
+    exceeds the int64 submit times of a workload."""
 
 
 class ScaledValueTooLarge(MRTraceError):

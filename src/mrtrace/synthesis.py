@@ -84,7 +84,9 @@ def build_workload_model(trace: Trace, window_width: int = 3600) -> WorkloadMode
     included = np.flatnonzero(complete)
     if not included.size:
         raise NoCompleteJobs("no job carries every dimension needed for synthesis")
-
+    span = trace.span[1] - trace.span[0]
+    if span > np.iinfo(np.int64).max:
+        raise SpanTooLong(f"source span {span} does not fit the int64 submit times of a workload")
     return WorkloadModel(
         trace=trace,
         window_width=window_width,

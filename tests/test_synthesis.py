@@ -170,6 +170,11 @@ class TestModel:
         assert sum(window_sizes(model)) == 10_000
         assert model.excluded_count == 0
 
+    def test_span_past_int64_rejected(self):
+        t = make_trace([full_rec(0, -(2**62)), full_rec(1, 2**63 - 1)])
+        with pytest.raises(SpanTooLong):
+            build_workload_model(t)
+
     def test_incomplete_jobs_excluded(self):
         t = make_trace([full_rec(0, 0), rec(1, 5, input_bytes=3)])
         model = build_workload_model(t)
