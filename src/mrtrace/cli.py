@@ -178,6 +178,10 @@ def atomic_open(path):
     """A text file that replaces path only when the block completes: it is
     written to a temp file and renamed, so readers never see partial output."""
     path = Path(path)
+    # os.replace onto a directory would fail only at the rename, after
+    # _outputs had renamed other outputs.
+    if path.is_dir():
+        raise IsADirectoryError(f"{path} is a directory")
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

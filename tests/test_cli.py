@@ -355,6 +355,17 @@ def test_unwritable_output_leaves_no_other_output(argv, tmp_path, trace_file, mo
     assert os.listdir(out_dir) == ["a_file"]
 
 
+def test_output_that_is_a_directory_leaves_no_other_output(tmp_path, trace_file, capsys):
+    plots = tmp_path / "plots"
+    (plots / "fig1_input.tsv").mkdir(parents=True)
+    assert main(["analyze", "--trace", str(trace_file), "--out", str(tmp_path / "r.json"),
+                 "--plots", str(plots)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"mrtrace analyze: {plots / 'fig1_input.tsv'} is a directory\n"
+    assert sorted(os.listdir(tmp_path)) == ["plots", "t.jsonl"]
+    assert os.listdir(plots) == ["fig1_input.tsv"]
+
+
 class TestAtomicOpen:
     def test_replaces_only_on_success(self, tmp_path):
         path = tmp_path / "out.txt"
