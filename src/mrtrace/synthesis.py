@@ -51,11 +51,13 @@ class WorkloadModel:
     def window(self, w: int) -> np.ndarray:
         """Trace rows of window w, those at offsets [w, w + 1) x window_width.
         The trace is sorted, so they are a contiguous run of included."""
-        # No offset passes the span, so a bound clamped there, where it
-        # fits int64, finds the same row.
-        end, width = self.span_seconds + 1, self.window_width
-        lo = self.offsets.searchsorted(min(w * width, end))
-        return self.included[lo:self.offsets.searchsorted(min((w + 1) * width, end))]
+        # The offsets below a bound b are those at most b - 1. No offset
+        # passes the span, so clamped to it, b - 1 finds the same rows and
+        # fits int64, where numpy compares exactly.
+        span, width = self.span_seconds, self.window_width
+        lo = self.offsets.searchsorted(min(w * width - 1, span), side="right")
+        hi = self.offsets.searchsorted(min((w + 1) * width - 1, span), side="right")
+        return self.included[lo:hi]
 
 
 @dataclass

@@ -170,6 +170,12 @@ class TestModel:
         assert sum(window_sizes(model)) == 10_000
         assert model.excluded_count == 0
 
+    @pytest.mark.parametrize("width, sizes", [(2**62, [1, 1]), (2**63 - 1, [1, 1]), (2**63, [2]),
+                                              (10**23, [2])])
+    def test_windows_up_to_the_int64_limit(self, width, sizes):
+        t = make_trace([full_rec(0, 0), full_rec(1, 2**63 - 1)])
+        assert window_sizes(build_workload_model(t, width)) == sizes
+
     def test_span_past_int64_rejected(self):
         t = make_trace([full_rec(0, -(2**62)), full_rec(1, 2**63 - 1)])
         with pytest.raises(SpanTooLong):
