@@ -208,11 +208,12 @@ def _cmd_analyze(args) -> int:
     builder = ReportBuilder(_load_trace(args), seed=args.seed, bucket_width=args.bucket_width,
                             k_max=args.k_max)
     report = builder.build()
-    plots = Path(args.plots) if args.plots else None
-    if plots:
+    table, tsvs = None, []
+    if args.plots:
+        plots = Path(args.plots)
         plots.mkdir(parents=True, exist_ok=True)
-    table = plots / "table2_clusters.txt" if plots and builder.cluster_table else None
-    tsvs = [plots / name for name in builder.plots] if plots else []
+        table = plots / "table2_clusters.txt" if builder.cluster_table else None
+        tsvs = [plots / name for name in builder.plots]
     with _outputs(args.out, table, *tsvs) as (out, table_file, *tsv_files):
         out.write(json_text(report))
         if table_file:

@@ -247,8 +247,8 @@ class TestSampled:
         t = make_trace([full_rec(0, 10), full_rec(1, 7000)])
         model = build_workload_model(t, 10**23)
         assert window_sizes(model) == [2]
-        wl = synthesize(model, 1, model.span_seconds, "sampled", seed=1)
-        assert sorted(wl.source_job_id.tolist()) in ([0, 0], [0, 1], [1, 1])
+        # Full-span sampling reproduces the one window's count.
+        assert len(synthesize(model, 1, model.span_seconds, "sampled", seed=1).jobs) == 2
 
     def test_too_many_target_windows(self):
         model = build_workload_model(make_trace([full_rec(0, 0), full_rec(1, 7200)]), 1)
