@@ -143,10 +143,18 @@ def occupancy_series(trace: Trace, bucket_width: int = HOUR_SECONDS) -> TimeSeri
     n = _bucket_count(start, cover_end, bucket_width)
     acc = np.zeros(n)
 
-    first = ((submit - start) // bucket_width).astype(np.int64)
-    last = np.minimum(((ends - start) // bucket_width).astype(np.int64), n - 1)
+    # A job's first bucket comes from its exact submit offset, as in
+    # bucket_time_series; past 2**53 its float submit time may round into
+    # the next bucket. Both ends are clamped to the buckets there are.
+    first = last = np.zeros(submit.size, np.int64)
+    if n > 1:
+        offsets = cols.submit_time[mask].view(np.uint64) - np.uint64(start % 2**64)
+        first = np.minimum(offsets // np.uint64(bucket_width), n - 1).astype(np.int64)
+        last = np.clip(((ends - start) // bucket_width).astype(np.int64), first, n - 1)
 
-    single = first == last  # zero-duration jobs land here as a point mass
+    # Zero-duration jobs land here as a point mass, as do jobs whose float
+    # end rounds back to their submit time.
+    single = (first == last) | (ends == submit)
     np.add.at(acc, first[single], ts[single])
 
     for i in np.nonzero(~single)[0]:

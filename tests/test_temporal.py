@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +144,21 @@ class TestOccupancy:
                             reduce_task_seconds=0.0)], span=(0, 3599))
         s = occupancy_series(t, 3600)
         assert s.values.tolist() == [0.5]
+
+    @pytest.mark.parametrize("submits, width, task_seconds", [
+        # The float submit time of the last job rounds into a fourth bucket,
+        # and the float end of the first rounds back to its submit time.
+        ((-(2**62), 2**63 - 1), 2**62, [25.0, 0.0, 25.0]),
+        # 2**62 - 1 rounds up to the next bucket's edge, and so does its end.
+        ((0, 2**62 - 1, 3 * 2**61), 2**61, [25.0, 25.0, 0.0, 25.0]),
+    ])
+    def test_jobs_past_2_53_are_kept(self, submits, width, task_seconds):
+        t = make_trace([full_rec(i, submit) for i, submit in enumerate(submits)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no division by a zero duration
+            s = occupancy_series(t, width)
+        assert (s.values * width).tolist() == task_seconds
+        assert s.values.sum() * width == 25.0 * len(submits)
 
     def test_conserves_task_seconds(self):
         rng = random.Random(12)
