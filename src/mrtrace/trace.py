@@ -27,11 +27,26 @@ without it (the medians of two sets of 3 runs a side, 2-core VM):
     a missing name on every 64th line       1.04-1.54 s   1.99-2.23 s
     the compact file                        0.46-0.60 s   0.46-0.60 s
 A benchmark workload with such input would justify a fast path for it.
-Each chunk is copied at once into output columns that grow by doubling
-(see _JSONL_CHUNK). CSV is always read line by line: a quoted cell may
-span lines, so chunks of physical lines do not split it into records.
-Bytes that are not UTF-8 raise MalformedRecord at their line in both
-formats.
+
+A file of more than one chunk is read on more than one thread. The
+calling thread reads the text lines and hands each chunk to
+_layout_columns on a pool of one worker per usable core, at most
+_LAYOUT_WORKERS, with at most _IN_FLIGHT chunks handed over and not yet
+taken back. It takes the readings back in file order and does the rest
+itself: _iter_jsonl on a declined chunk, the line numbers, the name
+table, and the copy of each chunk into output columns that grow by
+doubling (see _JSONL_CHUNK). So the lowest bad line raises, with the
+error a one-thread read gives; on any error the pending chunks are
+cancelled and the pool is joined before the error leaves. On the seed-11
+1M-job analyze input (2-core VM) the parse took 3.0-3.5 s, against
+4.2-4.9 s on one thread. The calling thread spends 0.6 s of CPU there,
+on the lines, the name table and the copies, and parse_trace's sort
+takes 0.4 s after it; the readings took 3.9-4.3 s of CPU on two
+workers against 3.4 s on one, where numpy holds the GIL between its
+loops and both threads fault in fresh pages. A wider window parsed no
+faster. CSV is always read line by line: a quoted cell may span lines,
+so chunks of physical lines do not split it into records. Bytes that
+are not UTF-8 raise MalformedRecord at their line in both formats.
 
 serialize_trace writes canonical jsonl, the bytes json.dumps gives each
 row as a compact dict with missing fields left out. It formats
@@ -47,8 +62,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import re
 import sys
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 from pathlib import Path
@@ -335,7 +354,23 @@ def _columns_of(rows: Iterable[tuple]) -> TraceColumns:
 # the 245 chunks of a 1M-job file and joining them at the end left 254 MB
 # resident after the parse instead of 141-151 MB, and peaked at 353 MB
 # instead of 251 MB.
+#
+# glibc gives each pool thread a malloc arena of its own, which keeps the
+# pages of the chunk temporaries freed in it resident after the pool is
+# gone, where no later allocation on the calling thread reuses them.
+# Unreleased, they raised the peak RSS of a 1M-job analyze from 289-291 to
+# 303-304 MB, and of the cache sweep from 106-107 to 115-116 MB. So the
+# pool's end calls malloc_trim (_release_free_heap): 291-294 and 109-112
+# MB. What is left is the top of each worker's arena, which malloc_trim
+# does not shrink; it is at most a chunk's working set. So _layout_columns
+# drops each per-digit array as soon as it is read: a 4096-line chunk of a
+# synthesized workload peaked at 12.6 MB over its 1.1 MB text, and now at
+# 7.9 MB.
 _JSONL_CHUNK = 4096
+# At most this many pool threads read chunks, at most _IN_FLIGHT chunks
+# ahead of the one being copied; a chunk's lines take about 1.3 MB.
+_LAYOUT_WORKERS = 2
+_IN_FLIGHT = 4
 
 # The layout reader lays a chunk's names out in rows as wide as the
 # longest; a longer name declines.
@@ -356,15 +391,20 @@ def _digit_values(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
     dots = np.flatnonzero(digit == 254)
     if np.count_nonzero(digit > 9) != dots.size:
         return None
-    # The power of ten of each digit, one less before a dot.
-    power = np.repeat(end - 1, length) - pos
+    # The power of ten of each digit, one less before a dot. The arrays of
+    # one entry per digit set the reader's working set (see _JSONL_CHUNK),
+    # so they are updated in place and dropped once read.
+    power = np.repeat(end - 1, length)
+    power -= pos
+    dot_pos = pos[dots]
+    del pos
     fraction = np.zeros(start.size, dtype=np.int64)
     if dots.size:
         span = np.searchsorted(offset, dots, "right") - 1
-        fraction[span] = end[span] - 1 - pos[dots]
-        if np.any(np.diff(span) == 0) or np.any((fraction[span] == 0) | (pos[dots] == start[span])):
+        fraction[span] = end[span] - 1 - dot_pos
+        if np.any(np.diff(span) == 0) or np.any((fraction[span] == 0) | (dot_pos == start[span])):
             return None
-        before = np.zeros(pos.size + 1, dtype=np.int8)
+        before = np.zeros(power.size + 1, dtype=np.int8)
         before[offset[span]] = 1
         before[dots] = -1
         power -= np.cumsum(before[:-1], dtype=np.int8)
@@ -372,7 +412,10 @@ def _digit_values(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
     if np.any((buf[start] == 48) & (length > 1) & (buf[start + 1] != 46)):
         return None
     np.minimum(power, 19, out=power)  # texts past 20 digits are decided by the caller
-    value = np.add.reduceat((10 ** np.arange(20, dtype=np.uint64))[power] * digit, offset)
+    scaled = (10 ** np.arange(20, dtype=np.uint64))[power]
+    del power
+    scaled *= digit
+    value = np.add.reduceat(scaled, offset)
     return value, length - (fraction > 0), fraction
 
 
@@ -416,6 +459,7 @@ def _layout_columns(lines: list[str]) -> Optional[TraceColumns]:
     if (quotes.size != rows * quote_cols[-1] or np.count_nonzero(byte < 32) != rows
             or padded.find(b"\\") >= 0):
         return None  # a control byte, a backslash, or lines unlike the first
+    del hits, byte  # each array is dropped once read (see _JSONL_CHUNK)
     quotes = quotes.reshape(rows, quote_cols[-1])
 
     # bound[:, j] is the "{" or "," before key j, and bound[:, -1] the "}".
@@ -444,6 +488,7 @@ def _layout_columns(lines: list[str]) -> Optional[TraceColumns]:
         if named is None:
             return None
         codes, names = named
+    del quotes, found
     numbers = [key for key in keys if key != "name"]
     cols = [keys.index(key) for key in numbers]
     start, stop = start[:, cols].ravel(), stop[:, cols].ravel()  # row-major: in file order
@@ -508,34 +553,80 @@ def _layout_names(padded: bytes, start: np.ndarray, stop: np.ndarray):
     return rank[inverse].astype(np.int64), tuple(n.decode() for n in unique[order].tolist())
 
 
+def usable_cores() -> int:
+    """The CPUs this process may run on."""
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return cores or 1
+
+
+def _release_free_heap() -> None:
+    """Hand the free pages of every malloc arena back to the system, where
+    the C library is glibc; elsewhere do nothing (see _JSONL_CHUNK)."""
+    import ctypes
+
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc, or no dlopen(NULL)
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
+def _layout_chunks(lines: Iterator[str]) -> Iterator[tuple[list[str], Optional[TraceColumns]]]:
+    """Each _JSONL_CHUNK-line chunk with _layout_columns' reading of it,
+    in file order. Past one chunk the readings run on a pool of up to
+    _LAYOUT_WORKERS threads, at most _IN_FLIGHT chunks ahead of the one
+    yielded. Closing the generator cancels what is pending and joins the
+    pool."""
+    chunks = iter(lambda: list(islice(lines, _JSONL_CHUNK)), [])
+    head = list(islice(chunks, 2))
+    if len(head) < 2:
+        yield from ((chunk, _layout_columns(chunk)) for chunk in head)
+        return
+    pool = ThreadPoolExecutor(max_workers=min(_LAYOUT_WORKERS, usable_cores()))
+    try:
+        pending = deque()
+        for chunk in chain(head, chunks):
+            pending.append((chunk, pool.submit(_layout_columns, chunk)))
+            if len(pending) == _IN_FLIGHT:
+                chunk, part = pending.popleft()
+                yield chunk, part.result()
+        while pending:
+            chunk, part = pending.popleft()
+            yield chunk, part.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+        _release_free_heap()
+
+
 def _read_jsonl(lines: Iterator[str]) -> TraceColumns:
     """Columns of every jsonl line, _JSONL_CHUNK lines at a time, each
-    chunk read by _layout_columns or, when that declines, by _iter_jsonl.
-    Each chunk is copied at once into output columns that grow by
-    doubling; the result views them."""
+    chunk read by _layout_columns or, when that declines, by _iter_jsonl
+    on this thread. Each chunk is copied at once into output columns that
+    grow by doubling; the result views them."""
     out: dict[str, np.ndarray] = {}
     index: dict[str, int] = {}  # the name table, in order of first appearance
     size = 0
     first_line_no = 1
-    while chunk := list(islice(lines, _JSONL_CHUNK)):
-        part = _layout_columns(chunk)
-        if part is None:
-            part = _columns_of(_iter_jsonl(chunk, first_line_no))
-        first_line_no += len(chunk)
-        end = size + len(part)
-        arrays = {k: v for k, v in vars(part).items() if isinstance(v, np.ndarray)}
-        # The trailing -1 keeps code -1 (missing) missing.
-        remap = [index.setdefault(name, len(index)) for name in part.names]
-        arrays["name_codes"] = np.array(remap + [-1], dtype=np.int64)[part.name_codes]
-        if not out or end > len(out["job_id"]):
-            capacity = max(end, 2 * size)
-            grown = {k: np.empty(capacity, dtype=v.dtype) for k, v in arrays.items()}
-            for k, v in out.items():
-                grown[k][:size] = v[:size]
-            out = grown
-        for k, v in arrays.items():
-            out[k][size:end] = v
-        size = end
+    with closing(_layout_chunks(lines)) as parts:
+        for chunk, part in parts:
+            if part is None:
+                part = _columns_of(_iter_jsonl(chunk, first_line_no))
+            first_line_no += len(chunk)
+            end = size + len(part)
+            arrays = {k: v for k, v in vars(part).items() if isinstance(v, np.ndarray)}
+            # The trailing -1 keeps code -1 (missing) missing.
+            remap = [index.setdefault(name, len(index)) for name in part.names]
+            arrays["name_codes"] = np.array(remap + [-1], dtype=np.int64)[part.name_codes]
+            if not out or end > len(out["job_id"]):
+                capacity = max(end, 2 * size)
+                grown = {k: np.empty(capacity, dtype=v.dtype) for k, v in arrays.items()}
+                for k, v in out.items():
+                    grown[k][:size] = v[:size]
+                out = grown
+            for k, v in arrays.items():
+                out[k][size:end] = v
+            size = end
     if not out:
         return TraceColumns.from_fields([()] * len(ROW_FIELDS))
     return TraceColumns(**{k: v[:size] for k, v in out.items()}, names=tuple(index))

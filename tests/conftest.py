@@ -3,6 +3,8 @@
 import json
 import math
 import random
+import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -10,6 +12,55 @@ import pytest
 from mrtrace import JobFeatureMatrix, JobRecord, Trace
 from mrtrace.compute_patterns import FeatureTransform
 from mrtrace.columns import TraceColumns
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail a test that leaves a thread running: a pool that parse_trace,
+    ReportBuilder.build or fit_best started must be joined before they
+    return or raise."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads still running after the test: {left}"
+
+
+class _Deferred(Future):
+    """A future whose call runs on the thread that first reads it."""
+
+    def __init__(self, fn, args, kwargs):
+        super().__init__()
+        self._call = (fn, args, kwargs)
+
+    def result(self, timeout=None):
+        if not self.done():
+            fn, args, kwargs = self._call
+            try:
+                self.set_result(fn(*args, **kwargs))
+            except Exception as exc:
+                self.set_exception(exc)
+        return super().result(timeout)
+
+
+class InlineExecutor:
+    """Stands in for a ThreadPoolExecutor: each call runs on the calling
+    thread when its result is first read, as a one-thread run would run
+    it. Monkeypatch it over a module's ThreadPoolExecutor."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args, **kwargs):
+        return _Deferred(fn, args, kwargs)
+
+    def shutdown(self, wait=True, *, cancel_futures=False):
+        pass
 
 
 def rec(job_id, submit_time, **kw):

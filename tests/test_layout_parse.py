@@ -12,6 +12,8 @@ vouches for every chunk that does not parse line by line.
 import io
 import json
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ from hypothesis import strategies as st
 
 from mrtrace import parse_trace, serialize_trace, trace
 from mrtrace.columns import FLOAT_FIELDS, NUMERIC
-from conftest import make_trace, rec
+from conftest import InlineExecutor, make_trace, rec
 from test_bulk_parse import assert_same_outcome, fallback_calls, line_by_line, outcome
 
 INT_FIELDS = [f for f in NUMERIC if f not in FLOAT_FIELDS]
@@ -295,3 +297,102 @@ def test_benchmark_float_texts_are_read_exactly():
     assert got is not None
     assert got.map_task_seconds.tolist() == values
     assert not any(math.copysign(1, v) < 0 for v in got.map_task_seconds.tolist())
+
+
+# -- the pool -----------------------------------------------------------------
+
+def job_line(i, **extra):
+    """Line i of a file of one layout, which _layout_columns reads."""
+    return json.dumps({"job_id": i, "name": f"n{i % 3}", "submit_time": 50 - i, **extra},
+                      separators=(",", ":"))
+
+
+def lines_with(changes: dict, count=40) -> bytes:
+    """count job lines, with the line at each key of changes (from 1)
+    replaced by its value. A lone surrogate stands for a byte that is not
+    UTF-8."""
+    text = "\n".join(changes.get(i + 1, job_line(i)) for i in range(count))
+    return text.encode("utf-8", "surrogateescape")
+
+
+def parse_both_ways(monkeypatch, data: bytes, chunk=4):
+    """The outcome of parse_trace with the pool and with an inline
+    executor, chunk lines at a time, and the threads _layout_columns ran
+    on in each."""
+    monkeypatch.setattr(trace, "_JSONL_CHUNK", chunk)
+    threads = []
+    real = trace._layout_columns
+
+    def recording(lines):
+        threads.append(threading.current_thread())
+        return real(lines)
+
+    monkeypatch.setattr(trace, "_layout_columns", recording)
+    pooled, pooled_threads = outcome(data), threads[:]
+    threads.clear()
+    with monkeypatch.context() as m:
+        m.setattr(trace, "ThreadPoolExecutor", InlineExecutor)
+        inline = outcome(data)
+    return pooled, inline, pooled_threads, threads
+
+
+@pytest.mark.parametrize("changes", [
+    pytest.param({2: '{"job_id":-1,"submit_time":1}'}, id="bad-line-in-first-chunk"),
+    pytest.param({39: job_line(38, duration=-5)}, id="bad-line-in-last-chunk"),
+    pytest.param({n: json.dumps({"job_id": n, "submit_time": n}) for n in range(13, 17)},
+                 id="declined-chunk-between-accepted"),
+    pytest.param({22: job_line(21).replace("n0", "n\udcff")}, id="non-utf8-byte"),
+    pytest.param({9: "[" * 100_000 + "]" * 100_000}, id="deep-first-line-of-chunk"),
+    pytest.param({3: '{"job_id":1,"submit_time":"x"}', 33: "{"}, id="two-bad-lines"),
+])
+def test_pooled_parse_matches_inline(monkeypatch, changes):
+    data = lines_with(changes)
+    pooled, inline, pooled_threads, inline_threads = parse_both_ways(monkeypatch, data)
+    assert_same_outcome(pooled, inline)
+    with line_by_line():
+        assert_same_outcome(pooled, outcome(data))
+    assert set(inline_threads) == {threading.main_thread()}
+    if isinstance(pooled, Exception):
+        # Consumed in order, an error stops the parse within _IN_FLIGHT chunks
+        # of the bad line's.
+        bad_chunk = (pooled.line_no - 1) // 4
+        assert len(pooled_threads) <= bad_chunk + trace._IN_FLIGHT
+    else:
+        assert threading.main_thread() not in pooled_threads
+
+
+def test_pool_reads_every_chunk_of_a_valid_file(monkeypatch):
+    data = lines_with({})
+    pooled, inline, pooled_threads, inline_threads = parse_both_ways(monkeypatch, data)
+    assert_same_outcome(pooled, inline)
+    assert len(pooled_threads) == len(inline_threads) == 10
+    assert threading.main_thread() not in pooled_threads
+    assert len(set(pooled_threads)) <= min(trace._LAYOUT_WORKERS, trace.usable_cores())
+
+
+def test_pool_on_more_threads_than_cores_matches_inline(monkeypatch):
+    # Eight workers whatever the machine, switching threads every microsecond.
+    monkeypatch.setattr(trace, "_LAYOUT_WORKERS", 8)
+    monkeypatch.setattr(trace, "usable_cores", lambda: 8)
+    data = lines_with({n: json.dumps({"job_id": n, "submit_time": n}) for n in range(5, 9)}, 200)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled, inline, pooled_threads, _ = parse_both_ways(monkeypatch, data, chunk=3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_outcome(pooled, inline)
+    assert len(set(pooled_threads)) > 1
+
+
+@pytest.mark.parametrize("count", [1, 4])
+def test_one_chunk_skips_the_pool(monkeypatch, count):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started for one chunk")
+
+    monkeypatch.setattr(trace, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(trace, "_JSONL_CHUNK", 4)
+    data = lines_with({}, count)
+    with line_by_line():
+        want = outcome(data)
+    assert_same_outcome(outcome(data), want)

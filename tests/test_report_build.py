@@ -6,7 +6,6 @@ happens when either thread raises."""
 import json
 import threading
 import time
-from concurrent.futures import Future
 
 import pytest
 
@@ -15,48 +14,7 @@ from mrtrace import data_access as da
 from mrtrace import report
 from mrtrace.errors import KTooLarge
 from mrtrace.report import ReportBuilder, json_text, tsv_text
-from conftest import full_rec, make_trace, mixed_workload_trace
-
-
-class _Deferred(Future):
-    """A future whose call runs on the thread that first reads it."""
-
-    def __init__(self, fn, args, kwargs):
-        super().__init__()
-        self._call = (fn, args, kwargs)
-
-    def result(self, timeout=None):
-        if not self.done():
-            fn, args, kwargs = self._call
-            try:
-                self.set_result(fn(*args, **kwargs))
-            except Exception as exc:
-                self.set_exception(exc)
-        return super().result(timeout)
-
-
-class _InlineExecutor:
-    """Stands in for the worker: the fit runs on the calling thread when
-    the clusters section reads it, as a one-thread build would run it."""
-
-    def __init__(self, max_workers=None):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def submit(self, fn, *args, **kwargs):
-        return _Deferred(fn, args, kwargs)
-
-
-@pytest.fixture
-def no_thread_outlives_the_build():
-    before = threading.active_count()
-    yield
-    assert threading.active_count() == before
+from conftest import InlineExecutor, full_rec, make_trace, mixed_workload_trace
 
 
 def _outputs(builder: ReportBuilder) -> tuple:
@@ -77,7 +35,7 @@ def _build_both_ways(monkeypatch, trace, **kwargs) -> tuple:
     monkeypatch.setattr(cp, "elbow_fit", recording_fit)
     threaded = _outputs(ReportBuilder(trace, **kwargs))
     with monkeypatch.context() as m:
-        m.setattr(report, "ThreadPoolExecutor", _InlineExecutor)
+        m.setattr(report, "ThreadPoolExecutor", InlineExecutor)
         inline = _outputs(ReportBuilder(trace, **kwargs))
     return threaded, inline, fit_threads
 
@@ -101,7 +59,7 @@ def _six_job_trace():
                        for i in range(6)])
 
 
-@pytest.mark.usefixtures("no_thread_outlives_the_build", "sample_cap_150")
+@pytest.mark.usefixtures("sample_cap_150")
 @pytest.mark.parametrize("make, kwargs, clusters_ran", [
     (_sampled_trace, {"k_max": 5, "seed": 3}, True),
     (_trace_without_input_bytes, {}, False),
@@ -138,7 +96,6 @@ def _nameless_trace():
                        for i in range(80)])
 
 
-@pytest.mark.usefixtures("no_thread_outlives_the_build")
 def test_error_inside_the_elbow_is_the_last_skip(monkeypatch):
     expected_keys = list(ReportBuilder(_nameless_trace(), k_max=4).build())
     expected_keys.remove("clusters")
@@ -157,11 +114,10 @@ def test_error_inside_the_elbow_is_the_last_skip(monkeypatch):
     assert out["skipped"][-1] == {"section": "clusters", "reason": "KTooLarge: forced at k=2"}
     assert builder.cluster_table is None
     with monkeypatch.context() as m:
-        m.setattr(report, "ThreadPoolExecutor", _InlineExecutor)
+        m.setattr(report, "ThreadPoolExecutor", InlineExecutor)
         assert json_text(ReportBuilder(_nameless_trace(), k_max=4).build()) == json_text(out)
 
 
-@pytest.mark.usefixtures("no_thread_outlives_the_build")
 def test_other_error_in_the_elbow_propagates(monkeypatch):
     def broken_fit_best(*args, **kwargs):
         raise RuntimeError("elbow broke")
@@ -171,7 +127,6 @@ def test_other_error_in_the_elbow_propagates(monkeypatch):
         ReportBuilder(_sampled_trace(), k_max=3).build()
 
 
-@pytest.mark.usefixtures("no_thread_outlives_the_build")
 def test_error_in_a_main_thread_section_waits_for_the_elbow(monkeypatch):
     started, finished = threading.Event(), threading.Event()
     real_fit = cp.elbow_fit
