@@ -4,7 +4,6 @@ six-dimensional k-means job typing with elbow-based k selection.
 
 from __future__ import annotations
 
-import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -13,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import KTooLarge, NoData
-from .trace import Trace
+from .trace import Trace, usable_cores
 
 FEATURE_NAMES = (
     "input_bytes",
@@ -198,8 +197,11 @@ def cluster_sample(trace: Trace, seed: int, k_max: int) -> tuple[JobFeatureMatri
     return matrix, min(k_max, len(matrix)), sampled_from
 
 
-# Points per block of the transposing copy in _nearest; a block of a
-# 10-centroid product, 320 KB, stays in cache while it is transposed.
+# Points per block of the product in _nearest. A block's product with up
+# to 10 centroids, 4096 x 6 x 10 multiply-adds, stays under the size at
+# which OpenBLAS splits a product over threads of its own (65,536 x 4),
+# which would contend with fit_best's restart threads for the cores; its
+# 320 KB also stay in cache while they are transposed.
 _BLOCK = 4096
 
 
@@ -208,21 +210,25 @@ def _nearest(points, centroids, x_norms):
     the squared distance to it, |x|^2 - 2 x.c + |c|^2. x_norms is the
     reusable per-point norm.
 
-    The dot products are always points @ centroids.T, n x k. OpenBLAS
-    rounds the last bit of some of them differently in the k x n
-    orientation (seen from k = 12 on, in the rows past the last multiple
-    of 8; and at k = 1, where the products are matrix-vector), and every
-    later bit of the fit hangs on them. The product is copied
-    transposed, block by block, with the -2 scaling applied on the way,
-    so that each centroid's distances are one contiguous row; a running
-    minimum over the rows then finds the nearest centroid without a
-    strided argmin.
+    The dot products are always points @ centroids.T, n x k, a _BLOCK of
+    points at a time. OpenBLAS rounds the last bit of some of them
+    differently in the k x n orientation (seen from k = 12 on, in the rows
+    past the last multiple of 8; and at k = 1, where the products are
+    matrix-vector), and every later bit of the fit hangs on them. A block
+    of one point takes numpy's matrix-vector path, which rounds
+    differently too, so a last point left alone joins the block before
+    it. Each block's product is copied transposed, with the -2 scaling
+    applied on the way, so that each centroid's distances are one
+    contiguous row; a running minimum over the rows then finds the
+    nearest centroid without a strided argmin.
     """
-    d2 = points @ centroids.T
-    n, k = d2.shape
+    n, k = points.shape[0], centroids.shape[0]
+    ends = list(range(_BLOCK, n, _BLOCK))
+    if ends and n - ends[-1] == 1:
+        ends.pop()
     g = np.empty((k, n))
-    for a in range(0, n, _BLOCK):
-        np.multiply(d2[a : a + _BLOCK].T, -2.0, out=g[:, a : a + _BLOCK])
+    for a, b in zip([0] + ends, ends + [n]):
+        np.multiply((points[a:b] @ centroids.T).T, -2.0, out=g[:, a:b])
     g += x_norms
     g += (centroids * centroids).sum(axis=1)[:, None]
     best = g[0].copy()
@@ -336,8 +342,7 @@ def fit_best(matrix: JobFeatureMatrix, k: int, seed: int) -> ClusterModel:
     most of a round. Each restart's model depends only on its own seed, so
     the result is the one a serial loop gives.
     """
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(KMEANS_RESTARTS, cores or 1)
+    workers = min(KMEANS_RESTARTS, usable_cores())
     with ThreadPoolExecutor(max_workers=workers) as pool:
         models = list(pool.map(lambda r: kmeans(matrix, k, _restart_seed(seed, k, r)),
                                range(KMEANS_RESTARTS)))

@@ -112,6 +112,23 @@ def test_restarts_on_more_threads_than_cores_match(monkeypatch):
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("rest", [0, 1, 2, 7])
+def test_blocked_product_matches_the_whole_matrix(rest):
+    # n = rest, and one and two _BLOCKs past it: a last block of one point
+    # would take numpy's matrix-vector path, which rounds differently.
+    block = compute_patterns._BLOCK
+    rng = np.random.default_rng(rest)
+    for n in sorted({rest, block + rest, 2 * block + rest} - {0}):
+        points = rng.standard_normal((n, 6)) * 10.0 ** rng.integers(-3, 4, size=6)
+        x_norms = (points * points).sum(axis=1)
+        for k in range(1, 13):
+            centroids = points[rng.choice(n, min(k, n), replace=False)] + rng.standard_normal(6)
+            got = compute_patterns._nearest(points, centroids, x_norms)
+            want = kmeans_oracle._nearest(points, centroids, x_norms)
+            assert np.array_equal(got[0], want[0]), (n, k)
+            assert got[1].tobytes() == want[1].tobytes(), (n, k)
+
+
 def run_fixed_cases() -> int:
     """A fixed seeded subset of the differential cases, sizes up to 20k
     rows; returns how many fits matched. Run by the test below in a child
