@@ -364,8 +364,8 @@ def _columns_of(rows: Iterable[tuple]) -> TraceColumns:
 # MB. What is left is the top of each worker's arena, which malloc_trim
 # does not shrink; it is at most a chunk's working set. So _layout_columns
 # drops each per-digit array as soon as it is read: a 4096-line chunk of a
-# synthesized workload peaked at 12.6 MB over its 1.1 MB text, and now at
-# 7.9 MB.
+# synthesized workload, 1.1 MB of text, peaked at 12.6 MB of temporaries,
+# and now at 7.9 MB.
 _JSONL_CHUNK = 4096
 # At most this many pool threads read chunks, at most _IN_FLIGHT chunks
 # ahead of the one being copied; a chunk's lines take about 1.3 MB.
