@@ -4,6 +4,8 @@ updates the digests here and says why."""
 
 import hashlib
 import io
+import json
+import random
 from dataclasses import fields, replace
 
 from mrtrace import JobRecord, parse_trace, serialize_trace
@@ -170,3 +172,49 @@ def test_escaped_names_and_missing_fields_round_trip():
     text = buf.getvalue()
     assert hashlib.sha256(text.encode()).hexdigest() == ESCAPE_JSONL
     assert list(parse_trace(text.encode()).records) == list(escape_trace().records)
+
+
+def gap_trace():
+    """Jobs in hours 0-29, 60-79 and 110-149, so every series has two
+    30-bucket zero runs, and first words of which five fall under the names
+    cutoff under every weighting: one job each among 600."""
+    rng = random.Random(23)
+    common = ["alpha", "beta x", "gamma", "delta", "epsilon", "zeta", "eta", "theta",
+              "iota", "kappa", "lambda", "mu"]
+    rare = ["nu", "xi q", "omicron", "pi", "naïve"]
+    hours = [*range(30), *range(60, 80), *range(110, 150)]
+    records = []
+    for jid in range(600):
+        name = rare[jid // 120] if jid % 120 == 7 else common[rng.randrange(len(common))]
+        records.append(full_rec(
+            jid, rng.choice(hours) * 3600 + rng.randrange(3600) if jid else 0, name=name,
+            duration=rng.randrange(10, 5000), input_bytes=rng.randrange(10, 10**9),
+            shuffle_bytes=rng.randrange(0, 10**7), output_bytes=rng.randrange(10, 10**8),
+            map_task_seconds=float(rng.randrange(5, 5000)),
+            reduce_task_seconds=float(rng.randrange(0, 500)),
+            map_tasks=rng.randrange(1, 40), reduce_tasks=rng.randrange(0, 10)))
+    return make_trace(records, label="gaps")
+
+
+GAP_GOLDEN = {
+    "report.json": "d04dce9f8152701cdcbc4ce52d75e904f3d3cc3cdf1d8056a6f27148e859fcdb",
+    "plots/fig10_io_bytes.tsv": "e3db5b8063b1fbb71df141163a15a0f64ab770beaee77567bfeab9b4a5efec9b",
+    "plots/fig10_jobs.tsv": "9a1a00f1d58438e5dde467567f5fbe4884061526662ca75a5ddf4af0e32451ca",
+    "plots/fig10_task_time.tsv": "734fccd9e6d1e4a609e36c1928b471aff74399453251d58ab36a9da39b228005",
+}
+
+
+def test_logging_gaps_and_other_names_match_golden_digests(tmp_path):
+    src = trace_to_jsonl(gap_trace(), tmp_path / "gaps.jsonl")
+    assert main(["analyze", "--trace", str(src), "--seed", "42",
+                 "--out", str(tmp_path / "report.json"), "--plots", str(tmp_path / "plots")]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    for dim in ("jobs_submitted", "data_size_bytes", "compute_time_task_seconds"):
+        assert report[f"time_series.{dim}"]["suspected_logging_gaps"] == [
+            {"start_bucket": 30, "length": 30}, {"start_bucket": 80, "length": 30}]
+    for weighting in ("jobs", "io_bytes", "task_time"):
+        assert len(report["names"][weighting]["top"]) == 10
+        assert report["names"][weighting]["other_fraction"] > 0
+        assert "\n<other>\t" in (tmp_path / f"plots/fig10_{weighting}.tsv").read_text()
+    for name, digest in GAP_GOLDEN.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
