@@ -63,7 +63,6 @@ from .temporal import (
     TimeSeries,
     bucket_time_series,
     burstiness_curve,
-    dimension_correlations,
     occupancy_series,
     peak_to_median,
     periodogram,

@@ -30,6 +30,7 @@ from .report import (
     DEFAULT_BUCKET_WIDTH,
     DEFAULT_K_MAX,
     DEFAULT_SEED,
+    Records,
     ReportBuilder,
     cluster_section,
     json_text,
@@ -227,7 +228,7 @@ def _cmd_burstiness(args) -> int:
     trace = _load_trace(args)
     curve = ts.burstiness_curve(ts.dimension_series(trace, args.dimension, args.bucket_width))
     with _outputs(args.out) as (out,):
-        out.write(tsv_text(list(zip(*curve.points))))
+        out.write(tsv_text((curve.ratios, curve.percentiles)))
     return 0
 
 
@@ -260,7 +261,8 @@ def _cmd_synthesize(args) -> int:
     with _outputs(args.out, args.data_plan) as (out, plan):
         serialize_trace(workload.jobs, out)
         if plan:
-            plan.write(tsv_text(list(zip(*data_prepopulation_plan(workload).files))))
+            data_plan = data_prepopulation_plan(workload)
+            plan.write(tsv_text((data_plan.file_ids, data_plan.sizes)))
     print(
         f"synthesized {len(workload.jobs)} jobs at scale {workload.scale_factor:.6g} "
         f"({args.mode}), seed {args.seed}",
@@ -283,13 +285,13 @@ def _cmd_simulate(args) -> int:
     # leaves nothing on stdout either.
     series = sim_occupancy_series(result, args.bucket_width) if args.occupancy else None
     out = {
-        "jobs": len(result.job_timings),
+        "jobs": len(result.submit),
         "makespan_seconds": result.makespan,
         "busy_map_slot_seconds": result.busy_map_slot_seconds,
         "busy_reduce_slot_seconds": result.busy_reduce_slot_seconds,
         "total_slots": result.total_slots,
-        # A JobTiming's fields, in order, are the keys of its JSON object.
-        "job_timings": [vars(t) for t in result.job_timings],
+        "job_timings": Records(submit=result.submit, first_task_start=result.first_task_start,
+                               completion=result.completion),
     }
     with _outputs(args.out, args.occupancy) as (out_file, occupancy):
         out_file.write(json_text(out))
@@ -308,11 +310,10 @@ def _cmd_cachesim(args) -> int:
     trace = _load_trace(args)
     stream = access_stream(trace)
     if args.sweep:
-        rows = [("capacity_bytes", "hit_rate_by_accesses", "hit_rate_by_bytes")]
-        for cap in args.sweep:
-            report = simulate_cache(stream, _cache_config(args, cap))
-            rows.append((cap, report.hit_rate_by_accesses, report.hit_rate_by_bytes))
-        text = tsv_text(list(zip(*rows)))
+        reports = [simulate_cache(stream, _cache_config(args, cap)) for cap in args.sweep]
+        text = tsv_text((["capacity_bytes", *args.sweep],
+                         ["hit_rate_by_accesses", *(r.hit_rate_by_accesses for r in reports)],
+                         ["hit_rate_by_bytes", *(r.hit_rate_by_bytes for r in reports)]))
     else:
         report = simulate_cache(stream, _cache_config(args, args.capacity))
         text = json_text({

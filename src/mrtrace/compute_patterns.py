@@ -36,7 +36,10 @@ _LETTERS = re.compile(r"[a-z]+")
 @dataclass
 class NameBreakdown:
     weighting: str  # jobs | io_bytes | task_time
-    entries: list[tuple[str, float]]  # (first word, weight fraction), non-increasing
+    # First words at or over the cutoff and their weight fractions, parallel
+    # and by non-increasing fraction.
+    words: list[str]
+    fractions: list[float]
     other_fraction: float
 
 
@@ -131,15 +134,16 @@ def name_breakdown(trace: Trace, weighting: str, min_fraction: float = 0.0) -> N
 
     ranked = sorted(zip(tokens[used].tolist(), weights[used].tolist()),
                     key=lambda kv: (-kv[1], kv[0]))
-    entries = []
+    words, fractions = [], []
     other = 0.0
     for token, w in ranked:
         frac = w / total
         if frac < min_fraction:
             other += frac
         else:
-            entries.append((token, frac))
-    return NameBreakdown(weighting=weighting, entries=entries, other_fraction=other)
+            words.append(token)
+            fractions.append(frac)
+    return NameBreakdown(weighting=weighting, words=words, fractions=fractions, other_fraction=other)
 
 
 def job_feature_vectors(trace: Trace) -> JobFeatureMatrix:

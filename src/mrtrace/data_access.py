@@ -6,7 +6,6 @@ storage rule, and re-access temporal locality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,10 +27,6 @@ class EmpiricalCDF:
     values: np.ndarray
     fractions: np.ndarray
     sample_count: int
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        return list(zip(self.values.tolist(), self.fractions.tolist()))
 
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "EmpiricalCDF":
@@ -72,13 +67,6 @@ class RankedAccessTable:
     counts: np.ndarray  # int64
     sizes: np.ndarray  # float64, NaN = size never observed
     side: str
-
-    @property
-    def entries(self) -> list[tuple[int, int, Optional[int]]]:
-        out = []
-        for d, c, s in zip(self.digests.tolist(), self.counts.tolist(), self.sizes.tolist()):
-            out.append((d, c, None if np.isnan(s) else int(s)))
-        return out
 
     def __len__(self) -> int:
         return int(self.counts.size)

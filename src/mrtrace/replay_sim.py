@@ -58,15 +58,11 @@ class SimConfig:
 
 
 @dataclass
-class JobTiming:
-    submit: float
-    first_task_start: float
-    completion: float
-
-
-@dataclass
 class SimResult:
-    job_timings: list[JobTiming]
+    # float64 seconds by job, in the trace's order.
+    submit: np.ndarray
+    first_task_start: np.ndarray
+    completion: np.ndarray
     makespan: float
     busy_map_slot_seconds: float
     busy_reduce_slot_seconds: float
@@ -257,13 +253,16 @@ def simulate(trace: Trace, config: SimConfig) -> SimResult:
             if free[kind] and runnable[kind].jobs:
                 dispatch(kind, t)
 
-    timings = [
-        JobTiming(submit=s / US, first_task_start=f / US, completion=c / US)
-        for s, f, c in zip(submit_us, first_start_us, completion_us)
-    ]
+    # Python int division rounds each time once, exactly as a float.
+    submit, first_task_start, completion = (
+        np.array([t / US for t in times], dtype=np.float64)
+        for times in (submit_us, first_start_us, completion_us)
+    )
     makespan = (max(completion_us) - min(submit_us)) / US if n else 0.0
     return SimResult(
-        job_timings=timings,
+        submit=submit,
+        first_task_start=first_task_start,
+        completion=completion,
         makespan=makespan,
         busy_map_slot_seconds=busy_us[_MAP] / US,
         busy_reduce_slot_seconds=busy_us[_REDUCE] / US,

@@ -23,7 +23,6 @@ import json
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -43,7 +42,21 @@ MAX_PLOT_POINTS = 20_000
 
 
 _INDENT = "  "
-_CONTAINERS = (dict, list, tuple, np.ndarray)
+
+
+class Records:
+    """Equal-length columns, given as keyword arguments in key order, that
+    json_text writes as a list of objects, one per row. Raises ValueError
+    when the columns differ in length."""
+
+    def __init__(self, **columns):
+        lengths = set(map(len, columns.values()))
+        if len(lengths) > 1:
+            raise ValueError(f"Records columns differ in length: {sorted(lengths)}")
+        self.columns = columns
+
+
+_CONTAINERS = (dict, list, tuple, np.ndarray, Records)
 
 
 def _float_text(x: float) -> str:
@@ -79,8 +92,9 @@ def _key_text(k) -> str:
     return json.dumps({k: 0}, allow_nan=False)[1:-len(": 0}")]
 
 
-def _column_texts(values) -> Optional[list[str]]:
-    """JSON texts of one column of scalars, None if it holds a container."""
+def _column_texts(column, level: int) -> list[str]:
+    """JSON texts of one column's values at nesting depth level."""
+    values = column.tolist() if isinstance(column, np.ndarray) else list(column)
     types = set(map(type, values))
     if types == {int}:
         return list(map(int.__repr__, values))
@@ -88,26 +102,21 @@ def _column_texts(values) -> Optional[list[str]]:
         rounded = list(map(float, map("{:.9g}".format, values)))
         if all(map(math.isfinite, rounded)):
             return list(map(float.__repr__, rounded))
-    elif any(issubclass(t, _CONTAINERS) for t in types):
-        return None
-    return list(map(_scalar_text, values))  # raises for a non-finite float
+    texts = []
+    for v in values:  # raises for a non-finite float
+        out: list[str] = []
+        _encode(v, level, out)
+        texts.append("".join(out))
+    return texts
 
 
-def _records_text(items: list, level: int) -> Optional[str]:
-    """JSON text of a list of flat dicts that share one key tuple, encoded
-    a column at a time and joined row by row from one template; None for
-    any other list."""
-    if set(map(type, items)) != {dict}:
-        return None
-    keys = tuple(items[0])
-    if not keys or set(map(tuple, items)) != {keys}:
-        return None
-    columns = []
-    for k in keys:
-        texts = _column_texts(list(map(itemgetter(k), items)))
-        if texts is None:
-            return None
-        columns.append(texts)
+def _records_text(records: Records, level: int) -> str:
+    """JSON text of records, encoded a column at a time and joined row by
+    row from one template."""
+    keys = tuple(records.columns)
+    columns = [_column_texts(c, level + 2) for c in records.columns.values()]
+    if not columns or not columns[0]:
+        return "[]"
     row_indent = "\n" + _INDENT * (level + 1)
     key_indent = row_indent + _INDENT
     fields = (key_indent + _key_text(k).replace("%", "%%") + ": %s" for k in keys)
@@ -121,6 +130,9 @@ def _encode(obj, level: int, out: list) -> None:
     text = _scalar_text(obj)
     if text is not None:
         out.append(text)
+        return
+    if isinstance(obj, Records):
+        out.append(_records_text(obj, level))
         return
     inner = "\n" + _INDENT * (level + 1)
     if isinstance(obj, dict):
@@ -137,10 +149,6 @@ def _encode(obj, level: int, out: list) -> None:
     items = list(obj.tolist()) if isinstance(obj, np.ndarray) else obj
     if not items:
         out.append("[]")
-        return
-    table = _records_text(items, level)
-    if table is not None:
-        out.append(table)
         return
     sep = "[" + inner
     for v in items:
@@ -206,8 +214,9 @@ def series_columns(series: ts.TimeSeries) -> tuple:
 def name_columns(breakdown: cp.NameBreakdown) -> list:
     """The (word, fraction) TSV columns of fig10 and `mrtrace names`; a
     nonzero fraction under the cutoff ends them as one "<other>" row."""
-    other = [("<other>", breakdown.other_fraction)] if breakdown.other_fraction else []
-    return list(zip(*breakdown.entries, *other))
+    if not breakdown.other_fraction:
+        return [breakdown.words, breakdown.fractions]
+    return [[*breakdown.words, "<other>"], [*breakdown.fractions, breakdown.other_fraction]]
 
 
 def _cdf_section(cdf: da.EmpiricalCDF, excluded: int) -> dict:
@@ -392,12 +401,12 @@ class ReportBuilder:
                 series = self._series(dim)
                 curve = ts.burstiness_curve(series)
                 curves[dim] = curve
-                ratio = dict((p, r) for r, p in curve.points)
+                p50, p90, p99 = curve.ratios[[49, 89, 98]]  # the grid is 1..100
                 out[dim] = {
                     "median": curve.median,
-                    "p50_ratio": ratio.get(50),
-                    "p90_ratio": ratio.get(90),
-                    "p99_ratio": ratio.get(99),
+                    "p50_ratio": p50,
+                    "p90_ratio": p90,
+                    "p99_ratio": p99,
                     "peak_to_median": ts.peak_to_median(series),
                 }
             except MRTraceError as exc:
@@ -405,11 +414,12 @@ class ReportBuilder:
         if not curves:
             raise MRTraceError("no dimension supports a burstiness curve")
         if "compute_time_task_seconds" in curves:
-            self.plots["fig8_tasktime.tsv"] = list(zip(*curves["compute_time_task_seconds"].points))
+            curve = curves["compute_time_task_seconds"]
+            self.plots["fig8_tasktime.tsv"] = (curve.ratios, curve.percentiles)
         buckets = max(24, len(self._series("jobs_submitted")))
         for kind, tag in (("range_equals_mean", "sine_mean"), ("range_equals_tenth_of_mean", "sine_tenth")):
-            ref = ts.sine_reference(kind, buckets)
-            self.plots[f"fig8_{tag}.tsv"] = list(zip(*ts.burstiness_curve(ref).points))
+            curve = ts.burstiness_curve(ts.sine_reference(kind, buckets))
+            self.plots[f"fig8_{tag}.tsv"] = (curve.ratios, curve.percentiles)
         return out
 
     def _correlations(self) -> dict:
@@ -430,10 +440,8 @@ class ReportBuilder:
                 peaks = ts.periodogram(self._series(dim))
                 out[dim] = {
                     "diurnal": peaks.diurnal,
-                    "top_components": [
-                        {"period_hours": p / 3600.0, "power_fraction": f}
-                        for p, f in peaks.components
-                    ],
+                    "top_components": Records(period_hours=peaks.periods / 3600.0,
+                                              power_fraction=peaks.fractions),
                 }
                 ran_any = True
             except MRTraceError as exc:
@@ -449,7 +457,7 @@ class ReportBuilder:
             breakdown = cp.name_breakdown(self.trace, weighting, NAME_CUTOFF)
             self.plots[f"fig10_{weighting}.tsv"] = name_columns(breakdown)
             out[weighting] = {
-                "top": [{"word": w, "fraction": f} for w, f in breakdown.entries[:10]],
+                "top": Records(word=breakdown.words[:10], fraction=breakdown.fractions[:10]),
                 "other_fraction": breakdown.other_fraction,
             }
         return out
@@ -502,16 +510,14 @@ def cdf_summary(cdf: da.EmpiricalCDF) -> dict:
 
 def _series_stats(series: ts.TimeSeries) -> dict:
     v = series.values
-    gaps = ts.zero_runs(series)
+    starts, lengths = ts.zero_runs(series)
     return {
         "buckets": len(series),
         "bucket_width": series.bucket_width,
         "total": float(v.sum()),
         "mean": float(v.mean()),
         "peak": float(v.max()),
-        "suspected_logging_gaps": [
-            {"start_bucket": s, "length": l} for s, l in gaps
-        ],
+        "suspected_logging_gaps": Records(start_bucket=starts, length=lengths),
     }
 
 

@@ -69,7 +69,8 @@ class SyntheticWorkload:
 
 @dataclass
 class DataPlan:
-    files: list[tuple[str, int]]  # (file_id, size_bytes)
+    file_ids: list[str]
+    sizes: list[int]  # bytes of each file, parallel to file_ids
     total_bytes: int
     notes: str = (
         "one private input file per distinct source job; access-frequency "
@@ -229,7 +230,6 @@ def data_prepopulation_plan(workload: SyntheticWorkload) -> DataPlan:
     """Input files to pre-populate: one per distinct source job, at the
     scaled input size, in order of first use."""
     first = np.sort(np.unique(workload.source_job_id, return_index=True)[1])
-    sources = workload.source_job_id[first].tolist()
+    file_ids = [f"input_{s}" for s in workload.source_job_id[first].tolist()]
     sizes = [int(s) for s in workload.jobs.columns.input_bytes[first].tolist()]
-    files = [(f"input_{s}", size) for s, size in zip(sources, sizes)]
-    return DataPlan(files=files, total_bytes=sum(sizes))
+    return DataPlan(file_ids=file_ids, sizes=sizes, total_bytes=sum(sizes))

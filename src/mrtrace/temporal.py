@@ -46,9 +46,11 @@ class TimeSeries:
 
 @dataclass
 class BurstinessCurve:
-    """Percentile-to-median ratios, read as a normalized rate CDF."""
+    """Percentile-to-median ratios, read as a normalized rate CDF: float64
+    ratios and the int64 percentiles they are taken at, parallel."""
 
-    points: list[tuple[float, int]]  # (ratio, percentile)
+    ratios: np.ndarray
+    percentiles: np.ndarray
     median: float
 
 
@@ -62,7 +64,11 @@ class CorrelationMatrix:
 
 @dataclass
 class SpectralPeaks:
-    components: list[tuple[float, float]]  # (period seconds, power fraction)
+    """The strongest components, strongest first: float64 periods in
+    seconds and the parallel fractions of the non-DC power they carry."""
+
+    periods: np.ndarray
+    fractions: np.ndarray
     diurnal: bool
 
 
@@ -196,13 +202,13 @@ def burstiness_curve(series: TimeSeries, percentile_grid: Optional[Sequence[int]
     if median == 0.0:
         raise MedianZero("series median is zero; use a coarser bucket width")
     ratios = _percentiles(values, grid) / median
-    return BurstinessCurve(points=list(zip(ratios.tolist(), grid)), median=median)
+    return BurstinessCurve(ratios=ratios, percentiles=np.array(grid, dtype=np.int64), median=median)
 
 
 def peak_to_median(series: TimeSeries, percentile: int = 100) -> float:
     """Single percentile-to-median ratio (the peak at the default 100)."""
     curve = burstiness_curve(series, [percentile])
-    return curve.points[0][0]
+    return float(curve.ratios[0])
 
 
 def sine_reference(kind: str, buckets: int) -> TimeSeries:
@@ -227,11 +233,6 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     den = math.sqrt(float(dx @ dx) * float(dy @ dy))
     r = float(dx @ dy) / den
     return min(1.0, max(-1.0, r))
-
-
-def dimension_correlations(trace: Trace, bucket_width: int = HOUR_SECONDS) -> CorrelationMatrix:
-    """Pearson correlation between the jobs, bytes, and task-time series."""
-    return series_correlations(*(bucket_time_series(trace, d, bucket_width) for d in SUM_DIMENSIONS))
 
 
 def series_correlations(jobs: TimeSeries, data: TimeSeries, compute: TimeSeries) -> CorrelationMatrix:
@@ -265,23 +266,23 @@ def periodogram(series: TimeSeries, top_k: int = PERIODOGRAM_TOP_K) -> SpectralP
     power[0] = 0.0
     total = power.sum()
     if total <= 0.0:
-        return SpectralPeaks(components=[], diurnal=False)
+        return SpectralPeaks(periods=np.empty(0), fractions=np.empty(0), diurnal=False)
 
     k = np.arange(1, power.size)
     periods = n * series.bucket_width / k
     fractions = power[1:] / total
     order = np.argsort(-fractions, kind="stable")[:top_k]
-    components = [(float(periods[i]), float(fractions[i])) for i in order]
 
     diurnal = any(
         abs(period - DAY_SECONDS) <= series.bucket_width and frac >= 0.05
         for period, frac in zip(periods, fractions)
     )
-    return SpectralPeaks(components=components, diurnal=diurnal)
+    return SpectralPeaks(periods=periods[order], fractions=fractions[order], diurnal=diurnal)
 
 
-def zero_runs(series: TimeSeries, min_len: int = 24) -> list[tuple[int, int]]:
-    """(start_bucket, length) for runs of >= min_len zero buckets.
+def zero_runs(series: TimeSeries, min_len: int = 24) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 start buckets and lengths of the runs of >= min_len zero
+    buckets, in order.
 
     Long all-zero stretches usually mean logging gaps, not true idleness.
     """
@@ -289,4 +290,4 @@ def zero_runs(series: TimeSeries, min_len: int = 24) -> list[tuple[int, int]]:
     edges = np.flatnonzero(zero[1:] != zero[:-1])  # alternate run starts and ends
     starts, lengths = edges[::2], edges[1::2] - edges[::2]
     keep = lengths >= min_len
-    return list(zip(starts[keep].tolist(), lengths[keep].tolist()))
+    return starts[keep], lengths[keep]

@@ -16,17 +16,11 @@ its oracle, then reads the chunk line by line: it accepts what the layout
 reader accepts, with the same values, or raises the error naming the
 first bad line. On the seed-11 benchmark inputs the layout reader read
 every chunk: 245 for analyze, 49 for the cache sweep, 25 for the mixed
-source and 25 for the workload synthesized from it. A joined decode of
-each declined chunk, checked column by column, read none of them and was
-removed. What it read now parses line by line: json.dumps' default
-separators, escaped names, keys that vary by line, CRLF. parse_trace of
-200k jobs rewritten from the cache input, with the joined decode and
-without it (the medians of two sets of 3 runs a side, 2-core VM):
-    json.dumps' default separators          1.53-1.72 s   2.01-2.73 s
-    an escaped name on every 64th line      1.00-1.35 s   1.62-1.81 s
-    a missing name on every 64th line       1.04-1.54 s   1.99-2.23 s
-    the compact file                        0.46-0.60 s   0.46-0.60 s
-A benchmark workload with such input would justify a fast path for it.
+source and 25 for the workload synthesized from it. Any other layout
+parses line by line: json.dumps' default separators, escaped names, keys
+that vary by line, CRLF. parse_trace of 200k jobs in such layouts took
+1.6-2.7 s, against 0.46-0.60 s for the compact file (2-core VM). A
+benchmark workload with such input would justify a fast path for it.
 
 A file of more than one chunk is read on more than one thread. The
 calling thread reads the text lines and hands each chunk to

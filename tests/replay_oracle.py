@@ -16,7 +16,7 @@ from bisect import bisect_right, insort
 import numpy as np
 
 from mrtrace.errors import InvalidBucketWidth, MRTraceError, TooManyBuckets
-from mrtrace.replay_sim import _MAP, _REDUCE, _REPLAY_FIELDS, US, JobTiming, SimConfig, SimResult
+from mrtrace.replay_sim import _MAP, _REDUCE, _REPLAY_FIELDS, US, SimConfig, SimResult
 from mrtrace.temporal import MAX_BUCKETS, TimeSeries
 from mrtrace.trace import Trace
 
@@ -170,19 +170,13 @@ def simulate(trace: Trace, config: SimConfig) -> SimResult:
 
         dispatch(t)
 
-    timings = [
-        JobTiming(
-            submit=j.submit_us / US,
-            first_task_start=j.first_start_us / US,
-            completion=j.completion_us / US,
-        )
-        for j in jobs
-    ]
     makespan = 0.0
     if jobs:
         makespan = (max(j.completion_us for j in jobs) - min(j.submit_us for j in jobs)) / US
     return SimResult(
-        job_timings=timings,
+        submit=np.array([j.submit_us / US for j in jobs], dtype=np.float64),
+        first_task_start=np.array([j.first_start_us / US for j in jobs], dtype=np.float64),
+        completion=np.array([j.completion_us / US for j in jobs], dtype=np.float64),
         makespan=makespan,
         busy_map_slot_seconds=busy_us[_MAP] / US,
         busy_reduce_slot_seconds=busy_us[_REDUCE] / US,

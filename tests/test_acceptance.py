@@ -22,7 +22,7 @@ import mrtrace as mt
 from mrtrace.data_access import RankedAccessTable
 from mrtrace.replay_sim import SimConfig
 from mrtrace.report import ReportBuilder
-from mrtrace.temporal import TimeSeries
+from mrtrace.temporal import SUM_DIMENSIONS, TimeSeries, series_correlations
 
 from cache_oracle import READ, WRITE, AccessEvent, simulate_events
 from conftest import full_rec, make_trace, mixed_workload_trace, rec
@@ -60,7 +60,7 @@ def test_criterion_02_burstiness_exactness():
     constant = TimeSeries(bucket_width=3600, start=0,
                           values=np.full(200, 7.0), dimension="jobs_submitted")
     curve = mt.burstiness_curve(constant, list(range(0, 101)))
-    assert all(abs(r - 1.0) <= 1e-9 for r, _ in curve.points)
+    assert all(abs(r - 1.0) <= 1e-9 for r in curve.ratios)
 
     sine = mt.sine_reference("range_equals_mean", 7 * 24)
     assert abs(mt.peak_to_median(sine, 100) - 1.5) <= 0.01
@@ -74,14 +74,14 @@ def test_criterion_03_correlation_oracle():
     jobs = [rng.randrange(1, 40) for _ in range(n)]
     data = [rng.randrange(0, 10**7) for _ in range(n)]
     compute = [rng.randrange(0, 10**4) for _ in range(n)]
-    corr = mt.dimension_correlations(triple_trace(jobs, data, compute), 3600)
+    t = triple_trace(jobs, data, compute)
+    corr = series_correlations(*(mt.bucket_time_series(t, d, 3600) for d in SUM_DIMENSIONS))
     assert abs(corr.r_jobs_data - pearson_oracle(jobs, data)) <= 1e-9
     assert abs(corr.r_jobs_compute - pearson_oracle(jobs, compute)) <= 1e-9
     assert abs(corr.r_data_compute - pearson_oracle(data, compute)) <= 1e-9
 
-    linear = mt.dimension_correlations(
-        triple_trace(jobs, [2 * j for j in jobs], compute), 3600
-    )
+    t = triple_trace(jobs, [2 * j for j in jobs], compute)
+    linear = series_correlations(*(mt.bucket_time_series(t, d, 3600) for d in SUM_DIMENSIONS))
     assert linear.r_jobs_data == 1.0
     ok(3, "1000-bucket triples match independent Pearson within 1e-9; linear pair r = 1.0")
 
@@ -146,7 +146,7 @@ def test_criterion_06_synthesis_fidelity():
         assert ks_distance(src, syn) <= 0.05, dim
 
     def hourly_data_compute_corr(t):
-        c = mt.dimension_correlations(t, 3600)
+        c = series_correlations(*(mt.bucket_time_series(t, d, 3600) for d in SUM_DIMENSIONS))
         return c.r_data_compute
 
     src_corr = hourly_data_compute_corr(trace)
@@ -186,9 +186,9 @@ def test_criterion_07_simulator_conservation():
     serial = mt.simulate(
         wl([job(0, 1, 10.0, source=0), job(0, 1, 10.0, source=1)]), cfg()
     )
-    assert [t.completion for t in serial.job_timings] == [10.0, 20.0]
+    assert serial.completion.tolist() == [10.0, 20.0]
     barrier = mt.simulate(wl([job(0, 2, 20.0, reduces=1, reduce_ts=5.0)]), cfg(map_slots=2))
-    assert barrier.job_timings[0].completion == 15.0
+    assert barrier.completion.tolist() == [15.0]
     ok(7, "busy slot-seconds conserved on 100 random workloads; 3 hand schedules exact")
 
 

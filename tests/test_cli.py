@@ -11,7 +11,7 @@ from mrtrace import SimConfig, build_workload_model, parse_trace, simulate, synt
 from mrtrace import compute_patterns as cp
 from mrtrace import temporal as ts
 from mrtrace.cli import atomic_open, main
-from mrtrace.report import ReportBuilder, json_text
+from mrtrace.report import Records, ReportBuilder, json_text
 from mrtrace.temporal import MAX_BUCKETS
 from conftest import full_rec, make_trace, mixed_workload_trace, trace_to_jsonl
 
@@ -172,15 +172,17 @@ class TestAnalyze:
 PAST_INT64 = str(10**23)
 
 
+@pytest.fixture
+def two_jobs(tmp_path, monkeypatch):
+    """Two complete jobs two hours apart, in two.jsonl in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    return str(trace_to_jsonl(make_trace([full_rec(0, 0), full_rec(1, 7200)]),
+                              tmp_path / "two.jsonl"))
+
+
 class TestWidthsPastInt64:
     """Any width past the span gives one bucket or window, and every output
     keeps the width as given."""
-
-    @pytest.fixture
-    def two_jobs(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        return str(trace_to_jsonl(make_trace([full_rec(0, 0), full_rec(1, 7200)]),
-                                  tmp_path / "two.jsonl"))
 
     def test_analyze(self, two_jobs, capsys):
         assert main(["analyze", "--trace", two_jobs, "--bucket-width", PAST_INT64,
@@ -451,7 +453,8 @@ class TestSubcommands:
             "busy_map_slot_seconds": res.busy_map_slot_seconds,
             "busy_reduce_slot_seconds": res.busy_reduce_slot_seconds,
             "total_slots": res.total_slots,
-            "job_timings": [vars(t) for t in res.job_timings],
+            "job_timings": Records(submit=res.submit, first_task_start=res.first_task_start,
+                                   completion=res.completion),
         }))
         assert (tmp_path / "in_process.json").read_bytes() == sim.read_bytes()
 

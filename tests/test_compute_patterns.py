@@ -56,19 +56,22 @@ class TestNameBreakdown:
         t = self._named([("insert a", 1, 1.0), ("insert b", 1, 1.0),
                          ("select c", 1, 1.0), ("etl d", 1, 1.0)])
         b = name_breakdown(t, "jobs")
-        assert b.entries == [("insert", 0.5), ("etl", 0.25), ("select", 0.25)]
+        assert b.words == ["insert", "etl", "select"]
+        assert b.fractions == [0.5, 0.25, 0.25]
         assert b.other_fraction == 0.0
 
     def test_io_weighting_dominated_by_heavy_job(self):
         t = self._named([("insert a", 10, 1.0), ("insert b", 10, 1.0),
                          ("select c", 10, 1.0), ("etl d", 300, 1.0)])
         b = name_breakdown(t, "io_bytes")
-        assert b.entries[0] == ("etl", pytest.approx(300 / 330))
+        assert b.words[0] == "etl"
+        assert b.fractions[0] == pytest.approx(300 / 330)
 
     def test_task_time_weighting(self):
         t = self._named([("insert a", 1, 30.0), ("etl d", 1, 10.0)])
         b = name_breakdown(t, "task_time")
-        assert b.entries == [("insert", pytest.approx(0.75)), ("etl", pytest.approx(0.25))]
+        assert b.words == ["insert", "etl"]
+        assert b.fractions == [pytest.approx(0.75), pytest.approx(0.25)]
 
     def test_fractions_sum_to_one_under_every_weighting(self):
         rng = random.Random(18)
@@ -79,12 +82,13 @@ class TestNameBreakdown:
         ])
         for weighting in ("jobs", "io_bytes", "task_time"):
             b = name_breakdown(t, weighting, min_fraction=0.15)
-            assert sum(f for _, f in b.entries) + b.other_fraction == pytest.approx(1.0, abs=1e-9)
+            assert sum(b.fractions) + b.other_fraction == pytest.approx(1.0, abs=1e-9)
 
     def test_cutoff_folds_into_other(self):
         t = self._named([("aa", 1, 1.0)] * 0 + [("big j", 1, 1.0)] * 9 + [("rare k", 1, 1.0)])
         b = name_breakdown(t, "jobs", min_fraction=0.2)
-        assert b.entries == [("big", pytest.approx(0.9))]
+        assert b.words == ["big"]
+        assert b.fractions == [pytest.approx(0.9)]
         assert b.other_fraction == pytest.approx(0.1)
 
     def test_nameless_trace(self):
@@ -95,7 +99,7 @@ class TestNameBreakdown:
     def test_partially_named_uses_unnamed_token(self):
         t = make_trace([rec(0, 0, name="etl x"), rec(1, 1)])
         b = name_breakdown(t, "jobs")
-        assert dict(b.entries) == {"etl": 0.5, UNNAMED: 0.5}
+        assert dict(zip(b.words, b.fractions)) == {"etl": 0.5, UNNAMED: 0.5}
 
 
 class TestFeatureVectors:

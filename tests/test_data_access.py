@@ -37,16 +37,18 @@ class TestDataSizeCdf:
     def test_three_values(self):
         t = make_trace([rec(i, i, input_bytes=b) for i, b in enumerate((10, 20, 30))])
         cdf = data_size_cdf(t, "input")
-        assert cdf.points == [(10.0, 1 / 3), (20.0, 2 / 3), (30.0, 1.0)]
+        assert cdf.values.tolist() == [10.0, 20.0, 30.0]
+        assert cdf.fractions.tolist() == [1 / 3, 2 / 3, 1.0]
 
     def test_single_job_steps_to_one(self):
         t = make_trace([rec(0, 0, output_bytes=42)])
         cdf = data_size_cdf(t, "output")
-        assert cdf.points == [(42.0, 1.0)]
+        assert (cdf.values.tolist(), cdf.fractions.tolist()) == ([42.0], [1.0])
 
     def test_duplicates_merge(self):
         t = make_trace([rec(i, i, input_bytes=b) for i, b in enumerate((10, 10, 20))])
-        assert data_size_cdf(t, "input").points == [(10.0, 2 / 3), (20.0, 1.0)]
+        cdf = data_size_cdf(t, "input")
+        assert (cdf.values.tolist(), cdf.fractions.tolist()) == ([10.0, 20.0], [2 / 3, 1.0])
 
     def test_missing_dimension_raises(self):
         t = make_trace([rec(0, 0, input_bytes=1)])
@@ -72,12 +74,13 @@ class TestAccessFrequencyRank:
         a, b, c = 111, 222, 333
         t = make_trace(reading_jobs([(a, 1)] * 4 + [(b, 1)] * 2 + [(c, 1)]))
         table = access_frequency_rank(t, "input")
-        assert [(d, n) for d, n, _ in table.entries] == [(a, 4), (b, 2), (c, 1)]
+        assert table.digests.tolist() == [a, b, c]
+        assert table.counts.tolist() == [4, 2, 1]
 
     def test_all_distinct_ordered_by_digest(self):
         t = make_trace(reading_jobs([(30, 1), (10, 1), (20, 1)]))
         table = access_frequency_rank(t, "input")
-        assert [d for d, _, _ in table.entries] == [10, 20, 30]
+        assert table.digests.tolist() == [10, 20, 30]
         assert list(table.counts) == [1, 1, 1]
 
     def test_count_sum_equals_contributing_jobs(self):
@@ -89,8 +92,7 @@ class TestAccessFrequencyRank:
 
     def test_last_known_size_tracks_most_recent(self):
         t = make_trace(reading_jobs([(7, 100), (7, 50)]))
-        (_, _, size), = access_frequency_rank(t, "input").entries
-        assert size == 50
+        assert access_frequency_rank(t, "input").sizes.tolist() == [50.0]
 
     def test_planted_zipf_counts_recovered(self):
         # Plant exact access counts per file, then verify the table against
@@ -107,7 +109,7 @@ class TestAccessFrequencyRank:
         recount = {}
         for digest, _ in jobs:
             recount[digest] = recount.get(digest, 0) + 1
-        assert {d: c for d, c, _ in table.entries} == recount
+        assert dict(zip(table.digests.tolist(), table.counts.tolist())) == recount
 
         fit = fit_zipf(table)
         assert fit.r_squared > 0.98
@@ -172,13 +174,13 @@ class TestAccessVsSize:
     def test_single_file(self):
         t = make_trace(reading_jobs([(1, 500)]))
         jobs_cdf, bytes_cdf = access_vs_size_curves(t, "input")
-        assert jobs_cdf.points == [(500.0, 1.0)]
-        assert bytes_cdf.points == [(500.0, 1.0)]
+        for cdf in (jobs_cdf, bytes_cdf):
+            assert (cdf.values.tolist(), cdf.fractions.tolist()) == ([500.0], [1.0])
 
     def test_file_size_is_max_observed(self):
         t = make_trace(reading_jobs([(1, 100), (1, 300), (1, 200)]))
         jobs_cdf, _ = access_vs_size_curves(t, "input")
-        assert jobs_cdf.points == [(300.0, 1.0)]
+        assert (jobs_cdf.values.tolist(), jobs_cdf.fractions.tolist()) == ([300.0], [1.0])
 
     def test_both_cdfs_end_at_one(self):
         rng = random.Random(5)
@@ -303,12 +305,14 @@ class TestReaccess:
         assert stats.interval_cdf.sample_count == len(gaps)
         if gaps:
             expected = EmpiricalCDF.from_samples(np.asarray(gaps, dtype=np.float64))
-            assert stats.interval_cdf.points == expected.points
+            assert stats.interval_cdf.values.tolist() == expected.values.tolist()
+            assert stats.interval_cdf.fractions.tolist() == expected.fractions.tolist()
 
     def test_rereads_of_one_file(self):
         t = make_trace([rec(i, ts, input_path_hash=1) for i, ts in enumerate((0, 3600, 7200))])
         stats = reaccess_intervals(t)
-        assert stats.interval_cdf.points == [(3600.0, 1.0)]
+        gaps = stats.interval_cdf
+        assert (gaps.values.tolist(), gaps.fractions.tolist()) == ([3600.0], [1.0])
         assert stats.interval_cdf.sample_count == 2
         assert stats.reaccess_job_fraction == pytest.approx(2 / 3)
 
@@ -324,7 +328,8 @@ class TestReaccess:
             rec(1, 500, input_path_hash=9),
         ])
         stats = reaccess_intervals(t)
-        assert stats.interval_cdf.points == [(500.0, 1.0)]
+        gaps = stats.interval_cdf
+        assert (gaps.values.tolist(), gaps.fractions.tolist()) == ([500.0], [1.0])
         assert stats.reaccess_job_fraction == 1.0
 
     def test_no_input_hashes_raises(self):

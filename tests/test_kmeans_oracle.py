@@ -152,8 +152,10 @@ def _child(code: str, **env) -> subprocess.CompletedProcess:
     paths = [str(tests.parent / "src"), str(tests)]
     child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     child_env.update(env, PYTHONPATH=os.pathsep.join(paths))
+    # Run from tests/, whose conftest is the one the test modules import:
+    # the repository root has a conftest.py of its own.
     return subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True,
-                          text=True, timeout=300)
+                          text=True, timeout=300, cwd=tests)
 
 
 def test_two_blas_threads_match_the_oracle():

@@ -31,6 +31,11 @@ def job(offset, maps, map_ts, reduces=0, reduce_ts=0.0, source=0):
     )
 
 
+def timings(res):
+    """Each job's submit, first task start and completion times, as lists."""
+    return res.submit.tolist(), res.first_task_start.tolist(), res.completion.tolist()
+
+
 def cfg(nodes=1, map_slots=1, reduce_slots=1, scheduler="fifo"):
     return SimConfig(nodes=nodes, map_slots_per_node=map_slots,
                      reduce_slots_per_node=reduce_slots, scheduler=scheduler)
@@ -40,42 +45,42 @@ class TestHandSchedules:
     def test_single_task(self):
         res = simulate(wl([job(0, maps=1, map_ts=10.0)]), cfg())
         assert res.makespan == 10.0
-        assert res.job_timings[0].completion == 10.0
-        assert res.job_timings[0].first_task_start == 0.0
+        assert res.completion.tolist() == [10.0]
+        assert res.first_task_start.tolist() == [0.0]
 
     def test_fifo_serializes_on_one_slot(self):
         jobs = [job(0, maps=1, map_ts=10.0, source=0), job(0, maps=1, map_ts=10.0, source=1)]
         res = simulate(wl(jobs), cfg())
-        assert [t.completion for t in res.job_timings] == [10.0, 20.0]
+        assert res.completion.tolist() == [10.0, 20.0]
 
     def test_map_barrier_then_reduce(self):
         jobs = [job(0, maps=2, map_ts=20.0, reduces=1, reduce_ts=5.0)]
         res = simulate(wl(jobs), cfg(map_slots=2))
         # two 10s maps in parallel, barrier at 10, then the 5s reduce
-        assert res.job_timings[0].completion == 15.0
+        assert res.completion.tolist() == [15.0]
         assert res.makespan == 15.0
 
     def test_fair_round_robins_between_jobs(self):
         jobs = [job(0, maps=2, map_ts=20.0, source=0), job(0, maps=2, map_ts=20.0, source=1)]
         fifo = simulate(wl(jobs), cfg(scheduler="fifo"))
         fair = simulate(wl(jobs), cfg(scheduler="fair"))
-        assert [t.completion for t in fifo.job_timings] == [20.0, 40.0]
+        assert fifo.completion.tolist() == [20.0, 40.0]
         # fair alternates grants: J0 runs at 0-10 and 20-30, J1 at 10-20 and 30-40
-        assert [t.completion for t in fair.job_timings] == [30.0, 40.0]
+        assert fair.completion.tolist() == [30.0, 40.0]
 
     def test_zero_task_job_completes_at_submit(self):
         res = simulate(wl([job(5, maps=0, map_ts=0.0)]), cfg())
-        t = res.job_timings[0]
-        assert t.submit == t.first_task_start == t.completion == 5.0
+        assert timings(res) == ([5.0], [5.0], [5.0])
 
     def test_reduce_only_job_skips_barrier(self):
         res = simulate(wl([job(0, maps=0, map_ts=0.0, reduces=2, reduce_ts=8.0)]), cfg(reduce_slots=2))
-        assert res.job_timings[0].completion == 4.0
+        assert res.completion.tolist() == [4.0]
 
     def test_submit_times_are_offsets_from_span_start(self):
         jobs = [job(150, maps=1, map_ts=2.0), job(160, maps=1, map_ts=3.0, source=1)]
         res = simulate(wl(jobs, span=(100, 200)), cfg())
-        assert [(t.submit, t.completion) for t in res.job_timings] == [(50.0, 52.0), (60.0, 63.0)]
+        assert res.submit.tolist() == [50.0, 60.0]
+        assert res.completion.tolist() == [52.0, 63.0]
 
     def test_tasks_granted_together_form_one_wave(self):
         jobs = [job(0, maps=5, map_ts=50.0, reduces=2, reduce_ts=4.0)]
@@ -91,14 +96,14 @@ class TestHandSchedules:
         jobs = [job(0, maps=2, map_ts=20.0, source=0), job(0, maps=1, map_ts=10.0, source=1),
                 job(0, maps=2, map_ts=20.0, source=2)]
         res = simulate(wl(jobs), cfg(map_slots=2, scheduler="fair"))
-        assert [t.completion for t in res.job_timings] == [20.0, 10.0, 30.0]
+        assert res.completion.tolist() == [20.0, 10.0, 30.0]
         assert sorted(res.task_intervals[:, 3].tolist()) == [1, 1, 1, 1, 1]
 
     def test_later_arrival_waits_for_submit(self):
         jobs = [job(0, maps=1, map_ts=2.0), job(100, maps=1, map_ts=3.0, source=1)]
         res = simulate(wl(jobs), cfg())
-        assert res.job_timings[1].first_task_start == 100.0
-        assert res.job_timings[1].completion == 103.0
+        assert res.first_task_start[1] == 100.0
+        assert res.completion[1] == 103.0
 
 
 def random_workload(rng, n_jobs=30):
@@ -133,8 +138,8 @@ class TestConservation:
         rng = random.Random(41)
         w = random_workload(rng, 50)
         res = simulate(w, cfg(nodes=2, map_slots=2))
-        for t in res.job_timings:
-            assert t.submit <= t.first_task_start <= t.completion
+        assert (res.submit <= res.first_task_start).all()
+        assert (res.first_task_start <= res.completion).all()
 
     def test_fifo_single_slot_completes_in_submit_order(self):
         rng = random.Random(42)
@@ -144,21 +149,20 @@ class TestConservation:
             t += rng.randrange(1, 10)
             jobs.append(job(t, maps=1, map_ts=float(rng.randrange(1, 20)), source=i))
         res = simulate(wl(jobs), cfg())
-        completions = [x.completion for x in res.job_timings]
-        assert completions == sorted(completions)
+        assert (np.diff(res.completion) >= 0).all()
 
     def test_deterministic(self):
         rng = random.Random(43)
         w = random_workload(rng, 40)
         a = simulate(w, cfg(nodes=2, map_slots=3, reduce_slots=2, scheduler="fair"))
         b = simulate(w, cfg(nodes=2, map_slots=3, reduce_slots=2, scheduler="fair"))
-        assert [vars(x) for x in a.job_timings] == [vars(x) for x in b.job_timings]
+        assert timings(a) == timings(b)
         assert np.array_equal(a.task_intervals, b.task_intervals)
 
     def test_submit_offset_past_int64_names_the_job(self):
         last_fit = INT64_MAX // US  # seconds
         res = simulate(wl([job(0, 0, 0.0), job(last_fit, 0, 0.0, source=7)]), cfg())
-        assert res.job_timings[1].completion == last_fit
+        assert res.completion[1] == last_fit
         with pytest.raises(SimTimeOverflow, match=f"^job 7: submit offset .* {(last_fit + 1) * US} us "):
             simulate(wl([job(0, 0, 0.0), job(last_fit + 1, 0, 0.0, source=7)]), cfg())
 
@@ -179,14 +183,18 @@ class TestConservation:
 class TestOccupancy:
     def test_total_busy_time_past_int64_rejected(self):
         # 3 * 2**61 + 2**61 - 1 slot-microseconds is INT64_MAX; one more is not.
+        none = np.empty(0)
+
         def result(last_len):
             rows = np.array([[0, 2**61, 0, 3], [0, last_len, 1, 1]], dtype=np.int64)
-            return SimResult(job_timings=[], makespan=0.0, busy_map_slot_seconds=0.0,
-                             busy_reduce_slot_seconds=0.0, task_intervals=rows, total_slots=4)
+            return SimResult(submit=none, first_task_start=none, completion=none, makespan=0.0,
+                             busy_map_slot_seconds=0.0, busy_reduce_slot_seconds=0.0,
+                             task_intervals=rows, total_slots=4)
 
         width = 10**8
         at_limit = sim_occupancy_series(result(2**61 - 1), width)
-        per_task = SimResult([], 0.0, 0.0, 0.0, [(0, 2**61, 0)] * 3 + [(0, 2**61 - 1, 1)], 4)
+        per_task = SimResult(none, none, none, 0.0, 0.0, 0.0,
+                             [(0, 2**61, 0)] * 3 + [(0, 2**61 - 1, 1)], 4)
         assert at_limit.values.tolist() == oracle.sim_occupancy_series(per_task, width).values.tolist()
         with pytest.raises(SimTimeOverflow, match=f"^total busy slot time {2**63} us does not fit"):
             sim_occupancy_series(result(2**61), width)
@@ -259,7 +267,7 @@ class TestPerTaskOracle:
     @given(w=workloads(), config=clusters)
     def test_waves_replay_the_per_task_simulator(self, w, config):
         got, want = simulate(w, config), oracle.simulate(w, config)
-        assert [vars(t) for t in got.job_timings] == [vars(t) for t in want.job_timings]
+        assert timings(got) == timings(want)
         assert got.makespan == want.makespan
         assert got.busy_map_slot_seconds == want.busy_map_slot_seconds
         assert got.busy_reduce_slot_seconds == want.busy_reduce_slot_seconds
@@ -285,7 +293,7 @@ class TestPerTaskOracle:
         for scheduler in ("fifo", "fair"):
             config = cfg(scheduler=scheduler)
             got, want = simulate(wl(jobs), config), oracle.simulate(wl(jobs), config)
-            assert [vars(t) for t in got.job_timings] == [vars(t) for t in want.job_timings]
+            assert timings(got) == timings(want)
             for width in (1, 5, 10, 10**6, 10**13):
                 assert (sim_occupancy_series(got, width).values.tolist()
                         == oracle.sim_occupancy_series(want, width).values.tolist())

@@ -309,7 +309,8 @@ class TestDataPlan:
         ])
         wl = synthesize(build_workload_model(t), 1, 2, "replay_scaled")
         plan = data_prepopulation_plan(wl)
-        assert len(plan.files) == 3
+        assert plan.file_ids == ["input_0", "input_1", "input_2"]
+        assert plan.sizes == [10**6, 2 * 10**6, 2 * 10**6]
         assert plan.total_bytes == 5 * 10**6
 
     def test_empty_workload_rejected(self):
@@ -328,15 +329,15 @@ class TestDataPlan:
         for j, source in zip(wl.jobs.records, wl.source_job_id.tolist()):
             by_source[source] = j.input_bytes
         assert plan.total_bytes == sum(by_source.values())
-        assert len(plan.files) == len(by_source)
+        assert len(plan.file_ids) == len(plan.sizes) == len(by_source)
 
     def test_duplicated_sources_yield_one_file(self):
         t = mixed_workload_trace(n_jobs=50, seed=33)
         model = build_workload_model(t)
         wl = synthesize(model, 10, model.span_seconds, "sampled", seed=6)
-        ids = [f for f, _ in data_prepopulation_plan(wl).files]
-        assert len(ids) == len(set(ids))
-        assert all(type(size) is int for _, size in data_prepopulation_plan(wl).files)
+        plan = data_prepopulation_plan(wl)
+        assert len(plan.file_ids) == len(set(plan.file_ids))
+        assert all(type(size) is int for size in plan.sizes)
 
 
 class TestClosure:
@@ -429,4 +430,5 @@ def test_synthesis_matches_per_record_oracle(trace, target_machines, width, mode
             assert col.dtype == getattr(want_cols, name).dtype, name
 
     plan = data_prepopulation_plan(wl)
-    assert (plan.files, plan.total_bytes) == plan_oracle(want_jobs, want_sources)
+    assert (list(zip(plan.file_ids, plan.sizes)), plan.total_bytes) == plan_oracle(
+        want_jobs, want_sources)

@@ -17,7 +17,6 @@ from mrtrace import (
     ZeroVariance,
     bucket_time_series,
     burstiness_curve,
-    dimension_correlations,
     occupancy_series,
     peak_to_median,
     periodogram,
@@ -177,7 +176,7 @@ class TestOccupancy:
 class TestBurstiness:
     def test_constant_series(self):
         curve = burstiness_curve(series([5, 5, 5, 5]))
-        assert all(r == pytest.approx(1.0, abs=1e-9) for r, _ in curve.points)
+        assert all(r == pytest.approx(1.0, abs=1e-9) for r in curve.ratios)
 
     def test_sine_extremes(self):
         t = np.arange(48)
@@ -194,9 +193,9 @@ class TestBurstiness:
         rng = random.Random(13)
         s = series([rng.randrange(1, 100) for _ in range(50)])
         curve = burstiness_curve(s, list(range(0, 101)))
-        ratios = [r for r, _ in curve.points]
-        assert ratios == sorted(ratios)
-        assert dict((p, r) for r, p in curve.points)[50] == pytest.approx(1.0, abs=1e-9)
+        assert (np.diff(curve.ratios) >= 0).all()
+        assert curve.percentiles.tolist() == list(range(0, 101))
+        assert curve.ratios[50] == pytest.approx(1.0, abs=1e-9)
 
     def test_median_zero(self):
         with pytest.raises(MedianZero):
@@ -253,8 +252,7 @@ class TestCorrelations:
         jobs = [1 + (h % 5) for h in range(50)]
         data = [2 * j for j in jobs]
         ts_ = [((h * 7) % 11) + 1 for h in range(50)]
-        t = triple_trace(jobs, data, ts_)
-        corr = dimension_correlations(t, 3600)
+        corr = series_correlations(series(jobs), series(data), series(ts_))
         assert corr.r_jobs_data == 1.0
 
     def test_matches_independent_pearson(self):
@@ -262,8 +260,7 @@ class TestCorrelations:
         jobs = [rng.randrange(1, 20) for _ in range(300)]
         data = [rng.randrange(0, 10**6) for _ in range(300)]
         ts_ = [rng.randrange(0, 5000) for _ in range(300)]
-        t = triple_trace(jobs, data, ts_)
-        corr = dimension_correlations(t, 3600)
+        corr = series_correlations(series(jobs), series(data), series(ts_))
         assert corr.r_jobs_data == pytest.approx(pearson_oracle(jobs, data), abs=1e-9)
         assert corr.r_jobs_compute == pytest.approx(pearson_oracle(jobs, ts_), abs=1e-9)
         assert corr.r_data_compute == pytest.approx(pearson_oracle(data, ts_), abs=1e-9)
@@ -275,7 +272,7 @@ class TestCorrelations:
         jobs = [rng.randrange(1, 50) for _ in range(n)]
         data = [rng.randrange(0, 10**6) for _ in range(n)]
         ts_ = [rng.randrange(0, 5000) for _ in range(n)]
-        corr = dimension_correlations(triple_trace(jobs, data, ts_), 3600)
+        corr = series_correlations(series(jobs), series(data), series(ts_))
         assert abs(corr.r_jobs_data) < 0.1
         assert abs(corr.r_jobs_compute) < 0.1
         assert abs(corr.r_data_compute) < 0.1
@@ -285,22 +282,21 @@ class TestCorrelations:
         jobs = [rng.randrange(1, 20) for _ in range(100)]
         data = [rng.randrange(1, 10**6) for _ in range(100)]
         ts_ = [rng.randrange(1, 5000) for _ in range(100)]
-        base = dimension_correlations(triple_trace(jobs, data, ts_), 3600)
-        scaled = dimension_correlations(
-            triple_trace(jobs, [7 * d + 13 for d in data], ts_), 3600
-        )
+        base = series_correlations(series(jobs), series(data), series(ts_))
+        scaled = series_correlations(series(jobs), series([7 * d + 13 for d in data]), series(ts_))
         assert scaled.r_jobs_data == pytest.approx(base.r_jobs_data, abs=1e-9)
 
     def test_constant_series_rejected(self):
-        t = triple_trace([2] * 60, [100] * 60, [5] * 60)
         with pytest.raises(ZeroVariance):
-            dimension_correlations(t, 3600)
+            series_correlations(series([2] * 60), series([100] * 60), series([5] * 60))
 
     def test_built_series_give_the_trace_correlations(self):
         rng = random.Random(17)
-        t = triple_trace(*([rng.randrange(1, 100) for _ in range(80)] for _ in range(3)))
-        built = [dimension_series(t, d, 1800) for d in SUM_DIMENSIONS]
-        assert series_correlations(*built) == dimension_correlations(t, 1800)
+        vectors = [[rng.randrange(1, 100) for _ in range(80)] for _ in range(3)]
+        t = triple_trace(*vectors)
+        built = [dimension_series(t, d, 3600) for d in SUM_DIMENSIONS]
+        assert [s.values.tolist() for s in built] == vectors
+        assert series_correlations(*built) == series_correlations(*map(series, vectors))
 
 
 def test_dimension_series_builds_each_dimension():
@@ -332,13 +328,12 @@ class TestPeriodogram:
         s = series(np.sin(2 * np.pi * t / 24))
         peaks = periodogram(s)
         assert peaks.diurnal
-        period, frac = peaks.components[0]
-        assert period == pytest.approx(86400.0)
-        assert frac == pytest.approx(1.0, abs=1e-9)
+        assert peaks.periods[0] == pytest.approx(86400.0)
+        assert peaks.fractions[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_constant_series(self):
         peaks = periodogram(series([3.0] * 100))
-        assert peaks.components == []
+        assert peaks.periods.size == peaks.fractions.size == 0
         assert not peaks.diurnal
 
     def test_two_equal_tones_match_oracle(self):
@@ -346,14 +341,14 @@ class TestPeriodogram:
         vals = np.sin(2 * np.pi * t / 24) + np.sin(2 * np.pi * t / 7)
         s = series(vals)
         peaks = periodogram(s, top_k=2)
-        periods = sorted(p for p, _ in peaks.components)
+        periods = sorted(peaks.periods)
         assert periods[0] == pytest.approx(7 * 3600.0)
         assert periods[1] == pytest.approx(86400.0)
         assert peaks.diurnal
 
         oracle = dft_power_oracle(vals.tolist())
         total = sum(oracle[1:])
-        for period, frac in peaks.components:
+        for period, frac in zip(peaks.periods, peaks.fractions):
             k = round(168 * 3600 / period)
             assert frac == pytest.approx(oracle[k] / total, abs=1e-9)
 
@@ -365,15 +360,18 @@ class TestPeriodogram:
 class TestZeroRuns:
     def test_gap_flagged(self):
         vals = [5.0] * 10 + [0.0] * 30 + [4.0] * 10
-        assert zero_runs(series(vals)) == [(10, 30)]
+        starts, lengths = zero_runs(series(vals))
+        assert (starts.tolist(), lengths.tolist()) == ([10], [30])
 
     def test_short_gaps_ignored(self):
         vals = [5.0, 0.0] * 30
-        assert zero_runs(series(vals)) == []
+        starts, lengths = zero_runs(series(vals))
+        assert starts.size == lengths.size == 0
 
     def test_trailing_gap(self):
         vals = [5.0] * 5 + [0.0] * 24
-        assert zero_runs(series(vals)) == [(5, 24)]
+        starts, lengths = zero_runs(series(vals))
+        assert (starts.tolist(), lengths.tolist()) == ([5], [24])
 
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(st.sampled_from([0.0, -0.0, 5e-324, -2.5, math.nan, math.inf]),
@@ -386,6 +384,6 @@ class TestZeroRuns:
     @example(values=[], min_len=1)
     def test_matches_per_bucket_loop(self, values, min_len):
         s = series(values)
-        got = zero_runs(s, min_len)
-        assert got == zero_runs_per_bucket(s, min_len)
-        assert all(type(x) is int for run in got for x in run)
+        starts, lengths = zero_runs(s, min_len)
+        assert starts.dtype == lengths.dtype == np.int64
+        assert list(zip(starts.tolist(), lengths.tolist())) == zero_runs_per_bucket(s, min_len)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mrtrace import build_workload_model, serialize_trace, synthesize
 from mrtrace import trace as trace_mod
 from mrtrace.columns import TraceColumns
-from mrtrace.report import json_text, tsv_text
+from mrtrace.report import Records, json_text, tsv_text
 from mrtrace.trace import numbered_path_digests
 from conftest import full_rec, make_trace, rec
 from writer_oracle import (
@@ -168,6 +168,33 @@ def record_lists(draw, values):
     return rows
 
 
+# Keys that the row template and the key escapes must carry through.
+record_keys = st.one_of(keys, st.sampled_from(["%", "a%s", "%%d", '"q"', "back\\slash", "naïve",
+                                               "\U0001F600", ""]))
+record_columns = {
+    "int": st.integers(-(2**70), 2**70),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "str": st.text(max_size=4),
+    "int64": INT64,
+    "float64": st.floats(allow_nan=False, allow_infinity=False),
+}
+
+
+@st.composite
+def records(draw, values):
+    """Records of 0-4 columns of one length (0 included): lists of ints,
+    floats, strings or any of values, or int64 and float64 arrays."""
+    n = draw(st.integers(0, 5))
+    columns = {}
+    for key in draw(st.lists(record_keys, max_size=4, unique=True)):
+        kind = draw(st.sampled_from([*record_columns, "values"]))
+        column = draw(st.lists(record_columns.get(kind, values), min_size=n, max_size=n))
+        if kind in ("int64", "float64"):
+            column = np.array(column, dtype=kind)
+        columns[key] = column
+    return Records(**columns)
+
+
 documents = st.recursive(
     scalars,
     lambda inner: st.one_of(
@@ -176,6 +203,7 @@ documents = st.recursive(
         st.dictionaries(keys, inner, max_size=4),
         st.dictionaries(st.integers(-5, 5), inner, max_size=2),
         record_lists(scalars),
+        records(inner),
         st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4).map(np.array),
         st.lists(INT64, max_size=4).map(lambda v: np.array(v, dtype=np.int64)),
         st.lists(st.booleans(), max_size=4).map(np.array),
@@ -210,6 +238,25 @@ class TestJsonText:
     ], ids=repr)
     def test_fixed_documents(self, doc):
         assert json_text(doc) == json_text_per_value(doc)
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=records(scalars), depth=st.integers(0, 3))
+    def test_records_match_their_list_of_dicts(self, table, depth):
+        doc = table
+        for level in range(depth):
+            doc = {"level": level, "rows": doc} if level % 2 else [doc, level]
+        same_outcome(json_text, json_text_per_value, doc)
+
+    def test_empty_records(self):
+        for doc in (Records(), Records(a=[], b=np.array([])), {"gaps": Records(start=[])}):
+            assert json_text(doc) == json_text_per_value(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 4), min_size=2, max_size=4).filter(
+        lambda ls: len(set(ls)) > 1))
+    def test_unequal_records_columns_raise(self, lengths):
+        with pytest.raises(ValueError, match="differ in length"):
+            Records(**{f"c{i}": np.zeros(n) for i, n in enumerate(lengths)})
 
     def test_unsupported_key_and_value_types_raise(self):
         for doc in ({np.int64(1): 0}, {"a": object()}, [np.bool_(True)], {"a": {1, 2}}):

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from mrtrace.columns import ROW_FIELDS
+from mrtrace.report import Records
 from mrtrace.trace import FIELD_NAMES, hash_path
 
 _FILE_ORDER = itemgetter(*(ROW_FIELDS.index(k) for k in FIELD_NAMES))
@@ -38,7 +39,11 @@ def _sig9(x: float) -> float:
 
 
 def _clean(obj):
-    """Round floats to 9 significant digits and unbox numpy scalars."""
+    """Round floats to 9 significant digits, unbox numpy scalars, and stand
+    a Records for its list of dicts, one per row."""
+    if isinstance(obj, Records):
+        rows = zip(*map(_clean, obj.columns.values()))
+        return [dict(zip(obj.columns, row)) for row in rows]
     if isinstance(obj, dict):
         return {k: _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
