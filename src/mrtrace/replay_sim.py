@@ -274,11 +274,16 @@ def simulate(trace: Trace, config: SimConfig) -> SimResult:
 def sim_occupancy_series(result: SimResult, bucket_width: int = 3600) -> TimeSeries:
     """Average active slots per bucket, exact in integer microseconds: each
     wave adds count times its overlap with every bucket it touches. Raises
-    SimTimeOverflow when the total busy slot time does not fit int64; that
-    total bounds every bucket and every partial sum below."""
+    InvalidBucketWidth when the width in microseconds does not fit a
+    float64, and SimTimeOverflow when the total busy slot time does not fit
+    int64; that total bounds every bucket and every partial sum below."""
     if bucket_width <= 0:
         raise InvalidBucketWidth(f"bucket_width must be positive, got {bucket_width}")
     width_us = bucket_width * US
+    try:
+        float(width_us)  # the averages divide by it
+    except OverflowError:
+        raise InvalidBucketWidth("bucket_width in microseconds does not fit a 64-bit float") from None
     start, end, _, count = result.task_intervals.T
     end_us = int(end.max(initial=0))
     n = max(1, -(-end_us // width_us))

@@ -119,7 +119,13 @@ def _scaled_workload(
     if not rows.size:
         raise NoData("workload has no jobs")
     source = model.trace
-    factor = target_machine_count / source.machine_count
+    try:
+        factor = target_machine_count / source.machine_count
+    except OverflowError:
+        raise ScaledValueTooLarge(
+            f"{target_machine_count} target machines over {source.machine_count} source "
+            f"machines is a scale factor past the 64-bit float range"
+        ) from None
     src = source.columns.take(rows)
     n = len(src)
     with np.errstate(over="ignore"):  # an overflow to inf is reported below

@@ -129,10 +129,15 @@ def occupancy_series(trace: Trace, bucket_width: int = HOUR_SECONDS) -> TimeSeri
 
     Each job's map+reduce task-seconds are spread uniformly over
     [submit, submit+duration]; per-task start/stop times are not in the
-    per-job schema, so this is an approximation.
+    per-job schema, so this is an approximation. Raises InvalidBucketWidth
+    for a width that does not fit a float64.
     """
     if bucket_width <= 0:
         raise InvalidBucketWidth(f"bucket_width must be positive, got {bucket_width}")
+    try:
+        float(bucket_width)  # the averages divide by it
+    except OverflowError:
+        raise InvalidBucketWidth("bucket_width does not fit a 64-bit float") from None
     cols = trace.columns
     total_ts = cols.map_task_seconds + cols.reduce_task_seconds
     mask = ~np.isnan(total_ts) & ~np.isnan(cols.duration)

@@ -209,6 +209,43 @@ class TestWidthsPastInt64:
         assert "Traceback" not in capsys.readouterr().err
 
 
+PAST_FLOAT64 = str(10**400)
+
+
+class TestValuesPastFloat64:
+    """A width or a machine ratio past the float64 range is an argument
+    error: the section is skipped or the command writes nothing."""
+
+    def test_analyze_skips_occupancy(self, two_jobs, capsys):
+        assert main(["analyze", "--trace", two_jobs, "--bucket-width", PAST_FLOAT64,
+                     "--out", "r.json"]) == 0
+        report = json.loads(Path("r.json").read_text())
+        skipped = {s["section"]: s["reason"] for s in report["skipped"]}
+        assert skipped["time_series.occupancy_slots"] == (
+            "InvalidBucketWidth: bucket_width does not fit a 64-bit float")
+        assert report["time_series.jobs_submitted"]["buckets"] == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", [["--out", "s.json"], []], ids=["file", "stdout"])
+    def test_simulate_writes_nothing(self, two_jobs, out, capsys):
+        assert main(["simulate", "--workload", two_jobs, "--nodes", "1", "--bucket-width",
+                     PAST_FLOAT64, "--occupancy", "o.tsv", *out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "mrtrace simulate: bucket_width in microseconds does not fit a 64-bit float\n")
+        assert captured.out == ""
+        assert not Path("o.tsv").exists() and not Path("s.json").exists()
+
+    @pytest.mark.parametrize("mode", ["sampled", "replay_scaled"])
+    def test_synthesize_writes_nothing(self, two_jobs, mode, capsys):
+        assert main(["synthesize", "--trace", two_jobs, "--target-machines", PAST_FLOAT64,
+                     "--mode", mode, "--out", "w.jsonl", "--data-plan", "p.tsv"]) == 2
+        assert capsys.readouterr().err == (
+            f"mrtrace synthesize: {PAST_FLOAT64} target machines over 1 source machines "
+            "is a scale factor past the 64-bit float range\n")
+        assert not Path("w.jsonl").exists() and not Path("p.tsv").exists()
+
+
 class TestSynthesizeManyWindows:
     def test_window_per_second_over_a_long_span(self, tmp_path, capsys):
         # 4e12 one-second windows: sampled mode would need one per target

@@ -230,6 +230,12 @@ class TestOccupancy:
         with pytest.raises(InvalidBucketWidth, match="got 0"):
             sim_occupancy_series(res, bucket_width=0)
 
+    def test_width_in_microseconds_must_fit_a_float(self):
+        res = simulate(wl([job(0, maps=1, map_ts=10.0)]), cfg())
+        assert sim_occupancy_series(res, bucket_width=10**302).values.tolist() == [1e-301]
+        with pytest.raises(InvalidBucketWidth, match="microseconds does not fit a 64-bit float"):
+            sim_occupancy_series(res, bucket_width=10**303)
+
     def test_bucket_count_limit_is_inclusive(self):
         at_limit = simulate(wl([job(0, maps=1, map_ts=float(MAX_BUCKETS))]), cfg())
         assert len(sim_occupancy_series(at_limit, bucket_width=1)) == MAX_BUCKETS
