@@ -36,10 +36,8 @@ _LETTERS = re.compile(r"[a-z]+")
 @dataclass
 class NameBreakdown:
     weighting: str  # jobs | io_bytes | task_time
-    # First words at or over the cutoff and their weight fractions, parallel
-    # and by non-increasing fraction.
-    words: list[str]
-    fractions: list[float]
+    words: list[str]  # first words at or over the cutoff, by non-increasing fraction
+    fractions: list[float]  # one per word
     other_fraction: float
 
 

@@ -20,6 +20,7 @@ summed per bucket in closed form from the waves.
 from __future__ import annotations
 
 import heapq
+import sys
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import mul
@@ -280,10 +281,8 @@ def sim_occupancy_series(result: SimResult, bucket_width: int = 3600) -> TimeSer
     if bucket_width <= 0:
         raise InvalidBucketWidth(f"bucket_width must be positive, got {bucket_width}")
     width_us = bucket_width * US
-    try:
-        float(width_us)  # the averages divide by it
-    except OverflowError:
-        raise InvalidBucketWidth("bucket_width in microseconds does not fit a 64-bit float") from None
+    if width_us > sys.float_info.max:  # the averages divide by it
+        raise InvalidBucketWidth("bucket_width in microseconds does not fit a 64-bit float")
     start, end, _, count = result.task_intervals.T
     end_us = int(end.max(initial=0))
     n = max(1, -(-end_us // width_us))

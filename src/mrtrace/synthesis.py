@@ -69,13 +69,12 @@ class SyntheticWorkload:
 
 @dataclass
 class DataPlan:
+    """One private input file per distinct source job: access-frequency skew
+    and shared-input structure across jobs are not modeled."""
+
     file_ids: list[str]
-    sizes: list[int]  # bytes of each file, parallel to file_ids
+    sizes: list[int]  # bytes, one per file
     total_bytes: int
-    notes: str = (
-        "one private input file per distinct source job; access-frequency "
-        "skew and shared-input structure across jobs are not modeled"
-    )
 
 
 def build_workload_model(trace: Trace, window_width: int = 3600) -> WorkloadModel:
@@ -122,10 +121,8 @@ def _scaled_workload(
     try:
         factor = target_machine_count / source.machine_count
     except OverflowError:
-        raise ScaledValueTooLarge(
-            f"{target_machine_count} target machines over {source.machine_count} source "
-            f"machines is a scale factor past the 64-bit float range"
-        ) from None
+        raise ScaledValueTooLarge(f"{target_machine_count} target machines over {source.machine_count} "
+                                  "source machines is a scale factor past the 64-bit float range") from None
     src = source.columns.take(rows)
     n = len(src)
     with np.errstate(over="ignore"):  # an overflow to inf is reported below

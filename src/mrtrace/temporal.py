@@ -5,6 +5,7 @@ and Fourier-based diurnal detection.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -46,11 +47,10 @@ class TimeSeries:
 
 @dataclass
 class BurstinessCurve:
-    """Percentile-to-median ratios, read as a normalized rate CDF: float64
-    ratios and the int64 percentiles they are taken at, parallel."""
+    """Percentile-to-median ratios, read as a normalized rate CDF."""
 
-    ratios: np.ndarray
-    percentiles: np.ndarray
+    ratios: np.ndarray  # float64, one per percentile
+    percentiles: np.ndarray  # the percentile grid
     median: float
 
 
@@ -64,11 +64,8 @@ class CorrelationMatrix:
 
 @dataclass
 class SpectralPeaks:
-    """The strongest components, strongest first: float64 periods in
-    seconds and the parallel fractions of the non-DC power they carry."""
-
-    periods: np.ndarray
-    fractions: np.ndarray
+    periods: np.ndarray  # float64 seconds, the strongest component first
+    fractions: np.ndarray  # of the non-DC power, one per period
     diurnal: bool
 
 
@@ -134,10 +131,8 @@ def occupancy_series(trace: Trace, bucket_width: int = HOUR_SECONDS) -> TimeSeri
     """
     if bucket_width <= 0:
         raise InvalidBucketWidth(f"bucket_width must be positive, got {bucket_width}")
-    try:
-        float(bucket_width)  # the averages divide by it
-    except OverflowError:
-        raise InvalidBucketWidth("bucket_width does not fit a 64-bit float") from None
+    if bucket_width > sys.float_info.max:  # the averages divide by it
+        raise InvalidBucketWidth("bucket_width does not fit a 64-bit float")
     cols = trace.columns
     total_ts = cols.map_task_seconds + cols.reduce_task_seconds
     mask = ~np.isnan(total_ts) & ~np.isnan(cols.duration)
@@ -194,20 +189,16 @@ def dimension_series(trace: Trace, dimension: str, bucket_width: int = HOUR_SECO
     return bucket_time_series(trace, dimension, bucket_width)
 
 
-def _percentiles(values: np.ndarray, grid) -> np.ndarray:
-    # Linear interpolation between order statistics (inclusive scheme).
-    return np.percentile(values, grid, method="linear")
-
-
 def burstiness_curve(series: TimeSeries, percentile_grid: Optional[Sequence[int]] = None) -> BurstinessCurve:
-    """Percentile-to-median ratio for each percentile in the grid."""
+    """Percentile-to-median ratio for each percentile in the grid, by linear
+    interpolation between order statistics (the inclusive scheme)."""
     grid = list(percentile_grid) if percentile_grid is not None else list(range(1, 101))
     values = series.values
     median = float(np.percentile(values, 50, method="linear"))
     if median == 0.0:
         raise MedianZero("series median is zero; use a coarser bucket width")
-    ratios = _percentiles(values, grid) / median
-    return BurstinessCurve(ratios=ratios, percentiles=np.array(grid, dtype=np.int64), median=median)
+    ratios = np.percentile(values, grid, method="linear") / median
+    return BurstinessCurve(ratios=ratios, percentiles=np.asarray(grid), median=median)
 
 
 def peak_to_median(series: TimeSeries, percentile: int = 100) -> float:
