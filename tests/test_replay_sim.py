@@ -183,17 +183,17 @@ class TestConservation:
 class TestOccupancy:
     def test_total_busy_time_past_int64_rejected(self):
         # 3 * 2**61 + 2**61 - 1 slot-microseconds is INT64_MAX; one more is not.
-        none = np.empty(0)
+        empty = np.empty(0)
 
         def result(last_len):
             rows = np.array([[0, 2**61, 0, 3], [0, last_len, 1, 1]], dtype=np.int64)
-            return SimResult(submit=none, first_task_start=none, completion=none, makespan=0.0,
+            return SimResult(submit=empty, first_task_start=empty, completion=empty, makespan=0.0,
                              busy_map_slot_seconds=0.0, busy_reduce_slot_seconds=0.0,
                              task_intervals=rows, total_slots=4)
 
         width = 10**8
         at_limit = sim_occupancy_series(result(2**61 - 1), width)
-        per_task = SimResult(none, none, none, 0.0, 0.0, 0.0,
+        per_task = SimResult(empty, empty, empty, 0.0, 0.0, 0.0,
                              [(0, 2**61, 0)] * 3 + [(0, 2**61 - 1, 1)], 4)
         assert at_limit.values.tolist() == oracle.sim_occupancy_series(per_task, width).values.tolist()
         with pytest.raises(SimTimeOverflow, match=f"^total busy slot time {2**63} us does not fit"):
