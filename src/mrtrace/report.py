@@ -161,9 +161,10 @@ def _encode(obj, level: int, out: list) -> None:
 def json_text(obj) -> str:
     """The JSON text of every JSON output, file or stdout: indent 2, floats
     (Python or numpy) rounded to 9 significant digits, numpy integers as
-    ints. Strict: a NaN or infinity raises ValueError instead of writing
-    invalid JSON. The bytes are those of json.dumps(..., indent=2) on the
-    rounded values, but written in one recursive pass."""
+    ints, a Records as its list of objects. Strict: a NaN or infinity
+    raises ValueError instead of writing invalid JSON. The bytes are those
+    of json.dumps(..., indent=2) on the rounded values, but written in one
+    recursive pass."""
     out: list[str] = []
     _encode(obj, 0, out)
     out.append("\n")
