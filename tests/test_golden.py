@@ -2,13 +2,17 @@
 stay byte-identical. A change that alters any of these bytes on purpose
 updates the digests here and says why."""
 
+import csv
 import hashlib
 import io
 import json
 import random
 from dataclasses import fields, replace
 
+import pytest
+
 from mrtrace import JobRecord, parse_trace, serialize_trace
+from mrtrace.trace import FIELD_NAMES
 from mrtrace.cli import main
 from conftest import full_rec, make_trace, mixed_workload_trace, rec, trace_to_jsonl
 
@@ -92,6 +96,24 @@ def test_outputs_match_golden_digests(tmp_path, capsys):
     assert produced == set(GOLDEN)
     for name, digest in GOLDEN.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_csv_trace_gives_the_jsonl_report(tmp_path, newline):
+    """The golden trace written as CSV, with LF or CRLF endings, analyzes
+    to the golden report: the name "SELECT a,b" is quoted."""
+    src = tmp_path / "mixed.csv"
+    with open(src, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator=newline)
+        writer.writerow(FIELD_NAMES)
+        writer.writerows([getattr(job, f) for f in FIELD_NAMES]
+                         for job in mixed_workload_trace(n_jobs=2000, seed=11).records)
+    text = src.read_bytes()
+    assert b',"SELECT a,b",' in text and text.count(newline.encode()) == text.count(b"\n") == 2001
+    out = tmp_path / "report.json"
+    assert main(["analyze", "--trace", str(src), "--format", "csv", "--label", "mixed",
+                 "--seed", "42", "--out", str(out), "--plots", str(tmp_path / "plots")]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["report.json"]
 
 
 CLI_GOLDEN = {
