@@ -16,11 +16,12 @@ its oracle, then reads the chunk line by line: it accepts what the layout
 reader accepts, with the same values, or raises the error naming the
 first bad line. On the seed-11 benchmark inputs the layout reader read
 every chunk: 245 for analyze, 49 for the cache sweep, 25 for the mixed
-source and 25 for the workload synthesized from it. Any other layout
-parses line by line: json.dumps' default separators, escaped names, keys
-that vary by line, CRLF. parse_trace of 200k jobs in such layouts took
-1.6-2.7 s, against 0.46-0.60 s for the compact file (2-core VM). A
-benchmark workload with such input would justify a fast path for it.
+source and 25 for the workload synthesized from it. CRLF and CR endings
+reach both readers as LF. Any other layout parses line by line:
+json.dumps' default separators, escaped names, keys that vary by line.
+parse_trace of 200k jobs in such layouts took 1.6-2.7 s, against
+0.46-0.60 s for the compact file (2-core VM). A benchmark workload with
+such input would justify a fast path for it.
 
 A file of more than one chunk is read on more than one thread. The
 calling thread reads the text lines and hands each chunk to
@@ -63,7 +64,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -284,18 +285,32 @@ def _iter_jsonl(lines: Iterable[str], first_line_no: int = 1):
         yield _record_values(obj, line_no)
 
 
-def _iter_csv(lines: Iterable[str]):
+def _csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """Each CSV record with its line number, counted in records from the
+    header's 1. A record the csv module refuses, such as one with a field
+    past its field_size_limit, raises MalformedRecord."""
     reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
+    for line_no in count(1):
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise MalformedRecord(line_no, f"invalid CSV ({exc})") from exc
+        yield line_no, row
+
+
+def _iter_csv(lines: Iterable[str]):
+    rows = _csv_rows(lines)
+    _, header = next(rows, (1, None))
+    if header is None:
         return
     _require_utf8("".join(header), 1)
     header = [h.strip() for h in header]
     unknown = [h for h in header if h not in _KEY_SET]
     if unknown:
         raise MalformedRecord(1, f"unknown column(s) {unknown}")
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in rows:
         if not row or all(cell == "" for cell in row):
             continue
         _require_utf8("".join(row), line_no)
@@ -314,19 +329,18 @@ def _iter_csv(lines: Iterable[str]):
 
 
 def _open_lines(source, fmt: str):
-    """Yield text lines from a path, bytes, or file object. Bytes that are
-    not UTF-8 become lone surrogates, which the readers report by line."""
+    """Text lines of a path or bytes, split at LF, CRLF or CR alike; jsonl
+    lines end in LF, and CSV lines keep their endings for the csv module.
+    Bytes that are not UTF-8 become lone surrogates, which the readers
+    report by line."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", errors="surrogateescape",
-                    newline="" if fmt == "csv" else None)
-    if isinstance(source, bytes):
-        return io.StringIO(source.decode("utf-8", "surrogateescape"))
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8", "surrogateescape")
-        return io.StringIO(data)
-    raise TypeError(f"unsupported trace source {type(source)!r}")
+        raw = open(source, "rb")
+    elif isinstance(source, bytes):
+        raw = io.BytesIO(source)
+    else:
+        raise TypeError(f"unsupported trace source {type(source)!r}")
+    return io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape",
+                            newline="" if fmt == "csv" else None)
 
 
 def _columns_of(rows: Iterable[tuple]) -> TraceColumns:
@@ -635,7 +649,7 @@ def parse_trace(
 ) -> Trace:
     """Parse a trace file into an immutable Trace.
 
-    source may be a path, bytes, or an open file. Records are sorted by
+    source may be a path or bytes, read alike. Records are sorted by
     submit_time (stable, so ties keep source order), and the span runs
     from the first submit time to the last.
     """

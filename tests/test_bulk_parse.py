@@ -78,7 +78,7 @@ def assert_same_outcome(got, want):
             assert np.array_equal(np.signbit(other), np.signbit(value)), key
 
 
-def fallback_calls(data: bytes, chunk: int) -> int:
+def fallback_calls(data, chunk: int) -> int:
     calls = []
     exact = trace._iter_jsonl
 
@@ -302,6 +302,13 @@ def test_crlf_file_takes_the_bulk_path(tmp_path):
     with line_by_line():
         want = outcome(path.read_bytes())
     assert_same_outcome(t, want)
+
+
+def test_crlf_lines_take_the_layout_reader_from_path_and_bytes(tmp_path):
+    data = b"".join(b'{"job_id":%d,"submit_time":%d}\r\n' % (i, 10 - i) for i in range(10))
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(data)
+    assert fallback_calls(path, chunk=4096) == fallback_calls(data, chunk=4096) == 0
 
 
 # -- fast-path coverage guard -------------------------------------------------

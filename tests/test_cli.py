@@ -73,6 +73,17 @@ class TestAnalyze:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "names"])
+    def test_csv_field_past_the_csv_module_limit_is_a_data_error(self, tmp_path, capsys, command):
+        path = tmp_path / "long.csv"
+        path.write_text("job_id,submit_time,name\n1,0,a\n2,1," + "x" * 200_000 + "\n")
+        out = tmp_path / "out"
+        assert main([command, "--trace", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mrtrace {command}: line 3: invalid CSV (")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_each_series_is_built_once(self, trace_file, monkeypatch):
         calls = []
         for fn in ("bucket_time_series", "occupancy_series"):

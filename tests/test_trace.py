@@ -313,3 +313,44 @@ class TestHashPath:
         paths = {f"/data/{rng.randrange(10**12)}/{i}" for i in range(100_000)}
         digests = {hash_path(p) for p in paths}
         assert len(digests) == len(paths)
+
+
+# The same jobs in both formats; a bad last line raises at line 3 (jsonl)
+# or 4 (csv, after the header).
+SPLIT_LINES = {
+    "jsonl": ['{"job_id":1,"submit_time":5,"name":"a,b"}',
+              '{"job_id":2,"submit_time":3,"input_bytes":7}'],
+    "csv": ["job_id,submit_time,name,input_bytes", '1,5,"a,b",', "2,3,,7"],
+}
+BAD_LAST_LINE = {"jsonl": '{"job_id":3}', "csv": "3,x"}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("endings", [["\n"], ["\r\n"], ["\r"], ["\r\n", "\r", "\n"]],
+                         ids=["lf", "crlf", "cr", "mixed"])
+@pytest.mark.parametrize("bad", [False, True], ids=["good", "bad"])
+def test_path_and_bytes_split_lines_alike(tmp_path, fmt, endings, bad):
+    lines = SPLIT_LINES[fmt] + [BAD_LAST_LINE[fmt]] * bad
+    data = "".join(line + endings[i % len(endings)] for i, line in enumerate(lines)).encode()
+    path = tmp_path / f"t.{fmt}"
+    path.write_bytes(data)
+    for source in (path, data):
+        if bad:
+            with pytest.raises((MalformedRecord, MissingRequiredField)) as ei:
+                parse_trace(source, fmt)
+            assert str(ei.value).startswith(f"line {len(lines)}: ")
+        else:
+            assert list(parse_trace(source, fmt).records) == [
+                JobRecord(2, 3, input_bytes=7), JobRecord(1, 5, name="a,b")]
+
+
+@pytest.mark.parametrize("text, bad_line", [
+    ("job_id,submit_time,name\n1,0,a\n2,1,{long}\n", 3),
+    # Records are numbered, so a quoted cell over two lines counts once.
+    ('job_id,submit_time,name\n1,0,"a\nb"\n2,1,{long}\n', 3),
+    ("job_id,{long}\n1,0\n", 1),
+])
+def test_csv_field_past_the_csv_module_limit_is_malformed(text, bad_line):
+    with pytest.raises(MalformedRecord) as ei:
+        parse_trace(text.format(long="x" * 200_000).encode(), "csv")
+    assert ei.value.line_no == bad_line and "invalid CSV" in ei.value.reason
