@@ -162,7 +162,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("cachesim", help="trace-driven storage cache simulation")
     _add_trace_args(p)
-    p.add_argument("--capacity", type=_positive_int, required=True, help="cache capacity in bytes")
+    p.add_argument("--capacity", type=_positive_int,
+                   help="cache capacity in bytes; required without --sweep")
     p.add_argument("--admission", type=_admission, default="all",
                    help='"all" or "size:<bytes>" for size-threshold admission')
     p.add_argument("--eviction", type=_eviction, default="lru",
@@ -343,6 +344,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "cachesim" and args.capacity is None and args.sweep is None:
+        parser.error("the following arguments are required: --capacity (or --sweep)")
     # Only a command that takes --seed reads MRTRACE_SEED, and --seed wins.
     if "seed" in args and args.seed is None:
         try:

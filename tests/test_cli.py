@@ -516,6 +516,22 @@ class TestSubcommands:
         rates = [float(line.split("\t")[1]) for line in lines[1:]]
         assert rates == sorted(rates)
 
+    def test_cachesim_sweep_needs_no_capacity(self, tmp_path, trace_file):
+        both, sweep_only = tmp_path / "both.tsv", tmp_path / "sweep.tsv"
+        argv = ["cachesim", "--trace", str(trace_file), "--sweep", "1000,1000000"]
+        assert main([*argv, "--capacity", "1", "--out", str(both)]) == 0
+        assert main([*argv, "--out", str(sweep_only)]) == 0
+        assert sweep_only.read_bytes() == both.read_bytes()
+
+    def test_cachesim_needs_capacity_or_sweep(self, tmp_path, trace_file, capsys):
+        out = tmp_path / "c.json"
+        with pytest.raises(SystemExit) as ei:
+            main(["cachesim", "--trace", str(trace_file), "--out", str(out)])
+        assert ei.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mrtrace") and "required: --capacity" in err
+        assert not out.exists()
+
     def test_synthetic_closure_via_analyze(self, tmp_path, trace_file):
         synth = tmp_path / "synth.jsonl"
         assert main(["synthesize", "--trace", str(trace_file), "--machines", "100",
