@@ -71,7 +71,6 @@ from .temporal import (
 )
 from .compute_patterns import (
     ClusterModel,
-    ClusterSummary,
     JobFeatureMatrix,
     NameBreakdown,
     elbow_fit,

@@ -72,12 +72,6 @@ class AccessStream:
         same_size = bool(np.array_equal(file_size[fid], self.size))
         return fid, file_size, same_size, _previous_touch(fid, order)
 
-    @property
-    def _files(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Dense file ids per event, each file's size at its first event,
-        and whether every digest keeps that one size."""
-        return self._file_index[:3]
-
     @cached_property
     def _total_bytes(self) -> int:
         """The exact sum of the event sizes. The high and low 32 bits are
@@ -195,7 +189,7 @@ def shortcut_blocker(stream: AccessStream, config: CacheConfig) -> Optional[str]
         return "eviction is not lru"
     if len(stream) and int(stream.size.max()) > config.capacity_bytes:
         return "a file is larger than the capacity"
-    if not stream._files[2]:
+    if not stream._file_index[2]:
         return "a digest changes size"
     if stream._total_bytes >= 2**63:
         return "the event bytes reach 2**63"

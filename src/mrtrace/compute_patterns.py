@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -42,19 +42,9 @@ class NameBreakdown:
 
 
 @dataclass
-class FeatureTransform:
-    """The parameters of the log10(1+x) then z-score feature transform."""
-
-    means: np.ndarray
-    stds: np.ndarray  # 1.0 substituted for zero-variance dimensions
-    zero_variance_dims: tuple[str, ...] = ()
-
-
-@dataclass
 class JobFeatureMatrix:
     rows: np.ndarray  # n x 6, transformed
     raw: np.ndarray  # n x 6, original units
-    transform: FeatureTransform
     excluded_count: int
 
     def __len__(self) -> int:
@@ -71,19 +61,6 @@ class ClusterModel:
     matrix: JobFeatureMatrix
     rounds: int  # Lloyd rounds run, at most 100
     converged: bool  # False when the 100-round cap ended the fit
-
-
-@dataclass
-class ClusterRow:
-    job_count: int
-    medians: dict[str, float]  # per dimension, original units
-    suggested_label: str
-    label: str = ""  # left for the analyst
-
-
-@dataclass
-class ClusterSummary:
-    clusters: list[ClusterRow] = field(default_factory=list)
 
 
 def first_word(name: Optional[str]) -> str:
@@ -168,22 +145,11 @@ def job_feature_vectors(trace: Trace) -> JobFeatureMatrix:
     np.log10(rows, out=rows)
     means = rows.mean(axis=0)
     stds = rows.std(axis=0)
-    zero_var = stds == 0.0
-    stds_adj = np.where(zero_var, 1.0, stds)
     rows -= means
-    rows /= stds_adj
-
-    transform = FeatureTransform(
-        means=means,
-        stds=stds_adj,
-        zero_variance_dims=tuple(np.array(FEATURE_NAMES)[zero_var]),
-    )
-    return JobFeatureMatrix(
-        rows=rows,
-        raw=raw,
-        transform=transform,
-        excluded_count=int((~complete).sum()),
-    )
+    # A dimension of zero variance is divided by 1: its centered rows stay
+    # 0, and add nothing to any distance, where 0 / 0 would make them NaN.
+    rows /= np.where(stds == 0.0, 1.0, stds)
+    return JobFeatureMatrix(rows=rows, raw=raw, excluded_count=int((~complete).sum()))
 
 
 def cluster_sample(trace: Trace, seed: int, k_max: int) -> tuple[JobFeatureMatrix, int, Optional[int]]:
@@ -370,26 +336,21 @@ def elbow_fit(matrix: JobFeatureMatrix, k_max: int, seed: int = 42) -> ClusterMo
     return best
 
 
-def summarize_clusters(model: ClusterModel) -> ClusterSummary:
-    """Table of per-cluster sizes and per-dimension medians in original units.
+def summarize_clusters(model: ClusterModel) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The job-type table as three parallel columns, one entry per cluster:
+    job counts (int64); a k x 6 matrix of per-dimension medians in original
+    units, columns in FEATURE_NAMES order; and suggested labels. Clusters
+    come by non-increasing size, equal sizes in cluster order.
 
-    The suggested label names the one or two dimensions with the largest
+    A suggested label names the one or two dimensions with the largest
     standardized centroid magnitude; final labels are the analyst's call.
     """
-    matrix = model.matrix
-    rows = []
-    for j in range(model.k):
-        members = model.assignments == j
-        medians = np.median(matrix.raw[members], axis=0)
-        rows.append(
-            ClusterRow(
-                job_count=int(members.sum()),
-                medians={name: float(m) for name, m in zip(FEATURE_NAMES, medians)},
-                suggested_label=_suggest_label(model.centroids[j]),
-            )
-        )
-    rows.sort(key=lambda r: -r.job_count)
-    return ClusterSummary(clusters=rows)
+    counts = np.bincount(model.assignments, minlength=model.k).astype(np.int64)
+    order = np.argsort(-counts, kind="stable")
+    raw = model.matrix.raw
+    medians = np.array([np.median(raw[model.assignments == j], axis=0) for j in order.tolist()])
+    labels = [_suggest_label(model.centroids[j]) for j in order.tolist()]
+    return counts[order], medians, labels
 
 
 def _suggest_label(centroid: np.ndarray) -> str:

@@ -483,10 +483,11 @@ class ReportBuilder:
 def cluster_section(model: cp.ClusterModel, seed: int, k_max: int,
                     sampled_from: Optional[int]) -> tuple[dict, str]:
     """The clusters section of `analyze`, which `mrtrace cluster` prints,
-    and its text table. A ClusterRow's fields, in order, are the keys of
-    its JSON object."""
+    and its text table. Each cluster's JSON object holds its job count, its
+    medians by dimension, its suggested label, and a label left "" for the
+    analyst."""
     matrix = model.matrix
-    summary = cp.summarize_clusters(model)
+    counts, medians, labels = cp.summarize_clusters(model)
     section = {
         "operation": "job_feature_vectors + elbow_fit",
         "seed": seed,
@@ -496,9 +497,11 @@ def cluster_section(model: cp.ClusterModel, seed: int, k_max: int,
         "clustered_jobs": len(matrix),
         "excluded_jobs": matrix.excluded_count,
         "sampled_from": sampled_from,
-        "clusters": [vars(row) for row in summary.clusters],
+        "clusters": Records(job_count=counts,
+                            medians=[dict(zip(cp.FEATURE_NAMES, row)) for row in medians.tolist()],
+                            suggested_label=labels, label=[""] * len(labels)),
     }
-    return section, render_cluster_table(summary)
+    return section, render_cluster_table(counts, medians, labels)
 
 
 def cdf_summary(cdf: da.EmpiricalCDF) -> dict:
@@ -540,24 +543,16 @@ def _human_duration(s: float) -> str:
     return f"{s:.0f} sec"
 
 
-def render_cluster_table(summary: "cp.ClusterSummary") -> str:
-    """Aligned-column text table of cluster sizes, centers, and labels."""
+def render_cluster_table(counts: np.ndarray, medians: np.ndarray, labels: list[str]) -> str:
+    """Aligned-column text table of cp.summarize_clusters' columns: cluster
+    sizes, median jobs, and suggested labels."""
     header = ("# Jobs", "Input", "Shuffle", "Output", "Duration", "Map time", "Reduce time", "Label")
     rows = [header]
-    for c in summary.clusters:
-        m = c.medians
-        rows.append(
-            (
-                str(c.job_count),
-                _human_bytes(m["input_bytes"]),
-                _human_bytes(m["shuffle_bytes"]),
-                _human_bytes(m["output_bytes"]),
-                _human_duration(m["duration"]),
-                f"{m['map_task_seconds']:,.0f}",
-                f"{m['reduce_task_seconds']:,.0f}",
-                c.label or c.suggested_label,
-            )
-        )
+    # The medians come in cp.FEATURE_NAMES order.
+    for count, (inp, shuffle, out, duration, map_s, reduce_s), label in zip(
+            counts.tolist(), medians.tolist(), labels):
+        rows.append((str(count), _human_bytes(inp), _human_bytes(shuffle), _human_bytes(out),
+                     _human_duration(duration), f"{map_s:,.0f}", f"{reduce_s:,.0f}", label))
     widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     return "\n".join(lines) + "\n"

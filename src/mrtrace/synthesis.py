@@ -74,7 +74,6 @@ class DataPlan:
 
     file_ids: list[str]
     sizes: list[int]  # bytes, one per file
-    total_bytes: int
 
 
 def build_workload_model(trace: Trace, window_width: int = 3600) -> WorkloadModel:
@@ -235,4 +234,4 @@ def data_prepopulation_plan(workload: SyntheticWorkload) -> DataPlan:
     first = np.sort(np.unique(workload.source_job_id, return_index=True)[1])
     file_ids = [f"input_{s}" for s in workload.source_job_id[first].tolist()]
     sizes = [int(s) for s in workload.jobs.columns.input_bytes[first].tolist()]
-    return DataPlan(file_ids=file_ids, sizes=sizes, total_bytes=sum(sizes))
+    return DataPlan(file_ids=file_ids, sizes=sizes)

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from mrtrace import JobFeatureMatrix, JobRecord, Trace
-from mrtrace.compute_patterns import FeatureTransform
 from mrtrace.columns import TraceColumns
 
 
@@ -78,8 +77,7 @@ def make_trace(records, label="test", machines=1, span=None):
 def matrix_of(rows):
     """A feature matrix over ``rows`` as given, for the k-means tests."""
     rows = np.asarray(rows, dtype=np.float64)
-    return JobFeatureMatrix(rows=rows, raw=rows, excluded_count=0,
-                            transform=FeatureTransform(np.zeros(rows.shape[1]), np.ones(rows.shape[1])))
+    return JobFeatureMatrix(rows=rows, raw=rows, excluded_count=0)
 
 
 def full_rec(job_id, submit_time, *, name="job", duration=60, input_bytes=1000,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mrtrace import (
+    ClusterModel,
     KTooLarge,
     NoData,
     elbow_fit,
@@ -110,9 +111,12 @@ class TestFeatureVectors:
             full_rec(1, 1),
         ])
         m = job_feature_vectors(t)
-        # log10(1+0) = 0, so the zero job's row is (0 - mean)/std per dim.
-        expected = (0.0 - m.transform.means) / m.transform.stds
-        assert m.rows[0] == pytest.approx(expected)
+        # FEATURE_NAMES order; log10(1+0) = 0, so the zero job's row is
+        # (0 - mean)/std per dimension.
+        logs = np.log10(1.0 + np.array([[0, 0, 0, 0, 0.0, 0.0], [1000, 100, 10, 60, 20.0, 5.0]]))
+        expected = (logs - logs.mean(axis=0)) / logs.std(axis=0)
+        assert m.rows == pytest.approx(expected)
+        assert m.rows[0] == pytest.approx(-logs.mean(axis=0) / logs.std(axis=0))
 
     def test_identical_jobs_identical_rows(self):
         t = make_trace([full_rec(0, 0), full_rec(1, 5)])
@@ -146,7 +150,6 @@ class TestFeatureVectors:
         t = make_trace([full_rec(i, i, duration=100) for i in range(5)])
         m = job_feature_vectors(t)
         d = FEATURE_NAMES.index("duration")
-        assert "duration" in m.transform.zero_variance_dims
         assert np.all(m.rows[:, d] == 0.0)
 
     def test_no_complete_rows(self):
@@ -295,27 +298,44 @@ class TestSummaries:
         t = make_trace([full_rec(i, i, input_bytes=b) for i, b in enumerate((1, 2, 3))])
         m = job_feature_vectors(t)
         model = kmeans(m, 1, seed=0)
-        summary = summarize_clusters(model)
-        assert summary.clusters[0].medians["input_bytes"] == 2.0
+        _, medians, _ = summarize_clusters(model)
+        assert medians[0, FEATURE_NAMES.index("input_bytes")] == 2.0
 
     def test_single_job_cluster(self):
         t = make_trace([full_rec(0, 0, input_bytes=123, duration=45)])
         model = kmeans(job_feature_vectors(t), 1, seed=0)
-        row = summarize_clusters(model).clusters[0]
-        assert row.job_count == 1
-        assert row.medians["input_bytes"] == 123.0
-        assert row.medians["duration"] == 45.0
+        counts, medians, _ = summarize_clusters(model)
+        assert counts.tolist() == [1]
+        assert medians[0, FEATURE_NAMES.index("input_bytes")] == 123.0
+        assert medians[0, FEATURE_NAMES.index("duration")] == 45.0
 
     def test_counts_cover_all_clustered_jobs(self):
         trace, _ = planted_clusters(n_per=70)
         m = job_feature_vectors(trace)
         model = kmeans(m, 3, seed=2)
-        summary = summarize_clusters(model)
-        assert sum(c.job_count for c in summary.clusters) == len(m)
+        counts, medians, labels = summarize_clusters(model)
+        assert counts.dtype == np.int64 and counts.sum() == len(m)
+        assert medians.shape == (3, len(FEATURE_NAMES)) and len(labels) == 3
 
     def test_label_is_marked_suggestion(self):
         trace, _ = planted_clusters(n_per=30)
         model = kmeans(job_feature_vectors(trace), 2, seed=0)
-        for row in summarize_clusters(model).clusters:
-            assert row.suggested_label.endswith("(suggested)")
-            assert row.label == ""
+        _, _, labels = summarize_clusters(model)
+        assert len(labels) == 2
+        assert all(label.endswith("(suggested)") for label in labels)
+
+    def test_equal_sizes_keep_cluster_order(self):
+        # Past 16 clusters numpy's default argsort is not insertion sort,
+        # so an unstable sort would reorder these ties. Each job's six
+        # values are its cluster's index, so the medians name the clusters.
+        k = 40
+        sizes = [1 + j % 3 for j in range(k)]
+        assign = np.random.default_rng(3).permutation(np.repeat(np.arange(k), sizes))
+        matrix = matrix_of(np.repeat(assign[:, None], len(FEATURE_NAMES), axis=1))
+        model = ClusterModel(k=k, centroids=np.ones((k, len(FEATURE_NAMES))), assignments=assign,
+                             residual_variance=0.0, seed=0, matrix=matrix, rounds=1,
+                             converged=True)
+        counts, medians, _ = summarize_clusters(model)
+        order = sorted(range(k), key=lambda j: -sizes[j])  # sorted() is stable
+        assert counts.tolist() == [sizes[j] for j in order]
+        assert medians[:, 0].tolist() == order

@@ -187,7 +187,7 @@ def test_event_bytes_at_the_int64_boundary(last, total, reason):
     stream = near_int64_stream(last)
     arrays = stream_of(stream)
     assert arrays._total_bytes == total
-    fid, file_size, _ = arrays._files
+    fid, file_size, _, _ = arrays._file_index
     oracle = FenwickLRUStack(fid.tolist(), file_size.tolist(), arrays.is_write.tolist())
     # The largest file, the re-read's distance and one below it, all
     # distinct bytes, and a capacity past int64.

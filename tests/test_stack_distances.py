@@ -48,7 +48,7 @@ def streams(draw):
 
 
 def oracle_of(stream):
-    fid, file_size, _ = stream._files
+    fid, file_size, _, _ = stream._file_index
     return FenwickLRUStack(fid.tolist(), file_size.tolist(), stream.is_write.tolist())
 
 
@@ -62,7 +62,7 @@ def capacities(oracle):
 
 def check_against_oracle(stream):
     oracle = oracle_of(stream)
-    fid, file_size, _ = stream._files
+    fid, file_size, _, _ = stream._file_index
     prev = cache_sim._previous_touch(fid)
     assert cache_sim._stack_distances(prev, file_size[fid]).tolist() == oracle.distances
     got = stream._lru_stack

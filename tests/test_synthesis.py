@@ -143,7 +143,7 @@ def plan_oracle(jobs, sources):
             continue
         seen.add(source)
         files.append((f"input_{source}", job.input_bytes))
-    return files, sum(size for _, size in files)
+    return files
 
 
 def window_sizes(model):
@@ -311,7 +311,7 @@ class TestDataPlan:
         plan = data_prepopulation_plan(wl)
         assert plan.file_ids == ["input_0", "input_1", "input_2"]
         assert plan.sizes == [10**6, 2 * 10**6, 2 * 10**6]
-        assert plan.total_bytes == 5 * 10**6
+        assert sum(plan.sizes) == 5 * 10**6
 
     def test_empty_workload_rejected(self):
         # One job in an hour-wide window: a 1-second draw expects 1/3600 of
@@ -328,7 +328,7 @@ class TestDataPlan:
         by_source = {}
         for j, source in zip(wl.jobs.records, wl.source_job_id.tolist()):
             by_source[source] = j.input_bytes
-        assert plan.total_bytes == sum(by_source.values())
+        assert sum(plan.sizes) == sum(by_source.values())
         assert len(plan.file_ids) == len(plan.sizes) == len(by_source)
 
     def test_duplicated_sources_yield_one_file(self):
@@ -430,5 +430,4 @@ def test_synthesis_matches_per_record_oracle(trace, target_machines, width, mode
             assert col.dtype == getattr(want_cols, name).dtype, name
 
     plan = data_prepopulation_plan(wl)
-    assert (list(zip(plan.file_ids, plan.sizes)), plan.total_bytes) == plan_oracle(
-        want_jobs, want_sources)
+    assert list(zip(plan.file_ids, plan.sizes)) == plan_oracle(want_jobs, want_sources)
