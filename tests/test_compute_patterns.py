@@ -111,12 +111,10 @@ class TestFeatureVectors:
             full_rec(1, 1),
         ])
         m = job_feature_vectors(t)
-        # FEATURE_NAMES order; log10(1+0) = 0, so the zero job's row is
-        # (0 - mean)/std per dimension.
+        # The two jobs in FEATURE_NAMES order; log10(1+0) = 0, so the zero
+        # job's row is (0 - mean)/std per dimension.
         logs = np.log10(1.0 + np.array([[0, 0, 0, 0, 0.0, 0.0], [1000, 100, 10, 60, 20.0, 5.0]]))
-        expected = (logs - logs.mean(axis=0)) / logs.std(axis=0)
-        assert m.rows == pytest.approx(expected)
-        assert m.rows[0] == pytest.approx(-logs.mean(axis=0) / logs.std(axis=0))
+        assert m.rows == pytest.approx((logs - logs.mean(axis=0)) / logs.std(axis=0))
 
     def test_identical_jobs_identical_rows(self):
         t = make_trace([full_rec(0, 0), full_rec(1, 5)])
