@@ -64,7 +64,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import chain, count, islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -286,11 +286,13 @@ def _iter_jsonl(lines: Iterable[str], first_line_no: int = 1):
 
 
 def _csv_rows(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """Each CSV record with its line number, counted in records from the
-    header's 1. A record the csv module refuses, such as one with a field
-    past its field_size_limit, raises MalformedRecord."""
+    """Each CSV record with the physical line it starts on, the header's
+    being 1, as an editor numbers them. A record the csv module refuses,
+    such as one with a field past its field_size_limit, raises
+    MalformedRecord."""
     reader = csv.reader(lines)
-    for line_no in count(1):
+    while True:
+        line_no = reader.line_num + 1
         try:
             row = next(reader)
         except StopIteration:
@@ -331,15 +333,16 @@ def _iter_csv(lines: Iterable[str]):
 def _open_lines(source, fmt: str):
     """Text lines of a path or bytes, split at LF, CRLF or CR alike; jsonl
     lines end in LF, and CSV lines keep their endings for the csv module.
-    Bytes that are not UTF-8 become lone surrogates, which the readers
-    report by line."""
+    A UTF-8 byte-order mark at the start is dropped; one anywhere else
+    stays, and the readers refuse it. Bytes that are not UTF-8 become
+    lone surrogates, which the readers report by line."""
     if isinstance(source, (str, Path)):
         raw = open(source, "rb")
     elif isinstance(source, bytes):
         raw = io.BytesIO(source)
     else:
         raise TypeError(f"unsupported trace source {type(source)!r}")
-    return io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape",
+    return io.TextIOWrapper(raw, encoding="utf-8-sig", errors="surrogateescape",
                             newline="" if fmt == "csv" else None)
 
 

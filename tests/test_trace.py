@@ -346,11 +346,53 @@ def test_path_and_bytes_split_lines_alike(tmp_path, fmt, endings, bad):
 
 @pytest.mark.parametrize("text, bad_line", [
     ("job_id,submit_time,name\n1,0,a\n2,1,{long}\n", 3),
-    # Records are numbered, so a quoted cell over two lines counts once.
-    ('job_id,submit_time,name\n1,0,"a\nb"\n2,1,{long}\n', 3),
+    # Lines are numbered as an editor numbers them, so a quoted cell over
+    # two lines counts twice.
+    ('job_id,submit_time,name\n1,0,"a\nb"\n2,1,{long}\n', 4),
     ("job_id,{long}\n1,0\n", 1),
 ])
 def test_csv_field_past_the_csv_module_limit_is_malformed(text, bad_line):
     with pytest.raises(MalformedRecord) as ei:
         parse_trace(text.format(long="x" * 200_000).encode(), "csv")
     assert ei.value.line_no == bad_line and "invalid CSV" in ei.value.reason
+
+
+@pytest.mark.parametrize("text, bad_line", [
+    ('job_id,submit_time,name\n1,0,"a\nb"\n2,x,c\n', 4),
+    ('job_id,submit_time,name\n1,0,"a\r\nb\r\nc"\n\n2,x,c\n', 6),
+    ('job_id,submit_time,name\n1,0,a\n2,x,"c\nd"\n', 3),
+])
+def test_csv_errors_name_the_first_physical_line_of_the_record(tmp_path, text, bad_line):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    for source in (path, text.encode()):
+        with pytest.raises(MalformedRecord) as ei:
+            parse_trace(source, "csv")
+        assert ei.value.line_no == bad_line
+
+
+BOM = "\ufeff".encode()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_a_leading_byte_order_mark_is_dropped(tmp_path, fmt):
+    data = "".join(line + "\n" for line in SPLIT_LINES[fmt]).encode()
+    path = tmp_path / f"t.{fmt}"
+    path.write_bytes(BOM + data)
+    want = list(parse_trace(data, fmt).records)
+    assert list(parse_trace(path, fmt).records) == want
+    assert list(parse_trace(BOM + data, fmt).records) == want
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("at", [1, 2], ids=["second line", "mid line"])
+def test_a_byte_order_mark_past_the_start_is_malformed(tmp_path, fmt, at):
+    lines = [line.encode() for line in SPLIT_LINES[fmt]]
+    lines[1] = lines[1][:at - 1] + BOM + lines[1][at - 1:]
+    data = b"\n".join(lines) + b"\n"
+    path = tmp_path / f"t.{fmt}"
+    path.write_bytes(data)
+    for source in (path, data, BOM + data):
+        with pytest.raises((MalformedRecord, MissingRequiredField)) as ei:
+            parse_trace(source, fmt)
+        assert ei.value.line_no == 2
