@@ -45,6 +45,8 @@ from .trace import (
 )
 from .data_access import (
     EmpiricalCDF,
+    FileSide,
+    FileTable,
     RankedAccessTable,
     ReaccessStats,
     ZipfFit,
@@ -52,6 +54,7 @@ from .data_access import (
     access_vs_size_curves,
     data_size_cdf,
     eighty_x_rule,
+    file_table,
     fit_zipf,
     reaccess_intervals,
     tail_trimmed,

@@ -1,6 +1,13 @@
 """Data access pattern analyses: per-job size distributions, file access
 frequency ranking with power-law fit, access-vs-size curves, the 80-x
 storage rule, and re-access temporal locality.
+
+The per-file analyses read one `FileTable`, which `file_table` builds from
+a single sort of every input and output path digest of a trace: per file
+of each side, in digest order, the access counts and the last and largest
+sizes; and the gap of every re-read from the touch of its file before it.
+Build it once for all of them; it holds up to 40 bytes per file of a side
+and 8 per re-read.
 """
 
 from __future__ import annotations
@@ -41,12 +48,19 @@ class EmpiricalCDF:
         values = np.asarray(values, dtype=np.float64)
         weights = np.asarray(weights, dtype=np.float64)
         order = np.argsort(values, kind="stable")
-        values, weights = values[order], weights[order]
-        vals, start = np.unique(values, return_index=True)
-        sums = np.add.reduceat(weights, start)
-        cum = np.cumsum(sums)
-        fractions = cum / cum[-1]
-        return cls(values=vals, fractions=fractions, sample_count=int(values.size))
+        return cls._from_sorted(values[order], weights[order], int(values.size))
+
+    @classmethod
+    def _from_sorted(cls, values: np.ndarray, weights: np.ndarray, sample_count: int) -> "EmpiricalCDF":
+        """The step CDF of ascending values with their weights, summed in
+        that order. All NaNs, which sort last, are one value, as np.unique
+        has them."""
+        new = np.ones(values.size, dtype=bool)
+        np.not_equal(values[1:], values[:-1], out=new[1:])
+        new[np.searchsorted(values, np.nan) + 1:] = False
+        start = np.flatnonzero(new)
+        cum = np.cumsum(np.add.reduceat(weights, start))
+        return cls(values=values[start], fractions=cum / cum[-1], sample_count=sample_count)
 
     def fraction_at(self, value: float) -> float:
         """Cumulative fraction of samples with value <= the given value."""
@@ -86,6 +100,121 @@ class ReaccessStats:
     reaccess_job_fraction: float
 
 
+@dataclass
+class FileSide:
+    """The files one side (input or output) touches, in digest order, as
+    parallel arrays."""
+
+    digests: np.ndarray  # uint64, ascending
+    counts: np.ndarray  # int64 jobs touching the file
+    last_sizes: np.ndarray  # float64 bytes of the latest touch carrying them, NaN = never
+    sized_counts: np.ndarray  # int64 touches carrying a byte count
+    max_sizes: np.ndarray  # float64 largest bytes observed, NaN = never
+
+
+@dataclass
+class FileTable:
+    """Every path touch of a trace, input reads and output writes, grouped
+    once for all the data-access analyses: each side's files, and the
+    re-reads.
+
+    A re-read is a read of a file touched before. Sorted by digest, then
+    job, a job's read before its write, every touch follows the latest
+    earlier touch of its file, so one pass finds every re-read's gap.
+    """
+
+    input: FileSide
+    output: FileSide
+    reads: int  # input touches: jobs carrying an input path
+    reread_gaps: np.ndarray  # uint64 submit-time gap of each re-read from the touch before
+
+    def side(self, side: str) -> FileSide:
+        if side not in ("input", "output"):
+            raise ValueError(f"side must be 'input' or 'output', got {side!r}")
+        return getattr(self, side)
+
+
+def _file_side(file_id: np.ndarray, job: np.ndarray, digests: np.ndarray,
+               sizes: np.ndarray) -> FileSide:
+    """One side's files from its touches in table order, in which file_id
+    does not decrease: file_id and job per touch, the digest of each file
+    id, and the side's bytes by job row."""
+    first = np.ones(file_id.size, dtype=bool)
+    np.not_equal(file_id[1:], file_id[:-1], out=first[1:])
+    digests = digests[file_id[first]]
+    del file_id
+    side_id = np.cumsum(first, dtype=job.dtype)  # the side's files, numbered from 1
+    side_id -= 1
+    n = digests.size
+    counts = np.bincount(side_id, minlength=n)
+    sizes = sizes[job]
+    del job
+    has = ~np.isnan(sizes)
+    if has.all():
+        sized_counts = counts  # every touch carries bytes
+    else:
+        side_id, sizes = side_id[has], sizes[has]
+        sized_counts = np.bincount(side_id, minlength=n)
+    max_sizes = np.zeros(n)
+    np.maximum.at(max_sizes, side_id, sizes)  # byte counts are never negative
+    max_sizes[sized_counts == 0] = np.nan
+    # The last of each file's sized touches, which are in job order.
+    last = first[:side_id.size]
+    last[-1:] = True
+    np.not_equal(side_id[1:], side_id[:-1], out=last[:-1])
+    last_sizes = np.full(n, np.nan)
+    last_sizes[side_id[last]] = sizes[last]
+    return FileSide(digests=digests, counts=counts, last_sizes=last_sizes,
+                    sized_counts=sized_counts, max_sizes=max_sizes)
+
+
+def file_table(trace: Trace) -> FileTable:
+    """The file table of a trace: one sort of every path digest."""
+    cols = trace.columns
+    n = len(cols)
+    # Touch 2j is job j's read and 2j + 1 its write; the slot of a path a
+    # job lacks is dropped after the sort.
+    present = np.empty(2 * n, dtype=bool)
+    present[0::2] = cols.input_hash_present
+    present[1::2] = cols.output_hash_present
+    digest = np.empty(2 * n, dtype=np.uint64)
+    digest[0::2] = cols.input_path_hash
+    digest[1::2] = cols.output_path_hash
+    # A stable sort by digest, made of an unstable sort by digest and one
+    # of (file id, touch) keys, which are distinct: two quicker sorts.
+    touch = np.argsort(digest)
+    touch = touch[present[touch]]
+    del present
+    digest = digest[touch]
+    new_file = np.ones(digest.size, dtype=bool)
+    np.not_equal(digest[1:], digest[:-1], out=new_file[1:])
+    digests = digest[new_file]
+    del digest
+    key = np.cumsum(new_file, dtype=np.int64)
+    key -= 1
+    key *= 2 * n
+    key += touch
+    del touch
+    key.sort()
+    # Job rows and file ids fit 32 bits below 2**30 jobs, in half the memory.
+    index = np.int32 if 2 * n < 2**31 else np.int64
+    file_id = np.cumsum(new_file, dtype=index)
+    file_id -= 1
+    np.remainder(key, 2 * n, out=key)
+    is_write = np.bitwise_and(key, 1, out=np.empty(key.size, dtype=bool), casting="unsafe")
+    job = np.right_shift(key, 1, out=key).astype(index)
+    del key
+    reads = ~is_write
+    input_side = _file_side(file_id[reads], job[reads], digests, cols.input_bytes)
+    output_side = _file_side(file_id[is_write], job[is_write], digests, cols.output_bytes)
+    reread = reads[1:] & ~new_file[1:]
+    # Jobs are in submit order, so each gap is >= 0 and the uint64
+    # difference is exact for any int64 submit times.
+    t = cols.submit_time.view(np.uint64)
+    return FileTable(input=input_side, output=output_side, reads=int(np.count_nonzero(reads)),
+                     reread_gaps=t[job[1:][reread]] - t[job[:-1][reread]])
+
+
 def data_size_cdf(trace: Trace, dimension: str) -> EmpiricalCDF:
     """CDF of per-job byte counts for input, shuffle, or output.
 
@@ -99,36 +228,20 @@ def data_size_cdf(trace: Trace, dimension: str) -> EmpiricalCDF:
     return EmpiricalCDF.from_samples(vals)
 
 
-def access_frequency_rank(trace: Trace, side: str) -> RankedAccessTable:
+def access_frequency_rank(files: FileTable, side: str) -> RankedAccessTable:
     """Rank files by how many jobs touch them on the given side.
 
     Each job counts as one access of its path. Ties in count are broken
     by digest value so the ranking is deterministic.
     """
-    cols = trace.columns
-    hashes, present = cols.hash_column(side)
-    if not present.any():
+    s = files.side(side)
+    if not s.digests.size:
         raise NoData(f"no record carries {side}_path_hash")
-    sizes = cols.bytes_column(side)[present]
-    hashes = hashes[present]
-
-    digests, inverse, counts = np.unique(hashes, return_inverse=True, return_counts=True)
-
-    # Last observed size per digest: records are in submit order, so scan
-    # reversed and keep the first (= most recent) sized occurrence.
-    last_size = np.full(digests.size, np.nan)
-    has_size = ~np.isnan(sizes)
-    if has_size.any():
-        groups_rev = inverse[has_size][::-1]
-        sizes_rev = sizes[has_size][::-1]
-        uniq, first_pos = np.unique(groups_rev, return_index=True)
-        last_size[uniq] = sizes_rev[first_pos]
-
-    order = np.lexsort((digests, -counts))
+    order = np.argsort(-s.counts, kind="stable")  # the files are in digest order
     return RankedAccessTable(
-        digests=digests[order],
-        counts=counts[order].astype(np.int64),
-        sizes=last_size[order],
+        digests=s.digests[order],
+        counts=s.counts[order],
+        sizes=s.last_sizes[order],
         side=side,
     )
 
@@ -165,43 +278,40 @@ def tail_trimmed(table: RankedAccessTable, min_count: int = 2) -> RankedAccessTa
     )
 
 
-def _file_sizes(trace: Trace, side: str):
-    """Distinct digests with file size = max bytes observed for the digest.
-
-    Only jobs carrying both the path hash and the byte count participate;
-    returns (digests, max_sizes, per_job_group_index, n_jobs). Raises
-    NoData when the files hold 0 bytes in total, since no fraction of
-    stored bytes is defined then.
-    """
-    cols = trace.columns
-    hashes, present = cols.hash_column(side)
-    sizes = cols.bytes_column(side)
-    mask = present & ~np.isnan(sizes)
-    if not mask.any():
+def _sized_files(files: FileTable, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """The accesses that carry a byte count, per file that has any, and each
+    such file's size = max bytes observed for its digest, in digest order.
+    Raises NoData when the files hold 0 bytes in total, since no fraction
+    of stored bytes is defined then."""
+    s = files.side(side)
+    sized = s.sized_counts > 0
+    if not sized.any():
         raise NoData(f"no record carries both {side}_path_hash and {side}_bytes")
-    hashes, sizes = hashes[mask], sizes[mask]
-    digests, inverse = np.unique(hashes, return_inverse=True)
-    max_size = np.zeros(digests.size)
-    np.maximum.at(max_size, inverse, sizes)
-    if not max_size.any():
+    max_sizes = s.max_sizes[sized]
+    if not max_sizes.any():
         raise NoData(f"every {side} file is 0 bytes")
-    return digests, max_size, inverse, int(hashes.size)
+    return s.sized_counts[sized], max_sizes
 
 
-def access_vs_size_curves(trace: Trace, side: str) -> tuple[EmpiricalCDF, EmpiricalCDF]:
+def access_vs_size_curves(files: FileTable, side: str) -> tuple[EmpiricalCDF, EmpiricalCDF]:
     """Fraction of jobs (and of stored bytes) in files up to each size.
 
     A file's size is the largest byte count ever observed for its digest.
-    jobs_cdf weights each job by 1; bytes_cdf weights each distinct file
-    by its size.
+    jobs_cdf weights each job by 1, so each file by its sized accesses,
+    and counts jobs as its samples; bytes_cdf weights each distinct file
+    by its size. Both come from one sort of the file sizes. It need not be
+    stable: the order of equal sizes changes no sum, since the job counts
+    are integers and the byte weights of equal sizes are equal.
     """
-    digests, max_size, inverse, _ = _file_sizes(trace, side)
-    jobs_cdf = EmpiricalCDF.from_samples(max_size[inverse])
-    bytes_cdf = EmpiricalCDF.from_weighted(max_size, max_size)
+    jobs, sizes = _sized_files(files, side)
+    order = np.argsort(sizes)
+    sizes = sizes[order]
+    jobs_cdf = EmpiricalCDF._from_sorted(sizes, jobs[order], int(jobs.sum()))
+    bytes_cdf = EmpiricalCDF._from_sorted(sizes, sizes, int(sizes.size))
     return jobs_cdf, bytes_cdf
 
 
-def eighty_x_rule(trace: Trace, side: str, access_quantile: float = EIGHTY_X_QUANTILE) -> float:
+def eighty_x_rule(files: FileTable, side: str, access_quantile: float = EIGHTY_X_QUANTILE) -> float:
     """Percent of stored bytes needed to absorb the given access quantile.
 
     Files are taken in order of non-increasing access count (digest
@@ -210,11 +320,9 @@ def eighty_x_rule(trace: Trace, side: str, access_quantile: float = EIGHTY_X_QUA
     """
     if not 0.0 <= access_quantile <= 1.0:
         raise ValueError("access_quantile must be in [0, 1]")
-    digests, max_size, inverse, n_jobs = _file_sizes(trace, side)
-    counts = np.bincount(inverse, minlength=digests.size)
-
-    order = np.lexsort((digests, -counts))
-    counts, sizes = counts[order], max_size[order]
+    counts, sizes = _sized_files(files, side)
+    order = np.argsort(-counts, kind="stable")
+    counts, sizes = counts[order], sizes[order]
     needed = access_quantile * counts.sum()
     cum = np.cumsum(counts)
     k = int(np.searchsorted(cum, needed, side="left")) + 1 if needed > 0 else 0
@@ -223,7 +331,7 @@ def eighty_x_rule(trace: Trace, side: str, access_quantile: float = EIGHTY_X_QUA
     return 100.0 * prefix_bytes / total_bytes
 
 
-def reaccess_intervals(trace: Trace) -> ReaccessStats:
+def reaccess_intervals(files: FileTable) -> ReaccessStats:
     """Temporal locality of file accesses.
 
     For each path, records the submit-time gap from any touch (input read
@@ -231,30 +339,14 @@ def reaccess_intervals(trace: Trace) -> ReaccessStats:
     fraction counts jobs whose input path appeared earlier in the trace
     as any input or output.
     """
-    cols = trace.columns
-    if not cols.input_hash_present.any():
+    if not files.reads:
         raise NoData("no record carries input_path_hash")
-
-    # Every touch as (digest, job, write after read): sorted, the entry
-    # before a read of the same digest is the latest earlier touch of it.
-    readers = np.flatnonzero(cols.input_hash_present)
-    writers = np.flatnonzero(cols.output_hash_present)
-    job = np.concatenate([readers, writers])
-    is_write = np.arange(job.size) >= readers.size
-    digest = np.concatenate([cols.input_path_hash[readers], cols.output_path_hash[writers]])
-    order = np.lexsort((is_write, job, digest))
-    job, digest, is_write = job[order], digest[order], is_write[order]
-    reread = ~is_write[1:] & (digest[1:] == digest[:-1])
-    # Jobs are in submit order, so each gap is >= 0 and the uint64
-    # difference is exact for any int64 submit times.
-    t = cols.submit_time.view(np.uint64)
-    gaps = t[job[1:][reread]] - t[job[:-1][reread]]
-
+    gaps = files.reread_gaps
     if gaps.size:
         cdf = EmpiricalCDF.from_samples(gaps)
     else:
         cdf = EmpiricalCDF(values=np.empty(0), fractions=np.empty(0), sample_count=0)
     return ReaccessStats(
         interval_cdf=cdf,
-        reaccess_job_fraction=int(reread.sum()) / readers.size,
+        reaccess_job_fraction=gaps.size / files.reads,
     )

@@ -241,6 +241,8 @@ class ReportBuilder:
     passes the model to `cluster_section`, as `mrtrace cluster` does. An
     MRTraceError from the sampling or the fit becomes the clusters skip;
     any other exception propagates from `build` once the worker stops.
+    The data-access sections share one `da.file_table`, which `build`
+    drops once the re-access section has read it.
     """
 
     def __init__(
@@ -286,11 +288,13 @@ class ReportBuilder:
             fit, k_max, sampled_from = self._start_clusters(elbow_pool)
             for dim in ("input", "shuffle", "output"):
                 self._run(f"data_sizes.{dim}", lambda d=dim: self._data_sizes(d))
+            files = da.file_table(t)
             for side in ("input", "output"):
-                self._run(f"zipf.{side}", lambda s=side: self._zipf(s))
-                self._run(f"access_vs_size.{side}", lambda s=side: self._access_vs_size(s))
-                self._run(f"eighty_x.{side}", lambda s=side: self._eighty_x(s))
-            self._run("reaccess", self._reaccess)
+                self._run(f"zipf.{side}", lambda s=side: self._zipf(files, s))
+                self._run(f"access_vs_size.{side}", lambda s=side: self._access_vs_size(files, s))
+                self._run(f"eighty_x.{side}", lambda s=side: self._eighty_x(files, s))
+            self._run("reaccess", lambda: self._reaccess(files))
+            del files
             for dim in ts.DIMENSIONS:
                 self._run(f"time_series.{dim}", lambda d=dim: self._series_section(d))
             self._run("burstiness", self._burstiness)
@@ -328,8 +332,8 @@ class ReportBuilder:
         out.update(_cdf_section(cdf, len(self.trace) - cdf.sample_count))
         return out
 
-    def _zipf(self, side: str) -> dict:
-        table = da.access_frequency_rank(self.trace, side)
+    def _zipf(self, files: da.FileTable, side: str) -> dict:
+        table = da.access_frequency_rank(files, side)
         self.plots[f"fig2_{side}.tsv"] = _plot_columns(np.arange(1, len(table) + 1), table.counts)
         out = {"operation": "access_frequency_rank + fit_zipf", "side": side,
                "n_files": len(table), "n_accesses": int(table.counts.sum())}
@@ -346,8 +350,8 @@ class ReportBuilder:
                 out[label] = {"skipped": str(exc)}
         return out
 
-    def _access_vs_size(self, side: str) -> dict:
-        jobs_cdf, bytes_cdf = da.access_vs_size_curves(self.trace, side)
+    def _access_vs_size(self, files: da.FileTable, side: str) -> dict:
+        jobs_cdf, bytes_cdf = da.access_vs_size_curves(files, side)
         fig = "fig3" if side == "input" else "fig4"
         self.plots[f"{fig}_{side}_jobs.tsv"] = _plot_columns(jobs_cdf.values, jobs_cdf.fractions)
         self.plots[f"{fig}_{side}_bytes.tsv"] = _plot_columns(bytes_cdf.values, bytes_cdf.fractions)
@@ -358,13 +362,13 @@ class ReportBuilder:
             "stored_bytes": cdf_summary(bytes_cdf),
         }
 
-    def _eighty_x(self, side: str) -> dict:
-        x = da.eighty_x_rule(self.trace, side)
+    def _eighty_x(self, files: da.FileTable, side: str) -> dict:
+        x = da.eighty_x_rule(files, side)
         return {"operation": "eighty_x_rule", "side": side,
                 "access_quantile": da.EIGHTY_X_QUANTILE, "x_percent_of_bytes": x}
 
-    def _reaccess(self) -> dict:
-        stats = da.reaccess_intervals(self.trace)
+    def _reaccess(self, files: da.FileTable) -> dict:
+        stats = da.reaccess_intervals(files)
         gaps = stats.interval_cdf
         self.plots["fig5_reaccess_intervals.tsv"] = _plot_columns(gaps.values, gaps.fractions)
         self.plots["fig6_preexisting_input.tsv"] = ([self.trace.label], [stats.reaccess_job_fraction])

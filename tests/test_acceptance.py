@@ -125,7 +125,7 @@ def test_criterion_05_eighty_x_exhaustive():
                     expected = brute_force_eighty_x(
                         [(f + 1, counts[f], sizes[f]) for f in range(n_files)], 0.80
                     )
-                    assert mt.eighty_x_rule(trace, "input") == expected, (counts, sizes)
+                    assert mt.eighty_x_rule(mt.file_table(trace), "input") == expected, (counts, sizes)
                     checked += 1
     ok(5, f"80-x rule equals brute force on all {checked} small access tables")
 
