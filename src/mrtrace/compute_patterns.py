@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import re
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,6 +61,7 @@ class ClusterModel:
     matrix: JobFeatureMatrix
     rounds: int  # Lloyd rounds run, at most 100
     converged: bool  # False when the 100-round cap ended the fit
+    nearest_rows: int  # point rows the Lloyd rounds and the final recompute sent through _nearest
 
 
 def first_word(name: Optional[str]) -> str:
@@ -121,6 +122,43 @@ def name_breakdown(trace: Trace, weighting: str, min_fraction: float = 0.0) -> N
     return NameBreakdown(weighting=weighting, words=words, fractions=fractions, other_fraction=other)
 
 
+def _standardization(cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of the jobs carrying all six fields, and the mean and
+    (population) standard deviation of each dimension's log10(1+x) over
+    them, computed a column at a time: an n x 6 copy of 1M jobs takes
+    48 MB. Each is summed in row order, as numpy sums the columns of an
+    n x 6 array, so the figures are those of rows.mean(axis=0) and
+    rows.std(axis=0); a per-column mean() would sum pairwise."""
+    complete = np.ones(len(cols), dtype=bool)
+    for name in FEATURE_NAMES:
+        complete &= ~np.isnan(getattr(cols, name))
+    index = np.flatnonzero(complete)
+    if not index.size:
+        raise NoData("no job carries all six clustering dimensions")
+    means = np.empty(len(FEATURE_NAMES))
+    stds = np.empty(len(FEATURE_NAMES))
+    for d, name in enumerate(FEATURE_NAMES):
+        col = np.add(1.0, getattr(cols, name)[index])
+        np.log10(col, out=col)
+        means[d] = np.cumsum(col)[-1] / index.size
+        col -= means[d]
+        col *= col
+        stds[d] = np.sqrt(np.cumsum(col)[-1] / index.size)
+    return index, means, stds
+
+
+def _feature_matrix(cols, index, means, stds, excluded_count: int) -> JobFeatureMatrix:
+    """The feature rows of the jobs at index, standardized by means and stds."""
+    raw = np.stack([getattr(cols, name)[index] for name in FEATURE_NAMES], axis=1)
+    rows = np.add(1.0, raw)
+    np.log10(rows, out=rows)
+    rows -= means
+    # A dimension of zero variance is divided by 1: its centered rows stay
+    # 0, and add nothing to any distance, where 0 / 0 would make them NaN.
+    rows /= np.where(stds == 0.0, 1.0, stds)
+    return JobFeatureMatrix(rows=rows, raw=raw, excluded_count=excluded_count)
+
+
 def job_feature_vectors(trace: Trace) -> JobFeatureMatrix:
     """Six-dimensional feature rows for every job carrying all six fields.
 
@@ -129,39 +167,25 @@ def job_feature_vectors(trace: Trace) -> JobFeatureMatrix:
     Euclidean distance would be meaningless.
     """
     cols = trace.columns
-    raw = np.stack(
-        [getattr(cols, name) for name in FEATURE_NAMES],
-        axis=1,
-    )
-    complete = ~np.isnan(raw).any(axis=1)
-    if not complete.all():
-        raw = raw[complete]
-    if raw.shape[0] == 0:
-        raise NoData("no job carries all six clustering dimensions")
-
-    # In place where the arithmetic allows: on 1M jobs each n x 6 copy is
-    # 48 MB, and these copies set analyze's peak memory.
-    rows = np.add(1.0, raw)
-    np.log10(rows, out=rows)
-    means = rows.mean(axis=0)
-    stds = rows.std(axis=0)
-    rows -= means
-    # A dimension of zero variance is divided by 1: its centered rows stay
-    # 0, and add nothing to any distance, where 0 / 0 would make them NaN.
-    rows /= np.where(stds == 0.0, 1.0, stds)
-    return JobFeatureMatrix(rows=rows, raw=raw, excluded_count=int((~complete).sum()))
+    index, means, stds = _standardization(cols)
+    return _feature_matrix(cols, index, means, stds, len(cols) - index.size)
 
 
 def cluster_sample(trace: Trace, seed: int, k_max: int) -> tuple[JobFeatureMatrix, int, Optional[int]]:
     """Every complete job's feature rows or, past CLUSTER_SAMPLE_CAP, a
     seeded sample of that many in row order; with k_max clamped to the rows
-    returned and the count sampled from (None when not sampled)."""
-    matrix = job_feature_vectors(trace)
+    returned and the count sampled from (None when not sampled). The rows
+    are standardized over every complete job, but built only for the ones
+    returned."""
+    cols = trace.columns
+    index, means, stds = _standardization(cols)
+    excluded = len(cols) - index.size
     sampled_from = None
-    if len(matrix) > CLUSTER_SAMPLE_CAP:
-        sampled_from = len(matrix)
-        keep = np.sort(np.random.default_rng(seed).choice(sampled_from, CLUSTER_SAMPLE_CAP, replace=False))
-        matrix = replace(matrix, rows=matrix.rows[keep], raw=matrix.raw[keep])
+    if index.size > CLUSTER_SAMPLE_CAP:
+        sampled_from = index.size
+        index = index[np.sort(np.random.default_rng(seed).choice(sampled_from, CLUSTER_SAMPLE_CAP,
+                                                                 replace=False))]
+    matrix = _feature_matrix(cols, index, means, stds, excluded)
     return matrix, min(k_max, len(matrix)), sampled_from
 
 
@@ -174,9 +198,10 @@ _BLOCK = 4096
 
 
 def _nearest(points, centroids, x_norms):
-    """Assignment to the closest centroid (ties to the lowest index) and
-    the squared distance to it, |x|^2 - 2 x.c + |c|^2. x_norms is the
-    reusable per-point norm.
+    """Assignment to the closest centroid (ties to the lowest index), the
+    squared distance to it, |x|^2 - 2 x.c + |c|^2, and the squared
+    distance to the second closest. x_norms is the reusable per-point
+    norm.
 
     The dot products are always points @ centroids.T, n x k, a _BLOCK of
     points at a time. OpenBLAS rounds the last bit of some of them
@@ -188,7 +213,9 @@ def _nearest(points, centroids, x_norms):
     it. Each block's product is copied transposed, with the -2 scaling
     applied on the way, so that each centroid's distances are one
     contiguous row; a running minimum over the rows then finds the
-    nearest centroid without a strided argmin.
+    nearest centroid without a strided argmin. The running second
+    smallest of the same values, infinite for one centroid, is returned
+    third.
     """
     n, k = points.shape[0], centroids.shape[0]
     ends = list(range(_BLOCK, n, _BLOCK))
@@ -200,14 +227,16 @@ def _nearest(points, centroids, x_norms):
     g += x_norms
     g += (centroids * centroids).sum(axis=1)[:, None]
     best = g[0].copy()
+    second = np.full(n, np.inf)
     assign = np.zeros(n, dtype=np.intp)
     for j in range(1, k):
         # Strictly closer only, so a tie stays with the lower index.
         closer = np.less(g[j], best)
+        np.minimum(second, np.maximum(best, g[j]), out=second)
         np.minimum(best, g[j], out=best)
         assign += closer * (j - assign)
     np.maximum(best, 0.0, out=best)
-    return assign, best
+    return assign, best, second
 
 
 def _mean_centroids(points_t: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -237,14 +266,43 @@ def _fill_empty(points, assign, d2, centroids):
     return assign, centroids, counts
 
 
+# Relative slack, on the scale (|x| + max |c|)^2, that bounds must clear
+# before they prove a point's assignment. It covers the rounding of the
+# expanded |x|^2 - 2 x.c + |c|^2 form, a few units in the last place, and
+# of the bound updates over 100 rounds, about a thousand.
+_SLACK = 2.0 ** -40
+
+
+def _bounds(best, second, slack):
+    """Bounds on the true distances from a _nearest pass, with the squared
+    ones widened by slack: above, to the assigned centroid, plus a margin
+    that keeps the squared distances at least 2 * slack apart while the
+    upper bound stays under the lower; below, to every other centroid."""
+    return (np.sqrt(best + slack) + np.sqrt(2.0 * slack),
+            np.sqrt(np.maximum(second - slack, 0.0)))
+
+
 def kmeans(matrix: JobFeatureMatrix, k: int, seed: int) -> ClusterModel:
     """Lloyd's algorithm with careful seeding, deterministic for a given seed.
 
     Initial centroids are drawn with probability proportional to squared
     distance from those already chosen; iterations stop at an assignment
     fixpoint or after 100 rounds; empty clusters are reseeded from the
-    farthest point. The model records how many rounds ran and whether the
-    fixpoint was reached.
+    farthest point. The model records how many rounds ran, whether the
+    fixpoint was reached, and how many point rows went through _nearest.
+
+    Each round gives the assignment a full _nearest pass over every point
+    would, bit for bit, without computing every distance (Hamerly, "Making
+    k-means even faster", SDM 2010). Every point keeps an upper bound on
+    the distance to its centroid and a lower bound on the distance to
+    every other; a point whose bounds prove its assignment, by more than
+    the rounding of the distances, keeps it, and only the rest go through
+    _nearest. The full pass still runs where every exact distance is
+    needed: in the first round, in the round that finds no change (the
+    residual is the mean of them all), in a round that must reseed an
+    empty cluster at the farthest point, in the round after a reseed,
+    and in the recompute after the round cap. The means are always taken
+    over every point.
     """
     points = matrix.rows
     n = points.shape[0]
@@ -268,21 +326,56 @@ def kmeans(matrix: JobFeatureMatrix, k: int, seed: int) -> ClusterModel:
         centroids[j] = points[idx]
         d2 = np.minimum(d2, _nearest(points, centroids[j : j + 1], x_norms)[1])
 
-    prev = None
+    # Every centroid is a mean of points or a point, so no centroid is
+    # farther from the origin than the farthest point.
+    x_len = np.sqrt(x_norms)
+    slack = _SLACK * (x_len + x_len.max()) ** 2
+    prev = upper = lower = None
     converged = False
+    nearest_rows = 0
     for rounds in range(1, 101):
-        assign, d2 = _nearest(points, centroids, x_norms)
-        assign, centroids, counts = _fill_empty(points, assign, d2, centroids)
+        assign = None  # until the bounds give it; else the full pass does
+        if upper is not None:
+            # No centroid moved farther than the largest move.
+            moved = float(np.sqrt(((centroids - old) ** 2).sum(axis=1)).max())
+            upper += moved
+            lower -= moved
+            need = np.flatnonzero(upper >= lower)
+            if need.size:
+                # A single row would take numpy's matrix-vector path, which
+                # rounds differently from the blocked product; send it twice.
+                rows = need if need.size > 1 else np.repeat(need, 2)
+                got, best, second = _nearest(points[rows], centroids, x_norms[rows])
+                nearest_rows += rows.size
+                got = got[: need.size]
+                upper[need], lower[need] = _bounds(best[: need.size], second[: need.size], slack[need])
+                # No change ends the fit, and its residual needs every
+                # distance; so does an empty cluster's reseed.
+                if (got != prev[need]).any():
+                    assign = prev.copy()
+                    assign[need] = got
+                    counts = np.bincount(assign, minlength=k)
+                    if not counts.all():
+                        assign = None
+        if assign is None:
+            assign, d2, second = _nearest(points, centroids, x_norms)
+            nearest_rows += n
+            upper, lower = _bounds(d2, second, slack)
+            if not np.bincount(assign, minlength=k).all():
+                upper = None  # a reseed moves centroids past the bounds
+            assign, centroids, counts = _fill_empty(points, assign, d2, centroids)
         if prev is not None and np.array_equal(assign, prev):
             converged = True
             break
         prev = assign
+        old = centroids
         centroids = _mean_centroids(points_t, assign, counts)
 
     if not converged:
         # Hit the iteration cap: recompute so the returned assignment is
         # self-consistent with the returned centroids.
-        assign, d2 = _nearest(points, centroids, x_norms)
+        assign, d2, _ = _nearest(points, centroids, x_norms)
+        nearest_rows += n
         assign, centroids, _ = _fill_empty(points, assign, d2, centroids)
 
     return ClusterModel(
@@ -294,6 +387,7 @@ def kmeans(matrix: JobFeatureMatrix, k: int, seed: int) -> ClusterModel:
         matrix=matrix,
         rounds=rounds,
         converged=converged,
+        nearest_rows=nearest_rows,
     )
 
 

@@ -2,8 +2,9 @@
 rounds moved to a transposed copy of the distances and its restarts to a
 thread pool: ``argmin`` over the n x k distances, ``bincount`` means over
 strided columns, and one restart after another. It is kept unchanged as
-the oracle for the differential tests; only the ``rounds`` and
-``converged`` evidence is recorded as well."""
+the oracle for the differential tests; only the ``rounds``,
+``converged`` and ``nearest_rows`` evidence is recorded as well, the last
+as the n rows of every full pass it makes."""
 
 from __future__ import annotations
 
@@ -107,6 +108,7 @@ def kmeans(matrix: JobFeatureMatrix, k: int, seed: int) -> ClusterModel:
         matrix=matrix,
         rounds=rounds,
         converged=converged,
+        nearest_rows=n * (rounds + (not converged)),
     )
 
 

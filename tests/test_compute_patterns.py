@@ -18,6 +18,7 @@ from mrtrace import (
     name_breakdown,
     summarize_clusters,
 )
+from mrtrace import compute_patterns
 from mrtrace.compute_patterns import FEATURE_NAMES, UNNAMED
 from conftest import full_rec, make_trace, matrix_of, rec
 
@@ -154,6 +155,37 @@ class TestFeatureVectors:
         t = make_trace([rec(0, 0, input_bytes=1)])
         with pytest.raises(NoData):
             job_feature_vectors(t)
+
+    @pytest.mark.parametrize("n", [3, 17, 4099, 1_000_000])
+    def test_column_statistics_equal_the_whole_matrix_ones(self, n):
+        # The per-column figures must be those of the n x 6 array, which
+        # numpy sums row by row; a per-column mean() sums pairwise.
+        class Columns:
+            def __len__(self):
+                return n
+
+        rng = np.random.default_rng(n)
+        raw = np.floor(rng.lognormal(8.0, 4.0, size=(n, len(FEATURE_NAMES))))
+        raw[rng.random(raw.shape) < 0.05] = np.nan
+        cols = Columns()
+        for name, col in zip(FEATURE_NAMES, raw.T):
+            setattr(cols, name, np.ascontiguousarray(col))
+        index, means, stds = compute_patterns._standardization(cols)
+        complete = ~np.isnan(raw).any(axis=1)
+        rows = np.log10(1.0 + raw[complete])
+        assert np.array_equal(index, np.flatnonzero(complete))
+        assert means.tobytes() == rows.mean(axis=0).tobytes()
+        assert stds.tobytes() == rows.std(axis=0).tobytes()
+
+    def test_sampled_rows_are_rows_of_every_job(self, monkeypatch):
+        monkeypatch.setattr(compute_patterns, "CLUSTER_SAMPLE_CAP", 50)
+        trace, _ = planted_clusters(n_per=40)
+        every = job_feature_vectors(trace)
+        matrix, k_max, sampled_from = compute_patterns.cluster_sample(trace, 7, 10)
+        keep = np.sort(np.random.default_rng(7).choice(len(every), 50, replace=False))
+        assert (k_max, sampled_from, matrix.excluded_count) == (10, 120, every.excluded_count)
+        assert matrix.rows.tobytes() == every.rows[keep].tobytes()
+        assert matrix.raw.tobytes() == every.raw[keep].tobytes()
 
 
 def planted_clusters(n_per=200, seed=20, centers=(2.0, 5.0, 8.0), spread=0.05):
@@ -332,7 +364,7 @@ class TestSummaries:
         matrix = matrix_of(np.repeat(assign[:, None], len(FEATURE_NAMES), axis=1))
         model = ClusterModel(k=k, centroids=np.ones((k, len(FEATURE_NAMES))), assignments=assign,
                              residual_variance=0.0, seed=0, matrix=matrix, rounds=1,
-                             converged=True)
+                             converged=True, nearest_rows=len(assign))
         counts, medians, _ = summarize_clusters(model)
         order = sorted(range(k), key=lambda j: -sizes[j])  # sorted() is stable
         assert counts.tolist() == [sizes[j] for j in order]

@@ -1,8 +1,9 @@
 """``compute_patterns.kmeans`` and ``elbow_fit`` against the serial k-means
 they replaced (``kmeans_oracle``): the same assignments, centroids,
 residual, rounds and chosen restart, bit for bit, on duplicate rows, tied
-centroids, empty-cluster reseeds, k=1, k=n and n from 1 to 3000, under
-one OpenBLAS thread and under two."""
+centroids, near-ties, centroids that creep, empty-cluster reseeds, the
+round cap, k=1, k=n and n from 1 to 3000, under one OpenBLAS thread and
+under two."""
 
 import os
 import subprocess
@@ -18,17 +19,28 @@ import kmeans_oracle
 from conftest import matrix_of
 from mrtrace import compute_patterns, elbow_fit, fit_best, kmeans
 
-KINDS = ("normal", "blobs", "grid", "pool", "constant")
+KINDS = ("normal", "blobs", "grid", "pool", "constant", "mirrored", "elongated")
 
 
 def rows_of(kind: str, n: int, seed: int) -> np.ndarray:
     """n six-dimensional rows: Gaussian, Gaussian blobs, a small integer
     grid (exact distance ties), a few distinct rows repeated (tied
-    centroids and reseeds), or one repeated row."""
+    centroids and reseeds), one repeated row, rows mirrored in the first
+    dimension with a third of them within a few units in the last place of
+    the mirror (near-ties), or an elongated Gaussian (centroids that creep
+    for many rounds, some fits to the round cap)."""
     rng = np.random.default_rng(seed)
     scale = 10.0 ** rng.integers(-3, 4)
     if kind == "normal":
         rows = rng.normal(size=(n, 6))
+    elif kind == "mirrored":
+        rows = rng.normal(size=(n, 6))
+        rows[1::2] = rows[0::2][: n // 2]
+        rows[1::2, 0] *= -1.0
+        near = rng.random(n) < 1 / 3
+        rows[near, 0] = rng.choice([-1e-15, -2**-52, 0.0, 2**-52, 1e-15], size=int(near.sum()))
+    elif kind == "elongated":
+        rows = rng.normal(size=(n, 6)) * np.array([3.0, 2.0, 1.0, 0.5, 0.3, 0.2])
     elif kind == "blobs":
         centers = rng.normal(scale=5.0, size=(int(rng.integers(1, 6)), 6))
         rows = centers[rng.integers(len(centers), size=n)] + rng.normal(scale=0.3, size=(n, 6))
@@ -97,6 +109,66 @@ def test_empty_cluster_reseeds_match(rows, k, monkeypatch):
     for seed in range(5):
         assert_same_model(kmeans(m, k, seed), kmeans_oracle.kmeans(m, k, seed))
     assert sum(reseeds) > 0
+
+
+@pytest.mark.parametrize("seed", [8, 15])
+def test_fits_stopped_by_the_round_cap_match(seed):
+    # Found by search: these seeds take k = 10 to the 100-round cap.
+    m = matrix_of(np.random.default_rng(seed).standard_normal((5000, 6))
+                  * np.array([3.0, 2.0, 1.0, 0.5, 0.3, 0.2]))
+    got = kmeans(m, 10, seed)
+    assert (got.rounds, got.converged) == (100, False)
+    assert_same_model(got, kmeans_oracle.kmeans(m, 10, seed))
+
+
+def separable_sample(seed: int, n: int = 20_000) -> np.ndarray:
+    """Five well separated Gaussian blobs."""
+    rng = np.random.default_rng(seed)
+    centers = rng.normal(scale=8.0, size=(5, 6))
+    return centers[rng.integers(5, size=n)] + rng.normal(size=(n, 6))
+
+
+def test_bounds_skip_most_distance_rows():
+    # Eight clusters over five blobs take many rounds, in which few points
+    # come near a boundary; the full passes alone would send every point
+    # each round and once more.
+    m = matrix_of(separable_sample(1))
+    model = kmeans(m, 8, 1)
+    assert model.rounds > 20
+    assert model.nearest_rows < 0.2 * len(m) * (model.rounds + 1)
+    assert_same_model(model, kmeans_oracle.kmeans(m, 8, 1))
+
+
+def test_bounds_never_skip_a_near_tie_the_rounding_decides():
+    # Points within a few units in the last place of the plane between two
+    # centroids, and centroids then moved by far less than that: a point
+    # the bounds let keep its assignment must keep it in a full pass.
+    rng = np.random.default_rng(0)
+    eps = np.finfo(np.float64).eps
+    for _ in range(200):
+        scale = 10.0 ** rng.integers(-3, 4)
+        centroids = rng.normal(size=(2, 6)) * scale
+        mid, normal = centroids.mean(axis=0), centroids[1] - centroids[0]
+        points = mid + rng.normal(size=(4000, 6)) * scale
+        points -= np.outer((points - mid) @ normal / (normal @ normal), normal)
+        points += np.outer(rng.integers(-8, 9, size=4000) * eps, normal)
+        x_norms = (points * points).sum(axis=1)
+        x_len = np.sqrt(x_norms)
+        slack = compute_patterns._SLACK * (x_len + x_len.max()) ** 2
+        assign, best, second = compute_patterns._nearest(points, centroids, x_norms)
+        upper, lower = compute_patterns._bounds(best, second, slack)
+        moved_to = centroids + rng.normal(size=centroids.shape) * scale * 1e-17
+        moved = np.sqrt(((moved_to - centroids) ** 2).sum(axis=1)).max()
+        kept = upper + moved < lower - moved
+        again = compute_patterns._nearest(points, moved_to, x_norms)[0]
+        assert np.array_equal(again[kept], assign[kept])
+
+
+def test_nearest_rows_repeat_for_a_seed():
+    m = matrix_of(separable_sample(2, 5000))
+    counts = {kmeans(m, k, seed).nearest_rows for k, seed in [(7, 3)] * 3}
+    assert len(counts) == 1
+    assert fit_best(m, 7, 3).nearest_rows == fit_best(m, 7, 3).nearest_rows
 
 
 def test_restarts_on_more_threads_than_cores_match(monkeypatch):
