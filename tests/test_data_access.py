@@ -20,6 +20,7 @@ from mrtrace import (
     tail_trimmed,
 )
 from mrtrace.cli import main
+from mrtrace import data_access
 from mrtrace.data_access import EmpiricalCDF, RankedAccessTable
 import data_access_oracle as oracle
 from conftest import full_rec, make_trace, rec, trace_to_jsonl
@@ -412,7 +413,16 @@ class TestAgainstOracle:
         assert_same(outcome(reaccess_intervals, files), outcome(oracle.reaccess_intervals, t))
 
     def test_large_random_trace_matches_the_oracle(self):
-        rng = np.random.default_rng(9)
+        self.assert_random_trace_matches(9)
+
+    def test_64_bit_rows_match_the_oracle(self, monkeypatch):
+        # The file table's job rows and file ids are 64-bit past 2**31 touches.
+        monkeypatch.setattr(data_access, "_INT32_TOUCHES", 0)
+        self.assert_random_trace_matches(10)
+
+    @staticmethod
+    def assert_random_trace_matches(seed):
+        rng = np.random.default_rng(seed)
         n = 20_000
         pool = rng.integers(0, 2**64, size=3000, dtype=np.uint64).tolist()
 

@@ -2,9 +2,10 @@
 they replaced (``kmeans_oracle``): the same assignments, centroids,
 residual, rounds and chosen restart, bit for bit, on duplicate rows, tied
 centroids, near-ties, centroids that creep, empty-cluster reseeds, the
-round cap, k=1, k=n and n from 1 to 3000, under one OpenBLAS thread and
-under two."""
+round cap, k=1, k=n, k up to 20 and n from 1 to 20k, under one OpenBLAS
+thread and under two."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -193,22 +194,56 @@ def test_blocked_product_matches_the_whole_matrix(rest):
     for n in sorted({rest, block + rest, 2 * block + rest} - {0}):
         points = rng.standard_normal((n, 6)) * 10.0 ** rng.integers(-3, 4, size=6)
         x_norms = (points * points).sum(axis=1)
-        for k in range(1, 13):
+        for k in range(1, 21):
             centroids = points[rng.choice(n, min(k, n), replace=False)] + rng.standard_normal(6)
             got = compute_patterns._nearest(points, centroids, x_norms)
             want = kmeans_oracle._nearest(points, centroids, x_norms)
             assert np.array_equal(got[0], want[0]), (n, k)
             assert got[1].tobytes() == want[1].tobytes(), (n, k)
+            # The bounded rounds send gathered rows, which must come out
+            # as they do in the whole pass.
+            for size in [s for s in {2, 3, 9, n // 2} if 2 <= s <= n]:
+                rows = np.sort(rng.choice(n, size, replace=False))
+                part = compute_patterns._nearest(points[rows], centroids, x_norms[rows])
+                for whole, gathered in zip(got, part):
+                    assert whole[rows].tobytes() == gathered.tobytes(), (n, k, size)
+
+
+SIZES = (1, 7, 64, 500, 2999, 20_000)
+
+
+def fixed_cases() -> list[tuple[str, int, int]]:
+    """(kind, n, seed): each of the first five kinds at each size, then
+    the near-tie and creeping kinds at each size."""
+    cases = [(KINDS[case % 5], SIZES[case % 6], case) for case in range(30)]
+    return cases + [(kind, n, 30 + i) for i, (kind, n) in enumerate(itertools.product(KINDS[5:], SIZES))]
+
+
+def run_many_cluster_cases() -> int:
+    """Fits of k = 13 to 20, past the 12 centroids the other cases reach,
+    on near-tie rows in two blocks of _nearest; returns how many matched.
+    Their bounded rounds send gathered rows through _nearest."""
+    gathered = 0
+    for k in range(13, 21):
+        m = matrix_of(rows_of("mirrored", 6000, k))
+        model = kmeans(m, k, k)
+        assert_same_model(model, kmeans_oracle.kmeans(m, k, k))
+        gathered += model.nearest_rows < len(m) * (model.rounds + (not model.converged))
+    assert gathered == 8
+    return 8
+
+
+def test_many_clusters_on_near_ties_match():
+    assert run_many_cluster_cases() == 8
 
 
 def run_fixed_cases() -> int:
     """A fixed seeded subset of the differential cases, sizes up to 20k
-    rows; returns how many fits matched. Run by the test below in a child
-    process that sets its own OpenBLAS thread count."""
-    matched = 0
-    for case in range(30):
-        kind = KINDS[case % len(KINDS)]
-        n = (1, 7, 64, 500, 2999, 20_000)[case % 6]
+    rows, and the fits of many clusters; returns how many fits matched.
+    Run by the test below in a child process that sets its own OpenBLAS
+    thread count."""
+    matched = run_many_cluster_cases()
+    for kind, n, case in fixed_cases():
         m = matrix_of(rows_of(kind, n, case))
         for k in sorted({1, min(n, 2), min(n, 9)}):
             assert_same_model(kmeans(m, k, case), kmeans_oracle.kmeans(m, k, case))
@@ -235,8 +270,9 @@ def test_two_blas_threads_match_the_oracle():
                   "import test_kmeans_oracle as t; print(t.run_fixed_cases())",
                   OPENBLAS_NUM_THREADS="2")
     assert proc.returncode == 0, proc.stderr[-3000:]
-    # 25 cases of three fits and an elbow, and 5 one-row cases of k=1 and an elbow.
-    assert int(proc.stdout.split()[-1]) == 25 * 4 + 5 * 2
+    # 35 cases of three fits and an elbow, 7 one-row cases of k=1 and an
+    # elbow, and 8 fits of many clusters.
+    assert int(proc.stdout.split()[-1]) == 35 * 4 + 7 * 2 + 8
 
 
 @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2"), ("8", "8")])
