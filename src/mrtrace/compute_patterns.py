@@ -88,22 +88,31 @@ def name_breakdown(trace: Trace, weighting: str, min_fraction: float = 0.0) -> N
     if (cols.name_codes < 0).all():
         raise NoData("trace contains no job names")
 
+    codes = cols.name_codes
     if weighting == "jobs":
-        w = np.ones(len(cols))
-    elif weighting == "io_bytes":
-        w = cols.input_bytes + cols.shuffle_bytes + cols.output_bytes
+        w = None  # a count per token: the sums of ones, exact
     else:
-        w = cols.map_task_seconds + cols.reduce_task_seconds
-    keep = ~np.isnan(w)
+        if weighting == "io_bytes":
+            w = cols.input_bytes + cols.shuffle_bytes + cols.output_bytes
+        else:
+            w = cols.map_task_seconds + cols.reduce_task_seconds
+        keep = ~np.isnan(w)
+        if not keep.all():
+            codes, w = codes[keep], w[keep]
+        del keep
     # One token per distinct name; the extra last slot is code -1, no name.
     tokens, token_of_name = np.unique([first_word(n) for n in cols.names + (None,)],
                                       return_inverse=True)
-    job_token = token_of_name[cols.name_codes[keep]]
-    weights = np.bincount(job_token, weights=w[keep], minlength=tokens.size)
+    job_token = token_of_name[codes]
+    weights = np.bincount(job_token, weights=w, minlength=tokens.size).astype(np.float64)
+    del w
     # Tokens in order of first use, so the total adds up in the same order
-    # as a running per-job sum would.
-    used, first = np.unique(job_token, return_index=True)
-    used = used[np.argsort(first)]
+    # as a running per-job sum would. The first use of each token is the
+    # least job position that carries it: one pass, no sort of the jobs.
+    first = np.full(tokens.size, job_token.size)
+    np.minimum.at(first, job_token, np.arange(job_token.size))
+    used = np.flatnonzero(first < job_token.size)
+    used = used[np.argsort(first[used])]
     total = sum(weights[used].tolist())
     if total <= 0:
         raise NoData(f"no job carries the fields needed for weighting={weighting}")

@@ -4,10 +4,14 @@ storage rule, and re-access temporal locality.
 
 The per-file analyses read one `FileTable`, which `file_table` builds from
 a single sort of every input and output path digest of a trace: per file
-of each side, in digest order, the access counts and the last and largest
+of each side, in rank order, the access counts and the last and largest
 sizes; and the gap of every re-read from the touch of its file before it.
-Build it once for all of them; it holds up to 40 bytes per file of a side
-and 8 per re-read.
+Build it once for all of them. It holds 32 bytes per file of a side, 40
+where some touch of the side lacks its byte count, but 16 where each file
+is touched once and every touch carries bytes; and 8 per re-read. On the
+1M-job benchmark input, where every job writes a file of its own, the
+output side takes 16 MB and the re-read gaps 8 MB. The analyses read the
+ranked arrays in place: none copies a column as long as the files.
 """
 
 from __future__ import annotations
@@ -55,16 +59,6 @@ class EmpiricalCDF:
         fractions = cum / cum[-1]
         return cls(values=vals, fractions=fractions, sample_count=int(values.size))
 
-    @classmethod
-    def _from_sorted(cls, values: np.ndarray, weights: np.ndarray, sample_count: int) -> "EmpiricalCDF":
-        """The step CDF of ascending values, none of them NaN, with their
-        weights, summed in that order."""
-        new = np.ones(values.size, dtype=bool)
-        np.not_equal(values[1:], values[:-1], out=new[1:])
-        start = np.flatnonzero(new)
-        cum = np.cumsum(np.add.reduceat(weights, start))
-        return cls(values=values[start], fractions=cum / cum[-1], sample_count=sample_count)
-
     def fraction_at(self, value: float) -> float:
         """Cumulative fraction of samples with value <= the given value."""
         idx = np.searchsorted(self.values, value, side="right")
@@ -77,7 +71,8 @@ class RankedAccessTable:
 
     digests/counts/sizes are parallel arrays ordered by non-increasing
     count with digest tie-break; sizes are last observed bytes (NaN when
-    never observed).
+    never observed). From access_frequency_rank they are the file table's
+    own read-only arrays.
     """
 
     digests: np.ndarray  # uint64
@@ -105,14 +100,20 @@ class ReaccessStats:
 
 @dataclass
 class FileSide:
-    """The files one side (input or output) touches, in digest order, as
-    parallel arrays."""
+    """The files one side (input or output) touches, as read-only parallel
+    arrays in rank order: by non-increasing count, ties by ascending
+    digest. Where each file is touched once, counts is one 1 broadcast to
+    the files' length."""
 
-    digests: np.ndarray  # uint64, ascending
-    counts: np.ndarray  # int64 jobs touching the file
+    digests: np.ndarray  # uint64
+    counts: np.ndarray  # int64 jobs touching the file, non-increasing
     last_sizes: np.ndarray  # float64 bytes of the latest touch carrying them, NaN = never
-    sized_counts: np.ndarray  # int64 touches carrying a byte count
+    sized_counts: np.ndarray  # int64 touches carrying a byte count; counts itself when all do
     max_sizes: np.ndarray  # float64 largest bytes observed, NaN = never
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            value.flags.writeable = False
 
 
 @dataclass
@@ -140,35 +141,49 @@ class FileTable:
 def _file_side(file_id: np.ndarray, job: np.ndarray, digests: np.ndarray,
                sizes: np.ndarray) -> FileSide:
     """One side's files from its touches in table order, in which file_id
-    does not decrease: file_id and job per touch, the digest of each file
-    id, and the side's bytes by job row."""
-    first = np.ones(file_id.size, dtype=bool)
+    does not decrease and each file's touches are in job order: file_id and
+    job per touch, the digest of each file id, and the side's bytes by job
+    row. The caller passes the only reference to file_id and job, which go
+    as soon as they are read. Where each file is touched once, as every
+    job's own output file is, the sizes of the touches are both the last
+    and the largest sizes."""
+    m = file_id.size
+    first = np.ones(m, dtype=bool)
     np.not_equal(file_id[1:], file_id[:-1], out=first[1:])
-    digests = digests[file_id[first]]
+    start = None if first.all() else np.flatnonzero(first)  # each file's first touch
+    del first
+    side = {"digests": digests[file_id if start is None else file_id[start]]}
     del file_id
-    side_id = np.cumsum(first, dtype=job.dtype)  # the side's files, numbered from 1
-    side_id -= 1
-    n = digests.size
-    counts = np.bincount(side_id, minlength=n)
     sizes = sizes[job]
     del job
     has = ~np.isnan(sizes)
-    if has.all():
-        sized_counts = counts  # every touch carries bytes
+    if start is None:  # every count is 1: one value, broadcast, stands for the column
+        side.update(counts=np.broadcast_to(np.int64(1), (m,)), max_sizes=sizes, last_sizes=sizes)
+        if not has.all():
+            side["sized_counts"] = has.astype(np.int64)
     else:
-        side_id, sizes = side_id[has], sizes[has]
-        sized_counts = np.bincount(side_id, minlength=n)
-    max_sizes = np.zeros(n)
-    np.maximum.at(max_sizes, side_id, sizes)  # byte counts are never negative
-    max_sizes[sized_counts == 0] = np.nan
-    # The last of each file's sized touches, which are in job order.
-    last = first[:side_id.size]
-    last[-1:] = True
-    np.not_equal(side_id[1:], side_id[:-1], out=last[:-1])
-    last_sizes = np.full(n, np.nan)
-    last_sizes[side_id[last]] = sizes[last]
-    return FileSide(digests=digests, counts=counts, last_sizes=last_sizes,
-                    sized_counts=sized_counts, max_sizes=max_sizes)
+        side["counts"] = np.diff(start, append=m)
+        side["max_sizes"] = np.fmax.reduceat(sizes, start)  # NaN where no touch has bytes
+        if has.all():  # sized_counts is counts
+            start += side["counts"]
+            start -= 1  # each file's last touch
+            side["last_sizes"] = sizes[start]
+        else:
+            side["sized_counts"] = np.add.reduceat(has, start, dtype=np.int64)
+            last = np.maximum.reduceat(np.where(has, np.arange(m), -1), start)
+            side["last_sizes"] = last_sizes = sizes[last]
+            last_sizes[last < 0] = np.nan
+    del start, sizes, has
+    # Files are in digest order; unless that is already the rank order,
+    # rank them, a column at a time.
+    counts = side["counts"]
+    if np.any(counts[1:] > counts[:-1]):
+        order = np.argsort(-counts, kind="stable")
+        del counts
+        for key, column in side.items():
+            side[key] = column[order]
+    side.setdefault("sized_counts", side["counts"])
+    return FileSide(**side)
 
 
 # Job rows and file ids fit 32 bits below this many touches (2**30 jobs),
@@ -176,8 +191,21 @@ def _file_side(file_id: np.ndarray, job: np.ndarray, digests: np.ndarray,
 _INT32_TOUCHES = 2**31
 
 
+def _file_ordinals(new_file: np.ndarray, dtype) -> np.ndarray:
+    """The file id of each touch: the count of new files up to it, less
+    one. Counted in place: np.cumsum with a dtype casts all of its input
+    first."""
+    ids = new_file.astype(dtype)
+    np.cumsum(ids, out=ids)
+    ids -= 1
+    return ids
+
+
 def file_table(trace: Trace) -> FileTable:
-    """The file table of a trace: one sort of every path digest."""
+    """The file table of a trace: one sort of every path digest. Each
+    temporary as long as the touches is dropped once read: on inputs shaped
+    like the benchmark's the build peaks at about 1.8 times what the table
+    keeps (tests/test_memory_bounds.py)."""
     cols = trace.columns
     n = len(cols)
     # Touch 2j is job j's read and 2j + 1 its write; the slot of a path a
@@ -192,35 +220,50 @@ def file_table(trace: Trace) -> FileTable:
     # of (file id, touch) keys, which are distinct. On the 2M touches of a
     # 1M-job trace the two take half the time of one stable argsort.
     touch = np.argsort(digest)
-    touch = touch[present[touch]]
+    if present.all():
+        digest.sort()  # the values of digest[touch], in place
+    else:
+        touch = touch[present[touch]]
+        digest = digest[touch]
     del present
-    digest = digest[touch]
     new_file = np.ones(digest.size, dtype=bool)
     np.not_equal(digest[1:], digest[:-1], out=new_file[1:])
     digests = digest[new_file]
     del digest
-    key = np.cumsum(new_file, dtype=np.int64)
-    key -= 1
+    key = _file_ordinals(new_file, np.int64)
     key *= 2 * n
     key += touch
     del touch
     key.sort()
     index = np.int32 if 2 * n < _INT32_TOUCHES else np.int64
-    file_id = np.cumsum(new_file, dtype=index)
-    file_id -= 1
     np.remainder(key, 2 * n, out=key)
     is_write = np.bitwise_and(key, 1, out=np.empty(key.size, dtype=bool), casting="unsafe")
     job = np.right_shift(key, 1, out=key).astype(index)
     del key
     reads = ~is_write
-    input_side = _file_side(file_id[reads], job[reads], digests, cols.input_bytes)
-    output_side = _file_side(file_id[is_write], job[is_write], digests, cols.output_bytes)
-    reread = reads[1:] & ~new_file[1:]
+    read_count = int(np.count_nonzero(reads))
+    # A re-read is a read whose touch before is of the same file.
+    reread = np.logical_not(new_file[1:])
+    reread &= reads[1:]
+    later, earlier = job[1:][reread], job[:-1][reread]
+    del reread
     # Jobs are in submit order, so each gap is >= 0 and the uint64
     # difference is exact for any int64 submit times.
     t = cols.submit_time.view(np.uint64)
-    return FileTable(input=input_side, output=output_side, reads=int(np.count_nonzero(reads)),
-                     reread_gaps=t[job[1:][reread]] - t[job[:-1][reread]])
+    gaps = t[later]
+    del later
+    gaps -= t[earlier]
+    del earlier
+    # The file ids are counted again for each side, so that no column of
+    # them outlives its side. The output side, often a file per job, comes
+    # last, once the input side and the gaps have dropped their temporaries.
+    input_side = _file_side(_file_ordinals(new_file, index)[reads], job[reads],
+                            digests, cols.input_bytes)
+    del reads
+    job = job[is_write]
+    output_side = _file_side(_file_ordinals(new_file, index)[is_write], job,
+                             digests, cols.output_bytes)
+    return FileTable(input=input_side, output=output_side, reads=read_count, reread_gaps=gaps)
 
 
 def data_size_cdf(trace: Trace, dimension: str) -> EmpiricalCDF:
@@ -230,10 +273,10 @@ def data_size_cdf(trace: Trace, dimension: str) -> EmpiricalCDF:
     caller as record_count - sample_count.
     """
     col = trace.columns.bytes_column(dimension)
-    vals = col[~np.isnan(col)]
-    if vals.size == 0:
+    present = ~np.isnan(col)
+    if not present.any():
         raise NoData(f"no record carries {dimension}_bytes")
-    return EmpiricalCDF.from_samples(vals)
+    return EmpiricalCDF.from_samples(col if present.all() else col[present])
 
 
 def access_frequency_rank(files: FileTable, side: str) -> RankedAccessTable:
@@ -245,39 +288,53 @@ def access_frequency_rank(files: FileTable, side: str) -> RankedAccessTable:
     s = files.side(side)
     if not s.digests.size:
         raise NoData(f"no record carries {side}_path_hash")
-    order = np.argsort(-s.counts, kind="stable")  # the files are in digest order
-    return RankedAccessTable(
-        digests=s.digests[order],
-        counts=s.counts[order],
-        sizes=s.last_sizes[order],
-        side=side,
-    )
+    return RankedAccessTable(digests=s.digests, counts=s.counts, sizes=s.last_sizes, side=side)
+
+
+def _log10_counts(table: RankedAccessTable) -> np.ndarray:
+    y = table.counts.astype(np.float64)
+    return np.log10(y, out=y)
+
+
+def _log10_ranks(n: int) -> np.ndarray:
+    x = np.arange(1, n + 1, dtype=np.float64)
+    return np.log10(x, out=x)
 
 
 def fit_zipf(table: RankedAccessTable) -> ZipfFit:
-    """Least-squares line through (log10 rank, log10 count) over all entries."""
+    """Least-squares line through (log10 rank, log10 count) over all entries.
+
+    It holds two arrays as long as the table: the centered logs are made
+    in place, and the residuals from the logs made again."""
     n = len(table)
     if n < 2:
         raise InsufficientData("need at least 2 ranked entries to fit")
-    x = np.log10(np.arange(1, n + 1, dtype=np.float64))
-    y = np.log10(table.counts.astype(np.float64))
+    y = _log10_counts(table)
     if np.all(y == y[0]):  # constant counts: the flat line is an exact fit
         return ZipfFit(slope=0.0, intercept=float(y[0]), r_squared=1.0, n_points=n)
+    x = _log10_ranks(n)
     xm, ym = x.mean(), y.mean()
-    dx, dy = x - xm, y - ym
-    sxx = float(dx @ dx)
-    slope = float(dx @ dy) / sxx
+    x -= xm
+    y -= ym
+    sxx = float(x @ x)
+    slope = float(x @ y) / sxx
+    syy = float(y @ y)
     intercept = ym - slope * xm
-    resid = y - (slope * x + intercept)
+    del x, y
+    fitted = _log10_ranks(n)
+    fitted *= slope
+    fitted += intercept
+    resid = np.subtract(_log10_counts(table), fitted, out=fitted)
     ss_res = float(resid @ resid)
-    r2 = 1.0 - ss_res / float(dy @ dy)
+    r2 = 1.0 - ss_res / syy
     return ZipfFit(slope=abs(slope), intercept=intercept,
                    r_squared=min(max(r2, 0.0), 1.0), n_points=n)
 
 
 def tail_trimmed(table: RankedAccessTable, min_count: int = 2) -> RankedAccessTable:
-    """Copy of the table without the low-count tail (default: drop count < 2)."""
-    keep = table.counts >= min_count
+    """The table without its low-count tail (default: drop count < 2). Its
+    counts do not increase, so that is the head it keeps, as views."""
+    keep = slice(int(np.count_nonzero(table.counts >= min_count)))
     return RankedAccessTable(
         digests=table.digests[keep],
         counts=table.counts[keep],
@@ -286,19 +343,23 @@ def tail_trimmed(table: RankedAccessTable, min_count: int = 2) -> RankedAccessTa
     )
 
 
-def _sized_files(files: FileTable, side: str) -> tuple[np.ndarray, np.ndarray]:
-    """The accesses that carry a byte count, per file that has any, and each
-    such file's size = max bytes observed for its digest, in digest order.
+def _sized_files(files: FileTable, side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The accesses that carry a byte count, per file that has any, each
+    such file's size = max bytes observed for its digest, and its digest,
+    in rank order. The table's own arrays when every touch carries bytes.
     Raises NoData when the files hold 0 bytes in total, since no fraction
     of stored bytes is defined then."""
     s = files.side(side)
     sized = s.sized_counts > 0
     if not sized.any():
         raise NoData(f"no record carries both {side}_path_hash and {side}_bytes")
-    max_sizes = s.max_sizes[sized]
-    if not max_sizes.any():
+    if sized.all():
+        columns = s.sized_counts, s.max_sizes, s.digests
+    else:
+        columns = s.sized_counts[sized], s.max_sizes[sized], s.digests[sized]
+    if not columns[1].any():
         raise NoData(f"every {side} file is 0 bytes")
-    return s.sized_counts[sized], max_sizes
+    return columns
 
 
 def access_vs_size_curves(files: FileTable, side: str) -> tuple[EmpiricalCDF, EmpiricalCDF]:
@@ -307,15 +368,35 @@ def access_vs_size_curves(files: FileTable, side: str) -> tuple[EmpiricalCDF, Em
     A file's size is the largest byte count ever observed for its digest.
     jobs_cdf weights each job by 1, so each file by its sized accesses,
     and counts jobs as its samples; bytes_cdf weights each distinct file
-    by its size. Both come from one sort of the file sizes. It need not be
-    stable: the order of equal sizes changes no sum, since the job counts
-    are integers and the byte weights of equal sizes are equal.
+    by its size. Both come from one sort of the file sizes, and share one
+    values array. The sort need not be stable: the order of equal sizes
+    changes no sum, since the job counts are integers and the byte weights
+    of equal sizes are equal. Each file-long temporary is dropped once
+    read, and each sum accumulates in place.
     """
-    jobs, sizes = _sized_files(files, side)
-    order = np.argsort(sizes)
-    sizes = sizes[order]
-    jobs_cdf = EmpiricalCDF._from_sorted(sizes, jobs[order], int(jobs.sum()))
-    bytes_cdf = EmpiricalCDF._from_sorted(sizes, sizes, int(sizes.size))
+    jobs, sizes, _ = _sized_files(files, side)
+    if jobs.min() < jobs.max():
+        order = np.argsort(sizes)
+        sizes, jobs = sizes[order], jobs[order]
+        del order
+    else:  # equal counts, as of files written once, sum alike in any order
+        sizes = np.sort(sizes)
+    new = np.ones(sizes.size, dtype=bool)
+    np.not_equal(sizes[1:], sizes[:-1], out=new[1:])
+    start = np.flatnonzero(new)  # the first file of each distinct size
+    del new
+    values = sizes[start]
+    byte_cum = np.add.reduceat(sizes, start)
+    file_count = sizes.size
+    del sizes
+    np.cumsum(byte_cum, out=byte_cum)
+    byte_cum /= byte_cum[-1]
+    job_cum = np.add.reduceat(jobs, start)
+    del jobs, start
+    np.cumsum(job_cum, out=job_cum)
+    jobs_cdf = EmpiricalCDF(values=values, fractions=job_cum / job_cum[-1],
+                            sample_count=int(job_cum[-1]))
+    bytes_cdf = EmpiricalCDF(values=values, fractions=byte_cum, sample_count=file_count)
     return jobs_cdf, bytes_cdf
 
 
@@ -328,12 +409,17 @@ def eighty_x_rule(files: FileTable, side: str, access_quantile: float = EIGHTY_X
     """
     if not 0.0 <= access_quantile <= 1.0:
         raise ValueError("access_quantile must be in [0, 1]")
-    counts, sizes = _sized_files(files, side)
-    order = np.argsort(-counts, kind="stable")
-    counts, sizes = counts[order], sizes[order]
+    counts, sizes, digests = _sized_files(files, side)
+    if counts is not files.side(side).counts:
+        # Some touch lacks bytes: rank the files by their sized touches.
+        order = np.lexsort((digests, -counts))
+        counts, sizes = counts[order], sizes[order]
     needed = access_quantile * counts.sum()
     cum = np.cumsum(counts)
-    k = int(np.searchsorted(cum, needed, side="left")) + 1 if needed > 0 else 0
+    # The counts are integers, so the first running count >= needed is the
+    # first >= ceil(needed), an int that searchsorted compares with no
+    # float copy of cum.
+    k = int(np.searchsorted(cum, int(np.ceil(needed)), side="left")) + 1 if needed > 0 else 0
     prefix_bytes = float(sizes[:k].sum())
     total_bytes = float(sizes.sum())
     return 100.0 * prefix_bytes / total_bytes

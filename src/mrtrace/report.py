@@ -110,19 +110,33 @@ def _column_texts(column, level: int) -> list[str]:
     return texts
 
 
-def _records_text(records: Records, level: int) -> str:
-    """JSON text of records, encoded a column at a time and joined row by
-    row from one template."""
-    keys = tuple(records.columns)
-    columns = [_column_texts(c, level + 2) for c in records.columns.values()]
-    if not columns or not columns[0]:
-        return "[]"
+# Rows per chunk of a Records' text. A chunk's column texts and rows go
+# once it is joined, so a large Records is held as text about once, in the
+# chunks, until json_text joins them: writing 100k job timings as one chunk
+# held the column texts, the rows and their join at once.
+_RECORDS_CHUNK = 16384
+
+
+def _append_records(records: Records, level: int, out: list) -> None:
+    """Append the JSON text of records to out, _RECORDS_CHUNK rows at a
+    time, each chunk encoded a column at a time and joined row by row from
+    one template."""
+    rows = len(next(iter(records.columns.values()), ()))
+    if not rows:
+        out.append("[]")
+        return
     row_indent = "\n" + _INDENT * (level + 1)
     key_indent = row_indent + _INDENT
-    fields = (key_indent + _key_text(k).replace("%", "%%") + ": %s" for k in keys)
+    fields = (key_indent + _key_text(k).replace("%", "%%") + ": %s" for k in records.columns)
     template = "{" + ",".join(fields) + row_indent + "}"
-    rows = map(template.__mod__, zip(*columns))
-    return "[" + row_indent + ("," + row_indent).join(rows) + "\n" + _INDENT * level + "]"
+    sep = "[" + row_indent
+    for start in range(0, rows, _RECORDS_CHUNK):
+        columns = [_column_texts(c[start:start + _RECORDS_CHUNK], level + 2)
+                   for c in records.columns.values()]
+        out.append(sep)
+        out.append(("," + row_indent).join(map(template.__mod__, zip(*columns))))
+        sep = "," + row_indent
+    out.append("\n" + _INDENT * level + "]")
 
 
 def _encode(obj, level: int, out: list) -> None:
@@ -132,7 +146,7 @@ def _encode(obj, level: int, out: list) -> None:
         out.append(text)
         return
     if isinstance(obj, Records):
-        out.append(_records_text(obj, level))
+        _append_records(obj, level, out)
         return
     inner = "\n" + _INDENT * (level + 1)
     if isinstance(obj, dict):

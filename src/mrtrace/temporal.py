@@ -82,6 +82,17 @@ def _bucket_count(start: int, end: int, width: int) -> int:
     return n
 
 
+def _bucket_sums(idx: np.ndarray, total: np.ndarray, n: int, missing: str) -> np.ndarray:
+    """The sums of total by bucket, leaving out its NaNs; NoData(missing)
+    when every value is NaN. The columns are gathered only when some is."""
+    mask = ~np.isnan(total)
+    if not mask.any():
+        raise NoData(missing)
+    if not mask.all():
+        idx, total = idx[mask], total[mask]
+    return np.bincount(idx, weights=total, minlength=n)
+
+
 def bucket_time_series(trace: Trace, dimension: str, bucket_width: int = HOUR_SECONDS) -> TimeSeries:
     """Per-bucket sums of one workload dimension, keyed by submit time.
 
@@ -95,30 +106,67 @@ def bucket_time_series(trace: Trace, dimension: str, bucket_width: int = HOUR_SE
     start, end = trace.span
     n = _bucket_count(start, end, bucket_width)
     # Offsets in uint64 hold a span past int64. A width past the span, which
-    # may not fit either, gives one bucket.
-    offsets = cols.submit_time.view(np.uint64) - np.uint64(start % 2**64)
+    # may not fit either, gives one bucket. The bucket numbers, below n,
+    # are divided in place and read as int64.
+    idx = cols.submit_time.view(np.uint64) - np.uint64(start % 2**64)
     if n > 1:
-        idx = (offsets // np.uint64(bucket_width)).astype(np.int64)
+        idx //= np.uint64(bucket_width)
     else:
-        idx = np.zeros(offsets.size, np.int64)
+        idx[:] = 0
+    idx = idx.view(np.int64)
 
     if dimension == "jobs_submitted":
         values = np.bincount(idx, minlength=n).astype(np.float64)
     elif dimension == "data_size_bytes":
         total = cols.input_bytes + cols.shuffle_bytes + cols.output_bytes
-        mask = ~np.isnan(total)
-        if not mask.any():
-            raise NoData("no record carries all of input/shuffle/output bytes")
-        values = np.bincount(idx[mask], weights=total[mask], minlength=n)
+        values = _bucket_sums(idx, total, n, "no record carries all of input/shuffle/output bytes")
     elif dimension == "compute_time_task_seconds":
         total = cols.map_task_seconds + cols.reduce_task_seconds
-        mask = ~np.isnan(total)
-        if not mask.any():
-            raise NoData("no record carries both map and reduce task-seconds")
-        values = np.bincount(idx[mask], weights=total[mask], minlength=n)
+        values = _bucket_sums(idx, total, n, "no record carries both map and reduce task-seconds")
     else:
         raise ValueError(f"unknown dimension {dimension!r}")
     return TimeSeries(bucket_width=bucket_width, start=start, values=values, dimension=dimension)
+
+
+# Jobs per chunk of occupancy_series, and spread terms per block of its
+# second pass: each temporary stays near half a megabyte.
+_OCCUPANCY_CHUNK = 65536
+
+
+def _occupancy_jobs(trace: Trace, bucket_width: int, n: int):
+    """The jobs occupancy_series spreads, in job order, _OCCUPANCY_CHUNK
+    rows at a time: each chunk's float submit and end times, task-seconds,
+    and first and last buckets. With n = 0 the buckets are left out."""
+    cols = trace.columns
+    start = trace.span[0]
+    for lo in range(0, len(cols), _OCCUPANCY_CHUNK):
+        rows = slice(lo, lo + _OCCUPANCY_CHUNK)
+        ts = cols.map_task_seconds[rows] + cols.reduce_task_seconds[rows]
+        duration = cols.duration[rows]
+        keep = ~np.isnan(ts) & ~np.isnan(duration)
+        submit = cols.submit_time[rows][keep]
+        a = submit.astype(np.float64)
+        b = a + duration[keep]
+        # A job's first bucket comes from its exact submit offset, as in
+        # bucket_time_series; past 2**53 its float submit time may round
+        # into the next bucket. Both ends are clamped to the buckets there
+        # are.
+        first = last = np.zeros(a.size, np.int64)
+        if n > 1:
+            offsets = submit.view(np.uint64) - np.uint64(start % 2**64)
+            first = np.minimum(offsets // np.uint64(bucket_width), n - 1).astype(np.int64)
+            last = np.clip(((b - start) // bucket_width).astype(np.int64), first, n - 1)
+        yield a, b, ts[keep], first, last
+
+
+def _edges(bucket: np.ndarray, start: int, bucket_width: int, wide: bool) -> np.ndarray:
+    """start + bucket * bucket_width, exact, then rounded once to float64:
+    in int64, or past its range (wide) in Python ints."""
+    if wide:
+        return (bucket.astype(object) * bucket_width + start).astype(np.float64)
+    edge = bucket * bucket_width
+    edge += start
+    return edge.astype(np.float64)
 
 
 def occupancy_series(trace: Trace, bucket_width: int = HOUR_SECONDS) -> TimeSeries:
@@ -128,50 +176,57 @@ def occupancy_series(trace: Trace, bucket_width: int = HOUR_SECONDS) -> TimeSeri
     [submit, submit+duration]; per-task start/stop times are not in the
     per-job schema, so this is an approximation. Raises InvalidBucketWidth
     for a width that does not fit a float64.
+
+    The jobs are read in chunks, twice. The first pass adds the jobs that
+    fall in one bucket, the second the share of each bucket a longer job
+    covers, as terms in job order and then bucket order, each overlap with
+    NumPy's float64 arithmetic on exact integer bucket edges, the width for
+    a covered bucket. So the sums are those of one loop over the buckets of
+    each job, which tests/temporal_oracle.py keeps.
     """
     if bucket_width <= 0:
         raise InvalidBucketWidth(f"bucket_width must be positive, got {bucket_width}")
     if bucket_width > sys.float_info.max:  # the averages divide by it
         raise InvalidBucketWidth("bucket_width does not fit a 64-bit float")
-    cols = trace.columns
-    total_ts = cols.map_task_seconds + cols.reduce_task_seconds
-    mask = ~np.isnan(total_ts) & ~np.isnan(cols.duration)
-    if not mask.any():
+    ends = [b.max() for _, b, *_ in _occupancy_jobs(trace, bucket_width, 0) if b.size]
+    if not ends:
         raise NoData("occupancy needs duration and both task-second fields")
 
-    submit = cols.submit_time[mask].astype(np.float64)
-    duration = cols.duration[mask]
-    ts = total_ts[mask]
-    ends = submit + duration
-
     start = trace.span[0]
-    cover_end = int(max(trace.span[1], ends.max()))
+    cover_end = int(max(trace.span[1], max(ends)))
     n = _bucket_count(start, cover_end, bucket_width)
     acc = np.zeros(n)
 
-    # A job's first bucket comes from its exact submit offset, as in
-    # bucket_time_series; past 2**53 its float submit time may round into
-    # the next bucket. Both ends are clamped to the buckets there are.
-    first = last = np.zeros(submit.size, np.int64)
-    if n > 1:
-        offsets = cols.submit_time[mask].view(np.uint64) - np.uint64(start % 2**64)
-        first = np.minimum(offsets // np.uint64(bucket_width), n - 1).astype(np.int64)
-        last = np.clip(((ends - start) // bucket_width).astype(np.int64), first, n - 1)
-
     # Zero-duration jobs land here as a point mass, as do jobs whose float
     # end rounds back to their submit time.
-    single = (first == last) | (ends == submit)
-    np.add.at(acc, first[single], ts[single])
+    for a, b, w, first, last in _occupancy_jobs(trace, bucket_width, n):
+        single = (first == last) | (b == a)
+        np.add.at(acc, first[single], w[single])
 
-    for i in np.nonzero(~single)[0]:
-        a, b, w = submit[i], ends[i], ts[i]
-        rate = w / (b - a)
-        for bucket in range(first[i], last[i] + 1):
-            lo = start + bucket * bucket_width
-            hi = lo + bucket_width
-            overlap = min(b, hi) - max(a, lo)
-            if overlap > 0:
-                acc[bucket] += rate * overlap
+    wide = not (n * bucket_width < 2**63 and start + n * bucket_width < 2**63)
+    width = float(bucket_width)
+    for a, b, w, first, last in _occupancy_jobs(trace, bucket_width, n):
+        spread = (first != last) & (b != a)
+        a, b, first = a[spread], b[spread], first[spread]
+        rate = w[spread] / (b - a)
+        count = last[spread] - first + 1
+        done = np.cumsum(count)  # the terms through each job
+        for t0 in range(0, int(done[-1]) if done.size else 0, _OCCUPANCY_CHUNK):
+            term = np.arange(t0, min(t0 + _OCCUPANCY_CHUNK, int(done[-1])))
+            job = np.searchsorted(done, term, side="right")
+            bucket = first[job] + term - (done[job] - count[job])
+            del term
+            lo = _edges(bucket, start, bucket_width, wide)
+            hi = _edges(bucket + 1, start, bucket_width, wide)
+            aj, bj = a[job], b[job]
+            # min(b, hi) is hi where b > hi, and max(a, lo) is lo where
+            # a < lo: then both are ints, and their difference the width.
+            full = (bj > hi) & (aj < lo)
+            overlap = np.minimum(bj, hi, out=hi)
+            overlap -= np.maximum(aj, lo, out=lo)
+            overlap[full] = width
+            keep = overlap > 0
+            np.add.at(acc, bucket[keep], rate[job][keep] * overlap[keep])
 
     return TimeSeries(
         bucket_width=bucket_width,

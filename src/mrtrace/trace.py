@@ -363,20 +363,23 @@ def _columns_of(rows: Iterable[tuple]) -> TraceColumns:
 # raised the peak RSS of later stages, and parsed no faster. For the same
 # reason _read_jsonl copies each chunk into output columns at once: keeping
 # the 245 chunks of a 1M-job file and joining them at the end left 254 MB
-# resident after the parse instead of 141-151 MB, and peaked at 353 MB
-# instead of 251 MB.
+# resident after the parse instead of 141-151 MB. The columns then shrink
+# in place to the rows read, and parse_trace sorts them a column at a
+# time: the parse of the 1M-job analyze input peaked at 166-168 MB, where
+# keeping the spare capacity alive through a sort of all 13 columns at
+# once peaked at 258-262 MB (2-core VM, seed 11).
 #
 # glibc gives each pool thread a malloc arena of its own, which keeps the
 # pages of the chunk temporaries freed in it resident after the pool is
 # gone, where no later allocation on the calling thread reuses them.
-# Unreleased, they raised the peak RSS of a 1M-job analyze from 289-291 to
-# 303-304 MB, and of the cache sweep from 106-107 to 115-116 MB. So the
-# pool's end calls malloc_trim (_release_free_heap): 291-294 and 109-112
-# MB. What is left is the top of each worker's arena, which malloc_trim
-# does not shrink; it is at most a chunk's working set. So _layout_columns
-# drops each per-digit array as soon as it is read: a 4096-line chunk of a
-# synthesized workload, 1.1 MB of text, peaked at 12.6 MB of temporaries,
-# and now at 7.9 MB.
+# Unreleased, they added 13-14 MB to the peak RSS of a 1M-job analyze and
+# 9 MB to that of the cache sweep, so the pool's end calls malloc_trim
+# (_release_free_heap), which gave most of it back. What is left is the
+# top of each worker's arena, which malloc_trim does not shrink; it is at
+# most a chunk's working set. So _layout_columns drops each per-digit
+# array as soon as it is read: a 4096-line chunk of a synthesized
+# workload, 1.1 MB of text, peaked at 12.6 MB of temporaries, and now at
+# 7.9 MB.
 _JSONL_CHUNK = 4096
 # At most this many pool threads read chunks, at most _IN_FLIGHT chunks
 # ahead of the one being copied; a chunk's lines take about 1.3 MB.
@@ -614,7 +617,7 @@ def _read_jsonl(lines: Iterator[str]) -> TraceColumns:
     """Columns of every jsonl line, _JSONL_CHUNK lines at a time, each
     chunk read by _layout_columns or, when that declines, by _iter_jsonl
     on this thread. Each chunk is copied at once into output columns that
-    grow by doubling; the result views them."""
+    grow by doubling, and shrink in place to the rows read at the end."""
     out: dict[str, np.ndarray] = {}
     index: dict[str, int] = {}  # the name table, in order of first appearance
     size = 0
@@ -640,7 +643,28 @@ def _read_jsonl(lines: Iterator[str]) -> TraceColumns:
             size = end
     if not out:
         return TraceColumns.from_fields([()] * len(ROW_FIELDS))
-    return TraceColumns(**{k: v[:size] for k, v in out.items()}, names=tuple(index))
+    # No view of the buffers exists, so each can give its spare capacity
+    # back; a v[:size] view would keep all of it alive.
+    for v in out.values():
+        v.resize(size, refcheck=False)
+    return TraceColumns(**out, names=tuple(index))
+
+
+def _sorted_by_submit(fields: dict) -> TraceColumns:
+    """The columns in fields, a TraceColumns' vars, as the rows of
+    TraceColumns.take(np.argsort(submit_time, kind="stable")). Each column
+    is gathered on its own and replaces its source in fields at once, so
+    when fields holds the only reference to the unsorted columns, the sort
+    needs one spare column, not a second copy of all of them. Columns that
+    are already in order are kept as they are."""
+    submit = fields["submit_time"]
+    if np.any(submit[1:] < submit[:-1]):
+        order = np.argsort(submit, kind="stable")
+        del submit
+        for key, column in fields.items():
+            if isinstance(column, np.ndarray):
+                fields[key] = column[order]
+    return TraceColumns(**fields)
 
 
 def parse_trace(
@@ -669,7 +693,9 @@ def parse_trace(
     if not len(cols):
         raise EmptyTrace("trace contains no records")
 
-    cols = cols.take(np.argsort(cols.submit_time, kind="stable"))
+    fields = dict(vars(cols))
+    del cols  # so each unsorted column goes as soon as it is sorted
+    cols = _sorted_by_submit(fields)
     span = (int(cols.submit_time[0]), int(cols.submit_time[-1]))
     return Trace(label=label, machine_count=machine_count, columns=cols, span=span)
 

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrtrace import (
     ClusterModel,
@@ -19,7 +21,7 @@ from mrtrace import (
     summarize_clusters,
 )
 from mrtrace import compute_patterns
-from mrtrace.compute_patterns import FEATURE_NAMES, UNNAMED
+from mrtrace.compute_patterns import FEATURE_NAMES, UNNAMED, NameBreakdown
 from conftest import full_rec, make_trace, matrix_of, rec
 
 
@@ -102,6 +104,63 @@ class TestNameBreakdown:
         t = make_trace([rec(0, 0, name="etl x"), rec(1, 1)])
         b = name_breakdown(t, "jobs")
         assert dict(zip(b.words, b.fractions)) == {"etl": 0.5, UNNAMED: 0.5}
+
+
+def name_breakdown_by_sort(trace, weighting, min_fraction=0.0):
+    """name_breakdown as it was before it found first uses in one pass: it
+    sorted every kept job's token with np.unique for their first uses."""
+    cols = trace.columns
+    if (cols.name_codes < 0).all():
+        raise NoData("trace contains no job names")
+    if weighting == "jobs":
+        w = np.ones(len(cols))
+    elif weighting == "io_bytes":
+        w = cols.input_bytes + cols.shuffle_bytes + cols.output_bytes
+    else:
+        w = cols.map_task_seconds + cols.reduce_task_seconds
+    keep = ~np.isnan(w)
+    tokens, token_of_name = np.unique([first_word(n) for n in cols.names + (None,)],
+                                      return_inverse=True)
+    job_token = token_of_name[cols.name_codes[keep]]
+    weights = np.bincount(job_token, weights=w[keep], minlength=tokens.size)
+    used, first = np.unique(job_token, return_index=True)
+    used = used[np.argsort(first)]
+    total = sum(weights[used].tolist())
+    if total <= 0:
+        raise NoData(f"no job carries the fields needed for weighting={weighting}")
+    ranked = sorted(zip(tokens[used].tolist(), weights[used].tolist()), key=lambda kv: (-kv[1], kv[0]))
+    words, fractions, other = [], [], 0.0
+    for token, weight in ranked:
+        frac = weight / total
+        if frac < min_fraction:
+            other += frac
+        else:
+            words.append(token)
+            fractions.append(frac)
+    return NameBreakdown(weighting=weighting, words=words, fractions=fractions, other_fraction=other)
+
+
+NAMED_JOB = st.tuples(st.sampled_from([None, "etl a", "ETL b", "select", "9 lives", "zz", "q r", "x"]),
+                      st.none() | st.integers(0, 10**15), st.none() | st.floats(0, 1e12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(jobs=st.lists(NAMED_JOB, min_size=1, max_size=40),
+       cutoff=st.sampled_from([0.0, 0.01, 0.3]))
+def test_name_breakdown_matches_the_sorted_first_uses(jobs, cutoff):
+    # Summed in another order, the total of large weights would move in its
+    # last bits: the first uses must come out in the same order.
+    t = make_trace([rec(i, i, name=name, input_bytes=io, shuffle_bytes=0, output_bytes=io,
+                        map_task_seconds=ts, reduce_task_seconds=0.5)
+                    for i, (name, io, ts) in enumerate(jobs)])
+    for weighting in ("jobs", "io_bytes", "task_time"):
+        try:
+            want = name_breakdown_by_sort(t, weighting, cutoff)
+        except NoData:
+            with pytest.raises(NoData):
+                name_breakdown(t, weighting, cutoff)
+            continue
+        assert name_breakdown(t, weighting, cutoff) == want
 
 
 class TestFeatureVectors:

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from mrtrace.temporal import (
     series_correlations,
 )
 from conftest import full_rec, make_trace, mixed_workload_trace, rec
-from temporal_oracle import zero_runs_per_bucket
+from mrtrace import temporal
+from temporal_oracle import occupancy_series_per_bucket, zero_runs_per_bucket
 
 
 def series(values, width=3600):
@@ -158,6 +160,42 @@ class TestOccupancy:
             s = occupancy_series(t, width)
         assert (s.values * width).tolist() == task_seconds
         assert s.values.sum() * width == 25.0 * len(submits)
+
+    JOB = st.tuples(st.integers(0, 20_000), st.sampled_from([0, 1, 59, 60, 61, 599, 3600, 7201, 2**40]),
+                    st.sampled_from([1.0, 0.25, 7.5, 1e9]), st.sampled_from([0.0, 2.5]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(base=st.sampled_from([0, -86_400, 2**53 - 9_000, 2**53 + 1, 2**62, 2**63 - 30_000,
+                                 -(2**63)]),
+           jobs=st.lists(JOB, min_size=1, max_size=12),
+           width=st.sampled_from([60, 600, 3600, 7, 2**61]),
+           chunk=st.sampled_from([1, 2, 3, 5, temporal._OCCUPANCY_CHUNK]))
+    @example(base=0, jobs=[(0, 0, 1.0, 0.0), (0, 7201, 7.5, 2.5)], width=60, chunk=1)
+    @example(base=2**53 + 1, jobs=[(1, 3600, 1.0, 0.0), (3, 7201, 0.25, 0.0)], width=600, chunk=1)
+    @example(base=2**63 - 30_000, jobs=[(0, 2**40, 1e9, 2.5)], width=7, chunk=5)
+    def test_chunks_match_the_per_bucket_loop(self, base, jobs, width, chunk):
+        # Zero durations, chunk edges inside a job's terms and between jobs,
+        # submit times past 2**53, and bucket edges past the int64 range.
+        t = make_trace([full_rec(i, min(base + offset, 2**63 - 1), duration=duration,
+                                 map_task_seconds=map_s, reduce_task_seconds=reduce_s)
+                        for i, (offset, duration, map_s, reduce_s) in enumerate(jobs)])
+        try:
+            want = occupancy_series_per_bucket(t, width)
+        except TooManyBuckets:
+            with pytest.raises(TooManyBuckets):
+                occupancy_series(t, width)
+            return
+        with mock.patch.object(temporal, "_OCCUPANCY_CHUNK", chunk):
+            got = occupancy_series(t, width)
+        assert (got.start, got.bucket_width) == (want.start, want.bucket_width)
+        assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("width", [60, 600, 3600])
+    def test_a_mixed_trace_matches_the_per_bucket_loop(self, width, monkeypatch):
+        t = mixed_workload_trace(n_jobs=3000, seed=4)
+        monkeypatch.setattr(temporal, "_OCCUPANCY_CHUNK", 256)  # terms of many chunks
+        got, want = occupancy_series(t, width), occupancy_series_per_bucket(t, width)
+        assert got.values.tobytes() == want.values.tobytes()
 
     def test_conserves_task_seconds(self):
         rng = random.Random(12)

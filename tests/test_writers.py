@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrtrace import build_workload_model, serialize_trace, synthesize
+from mrtrace import report
 from mrtrace import trace as trace_mod
 from mrtrace.columns import TraceColumns
 from mrtrace.report import Records, json_text, tsv_text
@@ -221,12 +222,14 @@ class TestJsonText:
         assert json_text(doc) == json_text_per_value(doc)
 
     @settings(max_examples=300, deadline=None)
-    @given(table=records(scalars), depth=st.integers(0, 3))
-    def test_records_match_their_list_of_dicts(self, table, depth):
+    @given(table=records(scalars), depth=st.integers(0, 3), chunk=st.sampled_from([1, 2, 3, 16384]))
+    def test_records_match_their_list_of_dicts(self, table, depth, chunk):
+        # Chunks of 1-3 rows put chunk edges between rows of every kind.
         doc = table
         for level in range(depth):
             doc = {"level": level, "rows": doc} if level % 2 else [doc, level]
-        same_outcome(json_text, json_text_per_value, doc)
+        with mock.patch.object(report, "_RECORDS_CHUNK", chunk):
+            same_outcome(json_text, json_text_per_value, doc)
 
     def test_empty_records(self):
         for doc in (Records(), Records(a=[], b=np.array([])), {"gaps": Records(start=[])}):
