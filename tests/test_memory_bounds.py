@@ -44,14 +44,20 @@ def benchmark_shaped_trace(n: int, seed: int = 3) -> trace.Trace:
 
 
 def traced_peak(fn):
-    """fn()'s result and the most bytes it held at once."""
+    """fn()'s result and the most bytes it held at once, also when the
+    interpreter already traces allocations (python -X tracemalloc)."""
     gc.collect()
-    tracemalloc.start()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
     try:
         result = fn()
-        return result, tracemalloc.get_traced_memory()[1]
+        return result, tracemalloc.get_traced_memory()[1] - base
     finally:
-        tracemalloc.stop()
+        if not tracing:
+            tracemalloc.stop()
 
 
 def array_bytes(*arrays) -> int:
