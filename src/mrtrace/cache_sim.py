@@ -30,6 +30,13 @@ event by event:
   evicts others);
 - the event sizes sum to less than 2**63 (the pass sums bytes in int64,
   where the replay's Python ints cannot overflow).
+
+The replay is one loop over a dict of the resident files in recency
+order, least recently used first, and under an idle TTL a dict of their
+touch times in the same order. A touched or admitted file goes to the
+back before any eviction from the front. It fits on its own, so it
+leaves only if it is the last file left, when the bytes already fit:
+the victims are those of evicting before the insert.
 """
 
 from __future__ import annotations
@@ -347,98 +354,50 @@ class _LRUStack:
         return peak
 
 
-class _LRUState:
-    """Resident set with recency order; python dict order is the LRU list."""
-
-    def __init__(self):
-        self.sizes: dict[int, int] = {}  # front = least recently used
-        self.last_access: dict[int, int] = {}
-        self.resident_bytes = 0
-
-    def touch(self, digest: int, t: int):
-        self.sizes[digest] = self.sizes.pop(digest)
-        self.last_access[digest] = t
-
-    def insert(self, digest: int, size: int, t: int):
-        self.sizes[digest] = size
-        self.last_access[digest] = t
-        self.resident_bytes += size
-
-    def evict(self, digest: int):
-        self.resident_bytes -= self.sizes.pop(digest)
-        del self.last_access[digest]
-
-    def lru_order(self):
-        return iter(self.sizes)
-
-
 def _replay(stream: AccessStream, config: CacheConfig) -> CacheReport:
-    """Event-by-event simulation of any configuration; the stream is
-    already checked to be sorted."""
-    state = _LRUState()
-    hits = 0
-    reads = 0
-    hit_bytes = 0
-    read_bytes = 0
-    evictions = 0
-    peak = 0
-
-    def expire_idle(now: int):
-        nonlocal evictions
-        while True:
-            digest = next(state.lru_order(), None)
-            if digest is None or now - state.last_access[digest] <= config.idle_ttl:
-                return
-            state.evict(digest)
+    """Event-by-event simulation of any configuration, on a sorted
+    stream. Each event expires idle files from the front, counts its read
+    and moves its file to the back: a resident file at its new size,
+    unless that is past the capacity, and a missing file if it may be
+    admitted. Files then leave from the front until the bytes fit."""
+    capacity = config.capacity_bytes
+    admit = min(capacity, config.size_threshold) if config.admission == "size_at_most" else capacity
+    ttl = config.idle_ttl if config.eviction == "idle_ttl" else None
+    sizes: dict[int, int] = {}  # the resident files, least recently used first
+    touched: dict[int, int] = {}  # their touch times in the same order, only under a TTL
+    resident = hits = reads = hit_bytes = read_bytes = evictions = peak = 0
+    for time, digest, size, is_write in zip(stream.time.tolist(), stream.digest.tolist(),
+                                            stream.size.tolist(), stream.is_write.tolist()):
+        while touched and time - touched[front := next(iter(touched))] > ttl:
+            del touched[front]
+            resident -= sizes.pop(front)
             evictions += 1
-
-    def evict_until_fits(size: int, skip):
-        nonlocal evictions
-        while state.resident_bytes + size > config.capacity_bytes:
-            victim = next(d for d in state.lru_order() if d != skip)
-            state.evict(victim)
-            evictions += 1
-
-    def admit_ok(size: int) -> bool:
-        if size > config.capacity_bytes:
-            return False
-        if config.admission == "size_at_most":
-            return size <= config.size_threshold
-        return True
-
-    events = zip(stream.time.tolist(), stream.digest.tolist(), stream.size.tolist(),
-                 stream.is_write.tolist())
-    for time, digest, size, is_write in events:
-        if config.eviction == "idle_ttl":
-            expire_idle(time)
-
-        resident = digest in state.sizes
+        old = sizes.pop(digest, None)
         if not is_write:
             reads += 1
             read_bytes += size
-            if resident:
+            if old is not None:
                 hits += 1
                 hit_bytes += size
-
-        if resident:
-            # Update to the size seen at this event; a grown file must be
-            # re-fitted and is dropped if it no longer fits at all.
-            old = state.sizes[digest]
-            if size != old:
-                state.resident_bytes += size - old
-                state.sizes[digest] = size
-                if size > config.capacity_bytes:
-                    state.evict(digest)
-                    evictions += 1
-                elif state.resident_bytes > config.capacity_bytes:
-                    evict_until_fits(0, skip=digest)
-            if digest in state.sizes:
-                state.touch(digest, time)
-        elif admit_ok(size):
-            evict_until_fits(size, skip=None)
-            state.insert(digest, size, time)
-
-        peak = max(peak, state.resident_bytes)
+        if old is not None:
+            resident -= old
+            touched.pop(digest, None)
+            if size > capacity:  # it grew past the capacity, and leaves
+                evictions += 1
+                continue
+        elif size > admit:
+            continue
+        sizes[digest] = size
+        resident += size
+        if ttl is not None:
+            touched[digest] = time
+        while resident > capacity:
+            front = next(iter(sizes))
+            resident -= sizes.pop(front)
+            touched.pop(front, None)
+            evictions += 1
+        if resident > peak:
+            peak = resident
 
     return CacheReport(
         accesses=reads,

@@ -417,16 +417,15 @@ class ReportBuilder:
         curves = {}
         for dim in ts.SUM_DIMENSIONS:
             try:
-                series = self._series(dim)
-                curve = ts.burstiness_curve(series)
+                curve = ts.burstiness_curve(self._series(dim))
                 curves[dim] = curve
-                p50, p90, p99 = curve.ratios[[49, 89, 98]]  # the grid is 1..100
+                p50, p90, p99, peak = curve.ratios[[49, 89, 98, 99]]  # the grid is 1..100
                 out[dim] = {
                     "median": curve.median,
                     "p50_ratio": p50,
                     "p90_ratio": p90,
                     "p99_ratio": p99,
-                    "peak_to_median": ts.peak_to_median(series),
+                    "peak_to_median": peak,
                 }
             except MRTraceError as exc:
                 out[dim] = {"skipped": f"{type(exc).__name__}: {exc}"}

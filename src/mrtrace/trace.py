@@ -39,9 +39,10 @@ on the lines, the name table and the copies, and parse_trace's sort
 takes 0.4 s after it; the readings took 3.9-4.3 s of CPU on two
 workers against 3.4 s on one, where numpy holds the GIL between its
 loops and both threads fault in fresh pages. A wider window parsed no
-faster. CSV is always read line by line: a quoted cell may span lines,
-so chunks of physical lines do not split it into records. Bytes that
-are not UTF-8 raise MalformedRecord at their line in both formats.
+faster. CSV is read by the csv module, _JSONL_CHUNK records at a time,
+into the same growing columns: a quoted cell may span lines, so a chunk
+of records, not of lines, is the unit. Bytes that are not UTF-8 raise
+MalformedRecord at their line in both formats.
 
 serialize_trace writes canonical jsonl, the bytes json.dumps gives each
 row as a compact dict with missing fields left out. It formats
@@ -316,6 +317,9 @@ def _iter_csv(lines: Iterable[str]):
         if not row or all(cell == "" for cell in row):
             continue
         _require_utf8("".join(row), line_no)
+        extra = next((cell for cell in row[len(header):] if cell.strip()), None)
+        if extra is not None:
+            raise MalformedRecord(line_no, f"value {extra.strip()!r} past the header's {len(header)} columns")
         obj: dict[str, object] = {}
         for col, cell in zip(header, row):
             cell = cell.strip()
@@ -348,12 +352,7 @@ def _open_lines(source, fmt: str):
 
 def _columns_of(rows: Iterable[tuple]) -> TraceColumns:
     """Columns of checked rows, each in JobRecord field order."""
-    values = tuple([] for _ in ROW_FIELDS)
-    appends = tuple(v.append for v in values)
-    for row in rows:
-        for append, v in zip(appends, row):
-            append(v)
-    return TraceColumns.from_fields(values)
+    return TraceColumns.from_fields(list(zip(*rows)) or [()] * len(ROW_FIELDS))
 
 
 # Lines per chunk, for both jsonl readers. glibc raises its mmap
@@ -361,7 +360,7 @@ def _columns_of(rows: Iterable[tuple]) -> TraceColumns:
 # that size come from the heap and leave holes in it. At 4096 lines a
 # chunk's text stays near a megabyte; 65,536-line chunks (20 MB texts)
 # raised the peak RSS of later stages, and parsed no faster. For the same
-# reason _read_jsonl copies each chunk into output columns at once: keeping
+# reason _gather copies each chunk into output columns at once: keeping
 # the 245 chunks of a 1M-job file and joining them at the end left 254 MB
 # resident after the parse instead of 141-151 MB. The columns then shrink
 # in place to the rows read, and parse_trace sorts them a column at a
@@ -613,34 +612,48 @@ def _layout_chunks(lines: Iterator[str]) -> Iterator[tuple[list[str], Optional[T
         _release_free_heap()
 
 
-def _read_jsonl(lines: Iterator[str]) -> TraceColumns:
-    """Columns of every jsonl line, _JSONL_CHUNK lines at a time, each
-    chunk read by _layout_columns or, when that declines, by _iter_jsonl
-    on this thread. Each chunk is copied at once into output columns that
-    grow by doubling, and shrink in place to the rows read at the end."""
+def _jsonl_parts(lines: Iterator[str]) -> Iterator[TraceColumns]:
+    """Columns of each _JSONL_CHUNK-line chunk, in file order: the
+    reading of _layout_columns or, where that declines, of _iter_jsonl on
+    this thread."""
+    first_line_no = 1
+    with closing(_layout_chunks(lines)) as readings:
+        for chunk, part in readings:
+            yield _columns_of(_iter_jsonl(chunk, first_line_no)) if part is None else part
+            first_line_no += len(chunk)
+
+
+def _csv_parts(lines: Iterable[str]) -> Iterator[TraceColumns]:
+    """Columns of each chunk of _JSONL_CHUNK CSV records, in file order.
+    A chunk of records, unlike one of lines, never splits a quoted cell
+    that spans lines."""
+    records = _iter_csv(lines)
+    while part := _columns_of(islice(records, _JSONL_CHUNK)):
+        yield part
+
+
+def _gather(parts: Iterable[TraceColumns]) -> TraceColumns:
+    """The rows of every part, in order. Each part is copied at once into
+    output columns that grow by doubling, and shrink in place to the rows
+    read at the end."""
     out: dict[str, np.ndarray] = {}
     index: dict[str, int] = {}  # the name table, in order of first appearance
     size = 0
-    first_line_no = 1
-    with closing(_layout_chunks(lines)) as parts:
-        for chunk, part in parts:
-            if part is None:
-                part = _columns_of(_iter_jsonl(chunk, first_line_no))
-            first_line_no += len(chunk)
-            end = size + len(part)
-            arrays = {k: v for k, v in vars(part).items() if isinstance(v, np.ndarray)}
-            # The trailing -1 keeps code -1 (missing) missing.
-            remap = [index.setdefault(name, len(index)) for name in part.names]
-            arrays["name_codes"] = np.array(remap + [-1], dtype=np.int64)[part.name_codes]
-            if not out or end > len(out["job_id"]):
-                capacity = max(end, 2 * size)
-                grown = {k: np.empty(capacity, dtype=v.dtype) for k, v in arrays.items()}
-                for k, v in out.items():
-                    grown[k][:size] = v[:size]
-                out = grown
-            for k, v in arrays.items():
-                out[k][size:end] = v
-            size = end
+    for part in parts:
+        end = size + len(part)
+        arrays = {k: v for k, v in vars(part).items() if isinstance(v, np.ndarray)}
+        # The trailing -1 keeps code -1 (missing) missing.
+        remap = [index.setdefault(name, len(index)) for name in part.names]
+        arrays["name_codes"] = np.array(remap + [-1], dtype=np.int64)[part.name_codes]
+        if not out or end > len(out["job_id"]):
+            capacity = max(end, 2 * size)
+            grown = {k: np.empty(capacity, dtype=v.dtype) for k, v in arrays.items()}
+            for k, v in out.items():
+                grown[k][:size] = v[:size]
+            out = grown
+        for k, v in arrays.items():
+            out[k][size:end] = v
+        size = end
     if not out:
         return TraceColumns.from_fields([()] * len(ROW_FIELDS))
     # No view of the buffers exists, so each can give its spare capacity
@@ -685,11 +698,9 @@ def parse_trace(
     if machine_count < 1:
         raise ValueError("machine_count must be positive")
 
-    fh = _open_lines(source, fmt)
-    try:
-        cols = _read_jsonl(fh) if fmt == "jsonl" else _columns_of(_iter_csv(fh))
-    finally:
-        fh.close()
+    with (_open_lines(source, fmt) as fh,
+          closing(_jsonl_parts(fh) if fmt == "jsonl" else _csv_parts(fh)) as parts):
+        cols = _gather(parts)
     if not len(cols):
         raise EmptyTrace("trace contains no records")
 

@@ -4,6 +4,8 @@ import random
 import pytest
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mrtrace import (
     CacheConfig,
@@ -271,6 +273,40 @@ def configs_under_test():
     ]
 
 
+@st.composite
+def resizing_streams(draw, max_len=300):
+    """Sorted streams over up to 8 files, reads and writes, equal times
+    and gaps past a TTL. About one event in four gives its file a new
+    size from then on, 0 to 70 bytes, so a resident file may shrink or
+    grow past the capacity."""
+    sizes = draw(st.lists(st.integers(0, 20), min_size=1, max_size=8))
+    n = draw(st.integers(0, max_len))
+    steps = draw(st.lists(st.tuples(
+        st.sampled_from([0, 0, 1, 2, 9]), st.integers(0, len(sizes) - 1), st.booleans(),
+        st.one_of(st.none(), st.none(), st.none(), st.integers(0, 70))), min_size=n, max_size=n))
+    stream = []
+    t = 0
+    for gap, f, is_write, resize in steps:
+        t += gap
+        if resize is not None:
+            sizes[f] = resize
+        stream.append(ev(t, f, sizes[f], WRITE if is_write else READ))
+    return stream
+
+
+@st.composite
+def cache_configs(draw):
+    """A capacity with a size threshold or not, and an idle TTL or not; a
+    TTL may also be set under LRU eviction, which ignores it."""
+    kw = {"capacity_bytes": draw(st.integers(1, 60))}
+    if draw(st.booleans()):
+        kw.update(admission="size_at_most", size_threshold=draw(st.integers(1, 40)))
+    ttl = draw(st.one_of(st.none(), st.integers(1, 12)))
+    if ttl is not None:
+        kw.update(idle_ttl=ttl, eviction=draw(st.sampled_from(["idle_ttl", "lru"])))
+    return CacheConfig(**kw)
+
+
 class TestOracleEquivalence:
     def test_exhaustive_short_streams(self):
         # Every (kind, file) sequence up to length 4 over 3 files, unit
@@ -295,6 +331,11 @@ class TestOracleEquivalence:
                 stream.append(ev(t, f, max(1, size), kind))
             for config in configs_under_test():
                 run_both(stream, config)
+
+    @settings(max_examples=150, deadline=None)
+    @given(stream=resizing_streams(), config=cache_configs())
+    def test_random_streams_with_resizes_and_both_policies(self, stream, config):
+        run_both(stream, config)
 
     def test_lru_hits_monotone_in_capacity(self):
         rng = random.Random(52)

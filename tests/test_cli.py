@@ -84,6 +84,17 @@ class TestAnalyze:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_csv_value_past_the_header_is_a_data_error(self, tmp_path, capsys):
+        path = tmp_path / "extra.csv"
+        path.write_text("job_id,submit_time\n1,5\n2,6,999\n")
+        out = tmp_path / "r.json"
+        assert main(["analyze", "--trace", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("mrtrace analyze: line 3: value '999' past the header's 2 columns")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_each_series_is_built_once(self, trace_file, monkeypatch):
         calls = []
         for fn in ("bucket_time_series", "occupancy_series"):

@@ -137,10 +137,11 @@ def occupancy_multiple(width: int) -> float:
 
 # Measured multiples; the values before the columns were sorted one at a
 # time and the file table, the ranking and the occupancy series lost their
-# full-length temporaries are in CHANGES.md.
+# full-length temporaries, and before CSV records were gathered in
+# chunks, are in CHANGES.md.
 MEASURED = {
     "parse.jsonl": 1.69,
-    "parse.csv": 5.04,
+    "parse.csv": 2.56,
     "file_table": 1.76,
     "output_ranking": 1.13,
     "occupancy.60": 0.75,

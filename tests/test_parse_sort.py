@@ -1,5 +1,5 @@
 """parse_trace puts the parsed columns in submit-time order one column at a
-time (trace._sorted_by_submit), after _read_jsonl has shrunk its growing
+time (trace._sorted_by_submit), after trace._gather has shrunk its growing
 buffers in place. These tests compare the result with the gather of the
 whole table it replaced, TraceColumns.take(np.argsort(submit_time,
 kind="stable")), in both formats, and check that every returned column is

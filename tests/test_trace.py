@@ -371,6 +371,23 @@ def test_csv_errors_name_the_first_physical_line_of_the_record(tmp_path, text, b
         assert ei.value.line_no == bad_line
 
 
+@pytest.mark.parametrize("text, bad_line", [
+    ("job_id,submit_time\n1,5,999\n", 2),
+    ("job_id,submit_time\n1,5\n2,6,, x\n", 3),
+    ('job_id,submit_time,name\n1,0,"a\nb",7\n2,1,c\n', 2),
+])
+def test_csv_value_past_the_header_is_malformed(text, bad_line):
+    with pytest.raises(MalformedRecord) as ei:
+        parse_trace(text.encode(), "csv")
+    assert ei.value.line_no == bad_line and "past the header's" in ei.value.reason
+
+
+def test_csv_empty_cells_past_the_header_are_missing():
+    # Spreadsheets pad short rows with empty cells.
+    text = b"job_id,submit_time,name\n1,5,a,,\n2,6,, \n"
+    assert list(parse_trace(text, "csv").records) == [JobRecord(1, 5, name="a"), JobRecord(2, 6)]
+
+
 BOM = "\ufeff".encode()
 
 
