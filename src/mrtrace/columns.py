@@ -4,16 +4,15 @@ job is stored.
 job_id and submit_time are int64; the eight numeric dimensions are
 float64 with NaN for missing; path digests are uint64 with a presence
 mask, since uint64 has no NaN; names are codes into a table of distinct
-names, -1 for missing. JobRecord is the row type: traces can be built
-from records, and RecordView turns the columns back into records.
+names, -1 for missing. JobRecord is the row type, and RecordView turns
+the columns back into records.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import starmap
-from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -38,10 +37,12 @@ class JobRecord:
     output_path_hash: Optional[int] = None
 
 
-ROW_FIELDS = tuple(f.name for f in fields(JobRecord))
+# JobRecord's fields, in order.
+ROW_FIELDS = ("job_id", "submit_time", "name", "duration", "input_bytes", "shuffle_bytes",
+              "output_bytes", "map_task_seconds", "reduce_task_seconds", "map_tasks",
+              "reduce_tasks", "input_path_hash", "output_path_hash")
 NUMERIC = ROW_FIELDS[3:11]  # float64 columns, NaN = missing
 FLOAT_FIELDS = ("map_task_seconds", "reduce_task_seconds")
-_ROW = attrgetter(*ROW_FIELDS)
 # Integer fields live in float64 columns, which hold every integer up to
 # 2**53 exactly.
 MAX_EXACT = 1 << 53
@@ -98,10 +99,6 @@ class TraceColumns:
             )
         except OverflowError as exc:
             raise ValueError(f"job value does not fit its column: {exc}") from exc
-
-    @classmethod
-    def from_records(cls, records: Sequence[JobRecord]) -> "TraceColumns":
-        return cls.from_fields(list(zip(*map(_ROW, records))) or [()] * len(ROW_FIELDS))
 
     def __len__(self) -> int:
         return int(self.job_id.size)

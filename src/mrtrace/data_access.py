@@ -47,18 +47,6 @@ class EmpiricalCDF:
         fractions = cum / cum[-1]
         return cls(values=vals, fractions=fractions, sample_count=int(samples.size))
 
-    @classmethod
-    def from_weighted(cls, values: np.ndarray, weights: np.ndarray) -> "EmpiricalCDF":
-        values = np.asarray(values, dtype=np.float64)
-        weights = np.asarray(weights, dtype=np.float64)
-        order = np.argsort(values, kind="stable")
-        values, weights = values[order], weights[order]
-        vals, start = np.unique(values, return_index=True)
-        sums = np.add.reduceat(weights, start)
-        cum = np.cumsum(sums)
-        fractions = cum / cum[-1]
-        return cls(values=vals, fractions=fractions, sample_count=int(values.size))
-
     def fraction_at(self, value: float) -> float:
         """Cumulative fraction of samples with value <= the given value."""
         idx = np.searchsorted(self.values, value, side="right")

@@ -12,36 +12,42 @@ a chunk whose lines all have exactly the compact layout of its first,
 write it: it indexes the quotes and newlines of the encoded bytes, as
 simdjson does (Langdale & Lemire, VLDB J. 2019), and parses every number
 with numpy. It declines whatever it cannot vouch for, and _iter_jsonl,
-its oracle, then reads the chunk line by line: it accepts what the layout
-reader accepts, with the same values, or raises the error naming the
-first bad line. On the seed-11 benchmark inputs the layout reader read
-every chunk: 245 for analyze, 49 for the cache sweep, 25 for the mixed
-source and 25 for the workload synthesized from it. CRLF and CR endings
-reach both readers as LF. Any other layout parses line by line:
-json.dumps' default separators, escaped names, keys that vary by line.
-parse_trace of 200k jobs in such layouts took 1.6-2.7 s, against
-0.46-0.60 s for the compact file (2-core VM). A benchmark workload with
-such input would justify a fast path for it.
+its oracle, then reads the chunk line by line: it accepts what the
+layout reader accepts, with the same values, or raises the error naming
+the first bad line, such as a key given twice. The layout reader
+declines that, and _iter_jsonl's object_pairs_hook raises on it, at a
+cost paid on declined chunks only: json.loads of 200k 13-field job lines
+took 1.5-1.8 s with the hook, 1.2-1.4 s without. On the seed-11
+benchmark inputs the layout reader read every chunk and declined none:
+245 for analyze, 49 for the cache sweep, 25 for the mixed source and 25
+for the workload synthesized from it. CRLF and CR endings reach both
+readers as LF. Any other layout parses line by line: json.dumps' default
+separators, escaped names, keys that vary by line. parse_trace of 200k
+jobs in such layouts took 1.6-2.7 s, against 0.46-0.60 s for the compact
+file (2-core VM). A benchmark workload with such input would justify a
+fast path for it.
 
-A file of more than one chunk is read on more than one thread. The
-calling thread reads the text lines and hands each chunk to
-_layout_columns on a pool of one worker per usable core, at most
-_LAYOUT_WORKERS, with at most _IN_FLIGHT chunks handed over and not yet
-taken back. It takes the readings back in file order and does the rest
-itself: _iter_jsonl on a declined chunk, the line numbers, the name
-table, and the copy of each chunk into output columns that grow by
-doubling (see _JSONL_CHUNK). So the lowest bad line raises, with the
-error a one-thread read gives; on any error the pending chunks are
-cancelled and the pool is joined before the error leaves. On the seed-11
-1M-job analyze input (2-core VM) the parse took 3.0-3.5 s, against
-4.2-4.9 s on one thread. The calling thread spends 0.6 s of CPU there,
-on the lines, the name table and the copies, and parse_trace's sort
-takes 0.4 s after it; the readings took 3.9-4.3 s of CPU on two
-workers against 3.4 s on one, where numpy holds the GIL between its
-loops and both threads fault in fresh pages. A wider window parsed no
-faster. CSV is read by the csv module, _JSONL_CHUNK records at a time,
-into the same growing columns: a quoted cell may span lines, so a chunk
-of records, not of lines, is the unit. Bytes that are not UTF-8 raise
+Every chunk takes one road, the generator _jsonl_parts, even in a file
+of one chunk: a 300-line parse took 2.2-2.5 ms there against 1.1-1.4 ms
+read inline, and the smallest benchmark input has 25 chunks. The calling
+thread reads the text lines and hands each chunk to _layout_columns on a
+pool of one worker per usable core, at most _LAYOUT_WORKERS, with at
+most _IN_FLIGHT chunks handed over and not yet taken back. It takes the
+readings back in file order and does the rest itself: _iter_jsonl on a
+declined chunk, the line numbers, the name table, and the copy of each
+chunk into output columns that grow by doubling (see _JSONL_CHUNK). So
+the lowest bad line raises, with the error a one-thread read gives; on
+any error the pending chunks are cancelled and the pool is joined before
+the error leaves. On the seed-11 1M-job analyze input (2-core VM) the
+parse took 3.0-3.5 s, against 4.2-4.9 s on one thread. The calling
+thread spends 0.6 s of CPU there, on the lines, the name table and the
+copies, and parse_trace's sort takes 0.4 s after it; the readings took
+3.9-4.3 s of CPU on two workers against 3.4 s on one, where numpy holds
+the GIL between its loops and both threads fault in fresh pages. A wider
+window parsed no faster. CSV is read by the csv module, _JSONL_CHUNK
+records at a time, into the same growing columns: a quoted cell may span
+lines, so a chunk of records, not of lines, is the unit. A header that
+names a column twice raises at line 1. Bytes that are not UTF-8 raise
 MalformedRecord at their line in both formats.
 
 serialize_trace writes canonical jsonl, the bytes json.dumps gives each
@@ -61,7 +67,7 @@ import json
 import os
 import re
 import sys
-from collections import deque
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -270,6 +276,14 @@ def _record_values(obj: dict, line_no: int) -> tuple:
     )
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """json.loads' object_pairs_hook: KeyError lists the keys repeated."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise KeyError([key for key, n in Counter(key for key, _ in pairs).items() if n > 1])
+    return obj
+
+
 def _iter_jsonl(lines: Iterable[str], first_line_no: int = 1):
     for line_no, line in enumerate(lines, start=first_line_no):
         line = line.strip()
@@ -277,7 +291,9 @@ def _iter_jsonl(lines: Iterable[str], first_line_no: int = 1):
             continue
         _require_utf8(line, line_no)
         try:
-            obj = json.loads(line)
+            obj = json.loads(line, object_pairs_hook=_unique_keys)
+        except KeyError as exc:
+            raise MalformedRecord(line_no, f"repeated key(s) {exc.args[0]}") from None
         # JSONDecodeError, an integer too long to convert, or nesting too deep
         except (ValueError, RecursionError) as exc:
             raise MalformedRecord(line_no, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
@@ -313,6 +329,9 @@ def _iter_csv(lines: Iterable[str]):
     unknown = [h for h in header if h not in _KEY_SET]
     if unknown:
         raise MalformedRecord(1, f"unknown column(s) {unknown}")
+    repeated = [h for h, n in Counter(header).items() if n > 1]
+    if repeated:
+        raise MalformedRecord(1, f"repeated column(s) {repeated}")
     for line_no, row in rows:
         if not row or all(cell == "" for cell in row):
             continue
@@ -585,42 +604,28 @@ def _release_free_heap() -> None:
     trim(0)
 
 
-def _layout_chunks(lines: Iterator[str]) -> Iterator[tuple[list[str], Optional[TraceColumns]]]:
-    """Each _JSONL_CHUNK-line chunk with _layout_columns' reading of it,
-    in file order. Past one chunk the readings run on a pool of up to
-    _LAYOUT_WORKERS threads, at most _IN_FLIGHT chunks ahead of the one
-    yielded. Closing the generator cancels what is pending and joins the
-    pool."""
+def _jsonl_parts(lines: Iterator[str]) -> Iterator[TraceColumns]:
+    """Columns of each _JSONL_CHUNK-line chunk, in file order: the reading
+    of _layout_columns, on a pool of up to _LAYOUT_WORKERS threads at most
+    _IN_FLIGHT chunks ahead of the one yielded, or, where that declines,
+    of _iter_jsonl on this thread. Closing the generator cancels what is
+    pending and joins the pool."""
     chunks = iter(lambda: list(islice(lines, _JSONL_CHUNK)), [])
-    head = list(islice(chunks, 2))
-    if len(head) < 2:
-        yield from ((chunk, _layout_columns(chunk)) for chunk in head)
-        return
     pool = ThreadPoolExecutor(max_workers=min(_LAYOUT_WORKERS, usable_cores()))
     try:
-        pending = deque()
-        for chunk in chain(head, chunks):
-            pending.append((chunk, pool.submit(_layout_columns, chunk)))
-            if len(pending) == _IN_FLIGHT:
-                chunk, part = pending.popleft()
-                yield chunk, part.result()
-        while pending:
-            chunk, part = pending.popleft()
-            yield chunk, part.result()
+        pending, first_line_no = deque(), 1
+        while True:
+            for chunk in islice(chunks, _IN_FLIGHT - len(pending)):
+                pending.append((chunk, pool.submit(_layout_columns, chunk)))
+            if not pending:
+                return
+            chunk, reading = pending.popleft()
+            part = reading.result()
+            yield _columns_of(_iter_jsonl(chunk, first_line_no)) if part is None else part
+            first_line_no += len(chunk)
     finally:
         pool.shutdown(cancel_futures=True)
         _release_free_heap()
-
-
-def _jsonl_parts(lines: Iterator[str]) -> Iterator[TraceColumns]:
-    """Columns of each _JSONL_CHUNK-line chunk, in file order: the
-    reading of _layout_columns or, where that declines, of _iter_jsonl on
-    this thread."""
-    first_line_no = 1
-    with closing(_layout_chunks(lines)) as readings:
-        for chunk, part in readings:
-            yield _columns_of(_iter_jsonl(chunk, first_line_no)) if part is None else part
-            first_line_no += len(chunk)
 
 
 def _csv_parts(lines: Iterable[str]) -> Iterator[TraceColumns]:
@@ -632,10 +637,11 @@ def _csv_parts(lines: Iterable[str]) -> Iterator[TraceColumns]:
         yield part
 
 
-def _gather(parts: Iterable[TraceColumns]) -> TraceColumns:
-    """The rows of every part, in order. Each part is copied at once into
-    output columns that grow by doubling, and shrink in place to the rows
-    read at the end."""
+def _gather(parts: Iterable[TraceColumns]) -> dict:
+    """The fields of the TraceColumns holding the rows of every part, in
+    order. Each part is copied at once into output columns that grow by
+    doubling, and shrink in place to the rows read at the end. Raises
+    EmptyTrace when the parts hold no row."""
     out: dict[str, np.ndarray] = {}
     index: dict[str, int] = {}  # the name table, in order of first appearance
     size = 0
@@ -654,22 +660,21 @@ def _gather(parts: Iterable[TraceColumns]) -> TraceColumns:
         for k, v in arrays.items():
             out[k][size:end] = v
         size = end
-    if not out:
-        return TraceColumns.from_fields([()] * len(ROW_FIELDS))
+    if not size:
+        raise EmptyTrace("trace contains no records")
     # No view of the buffers exists, so each can give its spare capacity
     # back; a v[:size] view would keep all of it alive.
     for v in out.values():
         v.resize(size, refcheck=False)
-    return TraceColumns(**out, names=tuple(index))
+    return {**out, "names": tuple(index)}
 
 
 def _sorted_by_submit(fields: dict) -> TraceColumns:
-    """The columns in fields, a TraceColumns' vars, as the rows of
+    """The columns in fields, _gather's result, as the rows of
     TraceColumns.take(np.argsort(submit_time, kind="stable")). Each column
     is gathered on its own and replaces its source in fields at once, so
     when fields holds the only reference to the unsorted columns, the sort
-    needs one spare column, not a second copy of all of them. Columns that
-    are already in order are kept as they are."""
+    needs one spare column, not a second copy of all of them."""
     submit = fields["submit_time"]
     if np.any(submit[1:] < submit[:-1]):
         order = np.argsort(submit, kind="stable")
@@ -689,9 +694,9 @@ def parse_trace(
 ) -> Trace:
     """Parse a trace file into an immutable Trace.
 
-    source may be a path or bytes, read alike. Records are sorted by
-    submit_time (stable, so ties keep source order), and the span runs
-    from the first submit time to the last.
+    source may be a path or bytes, read alike. _gather's columns go
+    straight to a stable sort by submit_time, which frees each unsorted
+    column once sorted; the span runs from the first submit time to the last.
     """
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"unknown trace format {fmt!r}")
@@ -700,12 +705,7 @@ def parse_trace(
 
     with (_open_lines(source, fmt) as fh,
           closing(_jsonl_parts(fh) if fmt == "jsonl" else _csv_parts(fh)) as parts):
-        cols = _gather(parts)
-    if not len(cols):
-        raise EmptyTrace("trace contains no records")
-
-    fields = dict(vars(cols))
-    del cols  # so each unsorted column goes as soon as it is sorted
+        fields = _gather(parts)
     cols = _sorted_by_submit(fields)
     span = (int(cols.submit_time[0]), int(cols.submit_time[-1]))
     return Trace(label=label, machine_count=machine_count, columns=cols, span=span)

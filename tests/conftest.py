@@ -5,12 +5,13 @@ import math
 import random
 import threading
 from concurrent.futures import Future
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
 from mrtrace import JobFeatureMatrix, JobRecord, Trace
-from mrtrace.columns import TraceColumns
+from mrtrace.columns import ROW_FIELDS, TraceColumns
 
 
 @pytest.fixture(autouse=True)
@@ -66,11 +67,19 @@ def rec(job_id, submit_time, **kw):
     return JobRecord(job_id=job_id, submit_time=submit_time, **kw)
 
 
+_ROW = attrgetter(*ROW_FIELDS)
+
+
+def columns_of_records(records) -> TraceColumns:
+    """TraceColumns holding the given JobRecords, in order."""
+    return TraceColumns.from_fields(list(zip(*map(_ROW, records))) or [()] * len(ROW_FIELDS))
+
+
 def make_trace(records, label="test", machines=1, span=None):
     records = sorted(records, key=lambda r: r.submit_time)
     if span is None:
         span = (records[0].submit_time, records[-1].submit_time)
-    return Trace(label=label, machine_count=machines, columns=TraceColumns.from_records(records),
+    return Trace(label=label, machine_count=machines, columns=columns_of_records(records),
                  span=span)
 
 

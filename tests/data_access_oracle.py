@@ -76,6 +76,17 @@ def _file_sizes(trace: Trace, side: str):
     return digests, max_size, inverse, int(hashes.size)
 
 
+def weighted_cdf(values: np.ndarray, weights: np.ndarray) -> EmpiricalCDF:
+    """The step CDF of values, each counted with its weight."""
+    values = np.asarray(values, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    values, weights = values[order], weights[order]
+    vals, start = np.unique(values, return_index=True)
+    cum = np.cumsum(np.add.reduceat(weights, start))
+    return EmpiricalCDF(values=vals, fractions=cum / cum[-1], sample_count=int(values.size))
+
+
 def access_vs_size_curves(trace: Trace, side: str) -> tuple[EmpiricalCDF, EmpiricalCDF]:
     """Fraction of jobs (and of stored bytes) in files up to each size.
 
@@ -85,7 +96,7 @@ def access_vs_size_curves(trace: Trace, side: str) -> tuple[EmpiricalCDF, Empiri
     """
     digests, max_size, inverse, _ = _file_sizes(trace, side)
     jobs_cdf = EmpiricalCDF.from_samples(max_size[inverse])
-    bytes_cdf = EmpiricalCDF.from_weighted(max_size, max_size)
+    bytes_cdf = weighted_cdf(max_size, max_size)
     return jobs_cdf, bytes_cdf
 
 

@@ -22,8 +22,8 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from mrtrace import (MalformedRecord, build_workload_model, parse_trace, serialize_trace,
-                     synthesize, trace)
+from mrtrace import (MalformedRecord, MRTraceError, build_workload_model, parse_trace,
+                     serialize_trace, synthesize, trace)
 from conftest import mixed_workload_trace
 
 
@@ -53,9 +53,11 @@ def test_line_by_line_sends_every_line_to_iter_jsonl():
 
 
 def outcome(data: bytes):
+    """The Trace parsed from data, or the MRTraceError raised; any other
+    exception fails the test."""
     try:
         return parse_trace(data)
-    except Exception as exc:  # compared as an outcome, not handled
+    except MRTraceError as exc:  # compared as an outcome, not handled
         return exc
 
 
@@ -141,7 +143,7 @@ def job_line(draw):
     order = draw(st.permutations(keys))
     text = json.dumps({k: obj[k] for k in order}, ensure_ascii=draw(st.booleans()),
                       separators=draw(st.sampled_from([(",", ":"), (", ", ": ")])))
-    if keys and draw(rare):  # a duplicate key; the last one wins
+    if keys and draw(rare):  # a repeated key, which raises MalformedRecord
         key = draw(st.sampled_from(keys))
         text = "{" + f"{json.dumps(key)}:{json.dumps(draw(anything))}," + text[1:]
     return draw(st.sampled_from(["", " ", "\t"])) + text + draw(st.sampled_from(["", " "]))
@@ -150,8 +152,8 @@ def job_line(draw):
 @st.composite
 def array_over_lines(draw):
     """A job whose key first holds an array of objects split across lines,
-    then its value from job_line: the last one wins, so a chunk decoded at
-    once sees no array."""
+    then its value from job_line. Plain json.loads keeps a key's last
+    value, so the lines joined and decoded at once show no array."""
     text = draw(job_line()).strip()
     key = draw(st.sampled_from(trace.FIELD_NAMES))
     splits = "}\n{" * draw(st.integers(1, 3))

@@ -2,6 +2,7 @@
 and validation loop that the vectorized code replaced, run over small
 random record lists with missing fields, zeros, duplicates and extremes."""
 
+import dataclasses
 import io
 from operator import attrgetter
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mrtrace import JobRecord, ValidationReport, parse_trace, serialize_trace, validate
+from mrtrace.columns import ROW_FIELDS
 from conftest import make_trace
 
 NUMERIC = ("submit_time", "duration", "input_bytes", "shuffle_bytes", "output_bytes",
@@ -123,3 +125,7 @@ def test_parse_serialize_parse_keeps_records(recs):
     once = roundtrip(t)
     assert list(once.records) == list(t.records) == list(roundtrip(once).records)
     assert once.span == t.span
+
+
+def test_row_fields_are_job_record_fields_in_order():
+    assert ROW_FIELDS == tuple(f.name for f in dataclasses.fields(JobRecord))

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from mrtrace import parse_trace, serialize_trace, trace
+from mrtrace import EmptyTrace, MalformedRecord, parse_trace, serialize_trace, trace
 from mrtrace.columns import FLOAT_FIELDS, NUMERIC
 from conftest import InlineExecutor, make_trace, rec
 from test_bulk_parse import assert_same_outcome, fallback_calls, line_by_line, outcome
@@ -385,14 +385,47 @@ def test_pool_on_more_threads_than_cores_matches_inline(monkeypatch):
     assert len(set(pooled_threads)) > 1
 
 
-@pytest.mark.parametrize("count", [1, 4])
-def test_one_chunk_skips_the_pool(monkeypatch, count):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was started for one chunk")
+# -- one road for every file ----------------------------------------------------
 
-    monkeypatch.setattr(trace, "ThreadPoolExecutor", no_pool)
+# The line each version of a file puts last, given the file's line count.
+LAST_LINE = {
+    "valid": lambda count: {},
+    # json.dumps' default separators, which the layout reader declines.
+    "last-chunk-declined": lambda count: {count: json.dumps({"job_id": count, "submit_time": 1})},
+    "bad-line-in-last-chunk": lambda count: {count: job_line(count - 1, duration=-5)},
+}
+
+
+@pytest.mark.parametrize("version", sorted(LAST_LINE))
+@pytest.mark.parametrize("count", [1, 4, 4 * trace._IN_FLIGHT, 4 * (trace._IN_FLIGHT + 1)],
+                         ids=["one-line", "one-chunk", "in-flight-chunks",
+                              "in-flight-plus-one-chunks"])
+def test_every_chunk_is_read_on_the_pool(monkeypatch, count, version):
     monkeypatch.setattr(trace, "_JSONL_CHUNK", 4)
-    data = lines_with({}, count)
+    data = lines_with(LAST_LINE[version](count), count)
     with line_by_line():
         want = outcome(data)
-    assert_same_outcome(outcome(data), want)
+    assert isinstance(want, MalformedRecord) == (version == "bad-line-in-last-chunk")
+    threads = []
+    real = trace._layout_columns
+
+    def recording(lines):
+        threads.append(threading.current_thread())
+        return real(lines)
+
+    monkeypatch.setattr(trace, "_layout_columns", recording)
+    before = set(threading.enumerate())
+    got = outcome(data)
+    assert set(threading.enumerate()) == before
+    assert_same_outcome(got, want)
+    assert len(threads) == -(-count // 4)
+    assert threading.main_thread() not in threads
+
+
+@pytest.mark.parametrize("text", [b"\n", b" \n\t\r\n\n" * 7], ids=["one-line", "six-chunks"])
+def test_a_file_of_blank_lines_is_empty(monkeypatch, text):
+    monkeypatch.setattr(trace, "_JSONL_CHUNK", 4)
+    before = set(threading.enumerate())
+    with pytest.raises(EmptyTrace):
+        parse_trace(text)
+    assert set(threading.enumerate()) == before

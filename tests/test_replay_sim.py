@@ -12,13 +12,13 @@ from mrtrace import (InvalidBucketWidth, JobRecord, MRTraceError, SimConfig, Sim
                      SimTimeOverflow, TooManyBuckets, Trace, sim_occupancy_series, simulate)
 from mrtrace.replay_sim import INT64_MAX, US
 from mrtrace.temporal import MAX_BUCKETS
-from mrtrace.columns import TraceColumns
+from conftest import columns_of_records
 
 
 def wl(jobs, span=None):
     """A workload trace of jobs already sorted by submit time, spanning
     from offset 0 to the last submit unless span is given."""
-    return Trace(label="test", machine_count=1, columns=TraceColumns.from_records(jobs),
+    return Trace(label="test", machine_count=1, columns=columns_of_records(jobs),
                  span=span or (0, max(j.submit_time for j in jobs)))
 
 

@@ -17,10 +17,10 @@ from mrtrace import (
     synthesize,
     validate,
 )
-from mrtrace.columns import RecordView, TraceColumns
+from mrtrace.columns import RecordView
 from mrtrace.synthesis import REQUIRED_FIELDS
 from mrtrace.temporal import MAX_BUCKETS
-from conftest import full_rec, make_trace, mixed_workload_trace, rec
+from conftest import columns_of_records, full_rec, make_trace, mixed_workload_trace, rec
 
 
 def ks_distance(xs, ys):
@@ -423,7 +423,7 @@ def test_synthesis_matches_per_record_oracle(trace, target_machines, width, mode
     assert (wl.jobs.label, wl.jobs.machine_count, wl.jobs.span) == (
         "synthetic:test", target_machines, (0, want_jobs[-1].submit_time))
     assert list(wl.jobs.records) == want_jobs
-    want_cols = TraceColumns.from_records(want_jobs)
+    want_cols = columns_of_records(want_jobs)
     for name, col in vars(wl.jobs.columns).items():
         if isinstance(col, np.ndarray) and name != "name_codes":
             np.testing.assert_array_equal(col, getattr(want_cols, name), err_msg=name)

@@ -19,8 +19,7 @@ from mrtrace import (
 )
 from mrtrace import trace as trace_module
 from mrtrace.cli import main
-from mrtrace.columns import TraceColumns
-from conftest import full_rec, make_trace, rec
+from conftest import columns_of_records, full_rec, make_trace, rec
 
 
 def jl(*objs):
@@ -238,7 +237,7 @@ def test_parsed_columns_own_exactly_their_rows():
 class TestTraceInvariants:
     def test_unsorted_records_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
-            Trace("t", 1, TraceColumns.from_records([rec(1, 10), rec(2, 5)]), span=(5, 10))
+            Trace("t", 1, columns_of_records([rec(1, 10), rec(2, 5)]), span=(5, 10))
 
     def test_span_must_cover_submit_times(self):
         with pytest.raises(ValueError, match="span"):
@@ -413,3 +412,27 @@ def test_a_byte_order_mark_past_the_start_is_malformed(tmp_path, fmt, at):
         with pytest.raises((MalformedRecord, MissingRequiredField)) as ei:
             parse_trace(source, fmt)
         assert ei.value.line_no == 2
+
+
+@pytest.mark.parametrize("fmt, text, bad_line, reason", [
+    ("csv", "job_id,submit_time,job_id\n1,5,2\n", 1, "repeated column(s) ['job_id']"),
+    ("csv", "job_id, submit_time ,name,submit_time\n1,5,a,6\n", 1,
+     "repeated column(s) ['submit_time']"),
+    ("jsonl", '{"job_id":1,"submit_time":5,"job_id":2}\n', 1, "repeated key(s) ['job_id']"),
+    ("jsonl", '{"job_id":1,"submit_time":5}\n{"job_id":2,"name":"a","submit_time":6,"name":"b"}\n',
+     2, "repeated key(s) ['name']"),
+])
+def test_a_repeated_key_or_column_is_malformed(tmp_path, capsys, fmt, text, bad_line, reason):
+    with pytest.raises(MalformedRecord) as ei:
+        parse_trace(text.encode(), fmt)
+    assert (ei.value.line_no, ei.value.reason) == (bad_line, reason)
+    path = tmp_path / f"bad.{fmt}"
+    path.write_text(text)
+    out, plots = tmp_path / "r.json", tmp_path / "plots"
+    argv = ["analyze", "--trace", str(path), "--format", fmt, "--out", str(out),
+            "--plots", str(plots)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line {bad_line}: {reason}" in captured.err and "Traceback" not in captured.err
+    assert not out.exists() and not plots.exists()
