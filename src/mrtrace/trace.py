@@ -6,22 +6,22 @@ missing and is then left missing, never zero-filled. A parsed Trace
 stores its jobs as columns (see columns.py); Trace.records presents them
 as JobRecords.
 
-JSON Lines are read _JSONL_CHUNK lines at a time. _layout_columns reads
-a chunk whose lines all have exactly the compact layout of its first,
-{"k1":v1,...,"km":vm}, as serialize_trace and the benchmark generators
-write it: it indexes the quotes and newlines of the encoded bytes, as
-simdjson does (Langdale & Lemire, VLDB J. 2019), and parses every number
-with numpy. It declines whatever it cannot vouch for, and _iter_jsonl,
-its oracle, then reads the chunk line by line: it accepts what the
-layout reader accepts, with the same values, or raises the error naming
-the first bad line, such as a key given twice. The layout reader
-declines that, and _iter_jsonl's object_pairs_hook raises on it, at a
-cost paid on declined chunks only: json.loads of 200k 13-field job lines
-took 1.5-1.8 s with the hook, 1.2-1.4 s without. On the seed-11
-benchmark inputs the layout reader read every chunk and declined none:
-245 for analyze, 49 for the cache sweep, 25 for the mixed source and 25
-for the workload synthesized from it. CRLF and CR endings reach both
-readers as LF. Any other layout parses line by line: json.dumps' default
+JSON Lines are read as bytes, _JSONL_CHUNK lines at a time.
+_layout_columns reads a chunk whose lines all have exactly the compact
+layout of its first, {"k1":v1,...,"km":vm}, as serialize_trace and the
+benchmark generators write it: it indexes the chunk's quotes and
+newlines, as simdjson does (Langdale & Lemire, VLDB J. 2019), and reads
+every number a uint64 word of 8 digits at a time (_number_values). It
+declines whatever it cannot vouch for, and _iter_jsonl, its oracle, then
+reads the chunk line by line: it accepts what the layout reader accepts,
+with the same values, or raises the error naming the first bad line,
+such as a key given twice. The layout reader declines that, and
+_iter_jsonl's object_pairs_hook raises on it, at a cost paid on declined
+chunks only: json.loads of 200k 13-field job lines took 1.5-1.8 s with
+the hook, 1.2-1.4 s without. On the seed-11 benchmark inputs the layout
+reader read every chunk and declined none: 245 for analyze, 49 for the
+cache sweep, 25 for the mixed source and 25 for the workload synthesized
+from it. Any other layout parses line by line: json.dumps' default
 separators, escaped names, keys that vary by line. parse_trace of 200k
 jobs in such layouts took 1.6-2.7 s, against 0.46-0.60 s for the compact
 file (2-core VM). A benchmark workload with such input would justify a
@@ -30,25 +30,32 @@ fast path for it.
 Every chunk takes one road, the generator _jsonl_parts, even in a file
 of one chunk: a 300-line parse took 2.2-2.5 ms there against 1.1-1.4 ms
 read inline, and the smallest benchmark input has 25 chunks. The calling
-thread reads the text lines and hands each chunk to _layout_columns on a
-pool of one worker per usable core, at most _LAYOUT_WORKERS, with at
-most _IN_FLIGHT chunks handed over and not yet taken back. It takes the
-readings back in file order and does the rest itself: _iter_jsonl on a
-declined chunk, the line numbers, the name table, and the copy of each
-chunk into output columns that grow by doubling (see _JSONL_CHUNK). So
-the lowest bad line raises, with the error a one-thread read gives; on
-any error the pending chunks are cancelled and the pool is joined before
-the error leaves. On the seed-11 1M-job analyze input (2-core VM) the
-parse took 3.0-3.5 s, against 4.2-4.9 s on one thread. The calling
-thread spends 0.6 s of CPU there, on the lines, the name table and the
-copies, and parse_trace's sort takes 0.4 s after it; the readings took
-3.9-4.3 s of CPU on two workers against 3.4 s on one, where numpy holds
-the GIL between its loops and both threads fault in fresh pages. A wider
-window parsed no faster. CSV is read by the csv module, _JSONL_CHUNK
-records at a time, into the same growing columns: a quoted cell may span
-lines, so a chunk of records, not of lines, is the unit. A header that
-names a column twice raises at line 1. Bytes that are not UTF-8 raise
-MalformedRecord at their line in both formats.
+thread reads the file's bytes, cuts them into chunks at a numpy index of
+their newlines (_jsonl_chunks), and hands each chunk to _layout_columns
+on a pool of one worker per usable core, at most _LAYOUT_WORKERS, with at
+most _IN_FLIGHT chunks handed over and not yet taken back. No text is
+decoded on the way: the cut turns CR and CRLF into LF and drops a
+leading byte-order mark, as universal newlines and utf-8-sig would, and
+_layout_columns checks a chunk's UTF-8 itself. The calling thread takes
+the readings back in file order and does the rest itself: _iter_jsonl on
+a declined chunk, decoded with surrogateescape and split at LF, the line
+numbers, the name table, and the copy of each chunk into output columns
+that grow by doubling (see _JSONL_CHUNK). So the lowest bad line raises,
+with the error a one-thread read gives; on any error the pending chunks
+are cancelled and the pool is joined before the error leaves. On the
+seed-11 1M-job analyze input (2-core VM, in process) the parse took
+1.4-1.9 s, against 1.9-2.4 s on one worker. The calling thread spends
+0.5-0.7 s of CPU there, 0.2-0.3 s of it reading and cutting the bytes,
+the rest on the name table, the copies and parse_trace's sort; the
+readings took 1.6-2.1 s of CPU, where numpy holds the GIL between its
+loops and both threads fault in fresh pages. Run alone over the same 245
+chunks, _number_values took 0.41-0.45 s, and the per-digit reader it
+replaced (tests/number_oracle.py) 1.0-1.05 s. A wider window parsed no
+faster. CSV is read by the csv module from text lines (_open_lines),
+_JSONL_CHUNK records at a time, into the same growing columns: a quoted
+cell may span lines, so a chunk of records, not of lines, is the unit. A
+header that names a column twice raises at line 1. Bytes that are not
+UTF-8 raise MalformedRecord at their line in both formats.
 
 serialize_trace writes canonical jsonl, the bytes json.dumps gives each
 row as a compact dict with missing fields left out. It formats
@@ -61,6 +68,7 @@ row took 1.1-1.5 s on a 100k-job synthetic workload, against 0.6-0.7 s.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -71,7 +79,7 @@ from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
@@ -353,20 +361,22 @@ def _iter_csv(lines: Iterable[str]):
         yield _record_values(obj, line_no)
 
 
-def _open_lines(source, fmt: str):
-    """Text lines of a path or bytes, split at LF, CRLF or CR alike; jsonl
-    lines end in LF, and CSV lines keep their endings for the csv module.
-    A UTF-8 byte-order mark at the start is dropped; one anywhere else
-    stays, and the readers refuse it. Bytes that are not UTF-8 become
-    lone surrogates, which the readers report by line."""
+def _open_bytes(source):
+    """A binary file of a path or of bytes."""
     if isinstance(source, (str, Path)):
-        raw = open(source, "rb")
-    elif isinstance(source, bytes):
-        raw = io.BytesIO(source)
-    else:
-        raise TypeError(f"unsupported trace source {type(source)!r}")
-    return io.TextIOWrapper(raw, encoding="utf-8-sig", errors="surrogateescape",
-                            newline="" if fmt == "csv" else None)
+        return open(source, "rb")
+    if isinstance(source, bytes):
+        return io.BytesIO(source)
+    raise TypeError(f"unsupported trace source {type(source)!r}")
+
+
+def _open_lines(source):
+    """CSV text lines of a path or bytes, each keeping its LF, CRLF or CR
+    for the csv module. A UTF-8 byte-order mark at the start is dropped;
+    one anywhere else stays, and the reader refuses it. Bytes that are not
+    UTF-8 become lone surrogates, which the reader reports by line."""
+    return io.TextIOWrapper(_open_bytes(source), encoding="utf-8-sig",
+                            errors="surrogateescape", newline="")
 
 
 def _columns_of(rows: Iterable[tuple]) -> TraceColumns:
@@ -394,13 +404,33 @@ def _columns_of(rows: Iterable[tuple]) -> TraceColumns:
 # 9 MB to that of the cache sweep, so the pool's end calls malloc_trim
 # (_release_free_heap), which gave most of it back. What is left is the
 # top of each worker's arena, which malloc_trim does not shrink; it is at
-# most a chunk's working set. So _layout_columns drops each per-digit
-# array as soon as it is read: a 4096-line chunk of a synthesized
-# workload, 1.1 MB of text, peaked at 12.6 MB of temporaries, and now at
-# 7.9 MB.
+# most a chunk's working set. So _layout_columns drops each temporary as
+# soon as it is read, and _number_values works in place: a 4096-line
+# chunk of the seed-11 analyze input, 1.1 MB of bytes, peaks at 4.5 MB of
+# temporaries, 2.4 MB of them in _number_values. The working set also
+# sets the page faults: after each chunk glibc trims a worker's arena
+# back to its trim threshold, which rises with the largest buffer freed,
+# and the next chunk faults the rest in again. A first word reader that
+# peaked at 6.5 MB in arrays of at most 1.1 MB took 160-176k minor faults
+# in the parse of `mrtrace analyze`; the per-digit reader, at the same
+# peak but in larger arrays, took 65-113k, and this one 71-108k.
+#
+# parse_trace calls _release_free_heap again after the sort. The columns
+# the sort replaced are freed inside glibc's heap, whose pages stay
+# resident, and whether the report's sections reuse them turned on the
+# order of small allocations at startup: with the byte reader, analyze-1m
+# peaked at 247-252 MB from a git checkout of the program and at 231-235
+# MB from a copy of its program files alone. After the trim it peaked at
+# 228-239 MB in both, against 231-248 MB for the parent (seed 11).
+#
+# _jsonl_chunks reads _JSONL_CHUNK * 256 bytes at a time, about one chunk
+# of the benchmark inputs' 170-270-byte lines, so a cut holds at most a
+# read or two beside the chunks in flight. On the parse bound of
+# tests/test_memory_bounds.py (512-line chunks, 128 KB reads) the parse
+# peaked at 1.658 times its columns' bytes; with 4 MB reads, at 1.810.
 _JSONL_CHUNK = 4096
 # At most this many pool threads read chunks, at most _IN_FLIGHT chunks
-# ahead of the one being copied; a chunk's lines take about 1.3 MB.
+# ahead of the one being copied; a chunk's bytes take about 1.1 MB.
 _LAYOUT_WORKERS = 2
 _IN_FLIGHT = 4
 
@@ -409,77 +439,126 @@ _IN_FLIGHT = 4
 _LAYOUT_NAME_MAX = 1024
 
 
-def _digit_values(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
-    """Parse the number texts buf[start:end] (nonempty and in order): the
-    integer of each text's digits, wrapping mod 2**64, so exact up to 19
-    digits; its digit count; and its digit count after the dot. None when
-    a byte is neither a digit nor a dot, or a text has a leading zero, two
-    dots, or a dot at either end."""
-    start, end = start.astype(np.int32), end.astype(np.int32)  # halves the byte arrays
-    length = end - start
-    offset = np.cumsum(length, dtype=np.int32) - length
-    pos = np.repeat(start - offset, length) + np.arange(offset[-1] + length[-1], dtype=np.int32)
-    digit = buf[pos] - 48  # uint8: "." wraps to 254
-    dots = np.flatnonzero(digit == 254)
-    if np.count_nonzero(digit > 9) != dots.size:
-        return None
-    # The power of ten of each digit, one less before a dot. The arrays of
-    # one entry per digit set the reader's working set (see _JSONL_CHUNK),
-    # so they are updated in place and dropped once read.
-    power = np.repeat(end - 1, length)
-    power -= pos
-    dot_pos = pos[dots]
-    del pos
-    fraction = np.zeros(start.size, dtype=np.int64)
-    if dots.size:
-        span = np.searchsorted(offset, dots, "right") - 1
-        fraction[span] = end[span] - 1 - dot_pos
-        if np.any(np.diff(span) == 0) or np.any((fraction[span] == 0) | (dot_pos == start[span])):
-            return None
-        before = np.zeros(power.size + 1, dtype=np.int8)
-        before[offset[span]] = 1
-        before[dots] = -1
-        power -= np.cumsum(before[:-1], dtype=np.int8)
-        digit[dots] = 0
-    if np.any((buf[start] == 48) & (length > 1) & (buf[start + 1] != 46)):
-        return None
-    np.minimum(power, 19, out=power)  # texts past 20 digits are decided by the caller
-    scaled = (10 ** np.arange(20, dtype=np.uint64))[power]
-    del power
-    scaled *= digit
-    value = np.add.reduceat(scaled, offset)
-    return value, length - (fraction > 0), fraction
+def _not_digits(word: np.ndarray) -> np.ndarray:
+    """Whether each uint64 word holds a byte that is not an ASCII digit:
+    a digit's high nibble is 3, and stays 3 when 6 is added to it."""
+    test = word + 0x0606060606060606
+    test &= 0xF0F0F0F0F0F0F0F0
+    test >>= 4
+    test |= word & 0xF0F0F0F0F0F0F0F0
+    return test != 0x3333333333333333
 
 
-def _layout_columns(lines: list[str]) -> Optional[TraceColumns]:
-    """Columns of a chunk whose every line has exactly the compact layout
-    of its first, {"k1":v1,...,"km":vm}, read from its bytes with numpy;
-    None to decline. It never raises for bad input: whatever it accepts,
-    _iter_jsonl accepts with the same values, so errors always come from
-    _iter_jsonl.
+def _number_values(buf: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """Parse the number texts buf[start:end], each nonempty and at least 7
+    bytes past buf's start: the integer of each text's digits, wrapping
+    mod 2**64; its digit count; and its digit count after the dot. None
+    when a byte is neither a digit nor a dot, or a text has a leading
+    zero, two dots, or a dot at either end.
+
+    A text is read as little-endian uint64 words that end where it ends,
+    one word per 8 bytes, each step over the texts that still have bytes
+    left, as Lemire reads 8 digits at once ("Number parsing at a gigabyte
+    per second", SPE 2021). In a word the bytes before the text read as
+    "0". In a word that fails the digit test, a dot is found by an exact
+    zero-byte test and also reads as "0"; the word must then pass. Three
+    multiply-shift steps combine the 8 digits. Digits before the dot count
+    a tenth as much: in the dot's word they are divided by 10, and word k
+    from the end, when wholly before the dot, counts 10**(8k-1), not
+    10**(8k). The steps work in place, to keep the working set small (see
+    _JSONL_CHUNK).
+    """
+    zero = np.flatnonzero(buf[start] == 48)
+    if np.any((end[zero] - start[zero] > 1) & (buf[start[zero] + 1] != 46)):
+        return None
+    words = np.ndarray((buf.size - 7,), dtype="<u8", buffer=buf, strides=(1,))
+    low = np.array([(1 << 8 * n) - 1 for n in range(8)], dtype=np.uint64)  # the n first bytes
+    after = np.array([10 ** (7 - j) for j in range(8)], dtype=np.uint64)  # a dot at byte j
+    dot_at = np.full(start.size, -1, dtype=np.int64)
+    live, first, at, dotted = None, start, end - 8, None  # live None: every text
+    for k in count():
+        word = words[at]
+        fill = first - at
+        np.maximum(fill, 0, out=fill)
+        fill = low[fill]
+        word &= ~fill
+        fill &= 0x3030303030303030
+        word |= fill
+        del fill
+        bad = np.flatnonzero(_not_digits(word))
+        if bad.size:
+            part = word[bad]
+            dot = part ^ 0x2E2E2E2E2E2E2E2E
+            test = dot & 0x7F7F7F7F7F7F7F7F
+            test += 0x7F7F7F7F7F7F7F7F
+            test |= dot
+            test |= 0x7F7F7F7F7F7F7F7F
+            dot = np.invert(test, out=test)  # 0x80 in each "." byte
+            part ^= (dot >> 7) * 0x1E  # "." ^ 0x1E is "0"
+            if (np.any(_not_digits(part)) or np.any(np.bitwise_count(dot) > 1)
+                    or k and np.any(dotted[bad])):
+                return None  # a byte neither digit nor dot, or two dots
+            word[bad] = part
+        word &= 0x0F0F0F0F0F0F0F0F
+        word *= 2561  # 10 << 8 | 1: pairs
+        word >>= 8
+        word &= 0x00FF00FF00FF00FF
+        word *= 6553601  # 100 << 16 | 1: fours
+        word >>= 16
+        word &= 0x0000FFFF0000FFFF
+        word *= 42949672960001  # 10000 << 32 | 1: eights, wrapping mod 2**64
+        word >>= 32
+        if bad.size:
+            byte = np.bitwise_count(dot - 1) >> 3  # the dot's byte in its word
+            dot_at[bad if live is None else live[bad]] = at[bad] + byte
+            both = word[bad]
+            tail = both % after[byte]
+            word[bad] = tail + (both - tail) // 10
+        if not k:
+            value = word
+        else:
+            value[live] += word * np.where(dotted, np.uint64(pow(10, 8 * k - 1, 1 << 64)),
+                                           np.uint64(pow(10, 8 * k, 1 << 64)))
+        more = np.flatnonzero(first < at)
+        if not more.size:
+            break
+        live = more if live is None else live[more]
+        first, at = first[more], at[more] - 8
+        dotted = dot_at[live] >= 0
+    if np.any((dot_at == start) | (dot_at == end - 1)):
+        return None
+    has_dot = dot_at >= 0
+    return value, end - start - has_dot, np.where(has_dot, end - 1 - dot_at, 0)
+
+
+def _layout_columns(chunk: bytes) -> Optional[TraceColumns]:
+    """Columns of a chunk of LF-terminated lines whose every line has
+    exactly the compact layout of its first, {"k1":v1,...,"km":vm}, read
+    from its bytes with numpy; None to decline. It never raises for bad
+    input: whatever it accepts, _iter_jsonl accepts with the same values,
+    so errors always come from _iter_jsonl.
 
     With no backslash no quote is escaped, so every line holds the same
     quotes: two per key and two around the name. Each key's head, such as
     ',"duration":', is checked by 8-byte word gathers; what lies between
     two heads is a value.
     """
+    if not chunk.isascii():
+        try:
+            chunk.decode()
+        except UnicodeDecodeError:  # _iter_jsonl names the line
+            return None
     try:
-        first = json.loads(lines[0])
-        text = "".join(lines).encode()  # an undecodable byte, escaped to a surrogate, declines
-    except (ValueError, RecursionError):  # also UnicodeEncodeError
+        first = json.loads(chunk[:chunk.find(b"\n")].decode())
+    except (ValueError, RecursionError):
         return None
     if type(first) is not dict or not {"job_id", "submit_time"} <= first.keys() <= _KEY_SET or any(
             type(v) not in ((str,) if k == "name" else (int, float)) for k, v in first.items()):
         return None
     keys = tuple(first)
-    if not text.endswith(b"\n"):
-        text += b"\n"
-    size = len(text)
+    size = len(chunk)
     pad = _LAYOUT_NAME_MAX + 32  # room for word and name reads past the last byte
-    if size + pad > np.iinfo(np.int32).max:
-        return None  # _digit_values indexes the bytes with int32
-    padded = text + bytes(pad)
-    del text
+    padded = chunk + bytes(pad)
     buf = np.frombuffer(padded, dtype=np.uint8)
     body = buf[:size]
     hits = np.flatnonzero(body <= 34)  # control bytes, spaces, "!" and quotes
@@ -520,15 +599,14 @@ def _layout_columns(lines: list[str]) -> Optional[TraceColumns]:
         if named is None:
             return None
         codes, names = named
-    del quotes, found
+    del quotes, found, bound
     numbers = [key for key in keys if key != "name"]
     cols = [keys.index(key) for key in numbers]
     start, stop = start[:, cols].ravel(), stop[:, cols].ravel()  # row-major: in file order
-    parsed = _digit_values(buf, start, stop) if np.all(stop > start) else None
+    parsed = _number_values(buf, start, stop) if np.all(stop > start) else None
     if parsed is None:
         return None
-    value, digits, fraction = (a.reshape(rows, -1) for a in parsed)
-    lead = buf[start].reshape(rows, -1)
+    value, digits, fraction, start, stop = (a.reshape(rows, -1) for a in (*parsed, start, stop))
 
     values = {}
     for i, key in enumerate(numbers):
@@ -537,7 +615,7 @@ def _layout_columns(lines: list[str]) -> Optional[TraceColumns]:
             exact = np.array([float(10**k) for k in range(16)])
             values[key] = col = v / exact[np.where(d <= 15, f, 0)]
             for r in np.flatnonzero(d > 15).tolist():
-                literal = padded[start[r * len(numbers) + i]:stop[r * len(numbers) + i]].decode()
+                literal = padded[start[r, i]:stop[r, i]].decode()
                 try:
                     number = float(literal) if "." in literal else int(literal)
                 except ValueError:  # an integer past the str-to-int digit limit
@@ -548,7 +626,8 @@ def _layout_columns(lines: list[str]) -> Optional[TraceColumns]:
             continue
         if key.endswith("_hash"):
             # A 20-digit value past 2**64-1 starts with 1 and wraps below 10**19.
-            good, dtype = (d < 20) | (d == 20) & (lead[:, i] == 49) & (v >= 10**19), np.uint64
+            good = (d < 20) | (d == 20) & (buf[start[:, i]] == 49) & (v >= 10**19)
+            dtype = np.uint64
         elif key in ("job_id", "submit_time"):
             good, dtype = (d <= 19) & (v <= _I64_MAX), np.int64
         else:
@@ -604,13 +683,45 @@ def _release_free_heap() -> None:
     trim(0)
 
 
-def _jsonl_parts(lines: Iterator[str]) -> Iterator[TraceColumns]:
-    """Columns of each _JSONL_CHUNK-line chunk, in file order: the reading
-    of _layout_columns, on a pool of up to _LAYOUT_WORKERS threads at most
-    _IN_FLIGHT chunks ahead of the one yielded, or, where that declines,
-    of _iter_jsonl on this thread. Closing the generator cancels what is
-    pending and joins the pool."""
-    chunks = iter(lambda: list(islice(lines, _JSONL_CHUNK)), [])
+def _jsonl_chunks(raw) -> Iterator[bytes]:
+    """The bytes of a binary file in chunks of _JSONL_CHUNK lines, the
+    last maybe fewer, each line ending in LF, as a text file read with
+    universal newlines splits them: each CR or CRLF becomes LF, and a
+    UTF-8 byte-order mark at the start is dropped; a mark anywhere else
+    stays, and the readers refuse it. The file is read _JSONL_CHUNK * 256
+    bytes at a time, and one numpy index of each read's newlines gives the
+    cuts; a CRLF split between two reads stays one line end."""
+    held, lines, cr = [], 0, False  # the next chunk's pieces and whole lines so far
+    block = raw.read(_JSONL_CHUNK * 256)
+    if block.startswith(codecs.BOM_UTF8):
+        block = block[3:]
+    while block:
+        if cr and block[0] == 10:
+            block = block[1:]  # the LF of a CRLF whose CR ended the last read
+        cr = block.endswith(b"\r")
+        if b"\r" in block:
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        ends = np.flatnonzero(np.frombuffer(block, dtype=np.uint8) == 10)
+        view, cut = memoryview(block), 0
+        for end in ends[_JSONL_CHUNK - 1 - lines::_JSONL_CHUNK].tolist():
+            held.append(view[cut:end + 1])
+            yield b"".join(held)
+            held, cut = [], end + 1
+        held.append(view[cut:])
+        lines = (lines + ends.size) % _JSONL_CHUNK
+        block = raw.read(_JSONL_CHUNK * 256)
+    tail = b"".join(held)
+    if tail:
+        yield tail if tail.endswith(b"\n") else tail + b"\n"
+
+
+def _jsonl_parts(raw) -> Iterator[TraceColumns]:
+    """Columns of each chunk of _jsonl_chunks(raw), in file order: the
+    reading of _layout_columns, on a pool of up to _LAYOUT_WORKERS threads
+    at most _IN_FLIGHT chunks ahead of the one yielded, or, where that
+    declines, of _iter_jsonl on this thread. Closing the generator cancels
+    what is pending and joins the pool."""
+    chunks = _jsonl_chunks(raw)
     pool = ThreadPoolExecutor(max_workers=min(_LAYOUT_WORKERS, usable_cores()))
     try:
         pending, first_line_no = deque(), 1
@@ -621,8 +732,13 @@ def _jsonl_parts(lines: Iterator[str]) -> Iterator[TraceColumns]:
                 return
             chunk, reading = pending.popleft()
             part = reading.result()
-            yield _columns_of(_iter_jsonl(chunk, first_line_no)) if part is None else part
-            first_line_no += len(chunk)
+            if part is None:
+                # Bytes that are not UTF-8 become lone surrogates, which
+                # _iter_jsonl reports by line.
+                lines = chunk.decode("utf-8", "surrogateescape").split("\n")
+                part = _columns_of(_iter_jsonl(lines[:-1], first_line_no))
+            yield part
+            first_line_no += _JSONL_CHUNK
     finally:
         pool.shutdown(cancel_futures=True)
         _release_free_heap()
@@ -703,10 +819,12 @@ def parse_trace(
     if machine_count < 1:
         raise ValueError("machine_count must be positive")
 
-    with (_open_lines(source, fmt) as fh,
-          closing(_jsonl_parts(fh) if fmt == "jsonl" else _csv_parts(fh)) as parts):
+    jsonl = fmt == "jsonl"
+    with (_open_bytes(source) if jsonl else _open_lines(source)) as fh, \
+            closing(_jsonl_parts(fh) if jsonl else _csv_parts(fh)) as parts:
         fields = _gather(parts)
     cols = _sorted_by_submit(fields)
+    _release_free_heap()  # the pages of the columns the sort replaced (see _JSONL_CHUNK)
     span = (int(cols.submit_time[0]), int(cols.submit_time[-1]))
     return Trace(label=label, machine_count=machine_count, columns=cols, span=span)
 

@@ -1,11 +1,11 @@
 """Chunked jsonl parsing against the line-by-line path it falls back to.
 
-trace._layout_columns reads a chunk of lines at once and declines
-anything it cannot vouch for; trace._iter_jsonl then reads the chunk
-line by line. The line-by-line path is the oracle: parsing with chunks of
-a few lines must give the same Trace, or raise the same error, as parsing
-the whole file line by line. The layout reader's own cases are in
-test_layout_parse.py.
+trace._layout_columns reads a chunk of lines from its bytes at once and
+declines anything it cannot vouch for; trace._iter_jsonl then reads the
+chunk line by line. The line-by-line path is the oracle: parsing with
+chunks of a few lines must give the same Trace, or raise the same error,
+as parsing the whole file line by line. The layout reader's own cases
+are in test_layout_parse.py.
 """
 
 import importlib.util
@@ -31,7 +31,7 @@ from conftest import mixed_workload_trace
 def line_by_line():
     """Parse without the layout reader: every line through _iter_jsonl,
     in one pass over the whole file."""
-    with mock.patch.object(trace, "_layout_columns", lambda lines: None), \
+    with mock.patch.object(trace, "_layout_columns", lambda chunk: None), \
             mock.patch.object(trace, "_JSONL_CHUNK", 1 << 30):
         yield
 
@@ -39,7 +39,7 @@ def line_by_line():
 def test_line_by_line_sends_every_line_to_iter_jsonl():
     buf = io.StringIO()
     serialize_trace(mixed_workload_trace(300, 5), buf)
-    lines = buf.getvalue().splitlines(keepends=True)
+    lines = buf.getvalue().split("\n")[:-1]  # each line without its LF
     seen = []
     exact = trace._iter_jsonl
 

@@ -1,12 +1,12 @@
 """The layout reader against the line-by-line path.
 
-trace._layout_columns reads a chunk whose lines all share the compact
-layout of the first, {"k1":v1,...,"km":vm}, with numpy, and declines
-anything else. Whatever it accepts must give the columns and name table
-_iter_jsonl gives, and parsing any input through it must give the Trace,
-or the error at the line, that parsing line by line gives. It is the one
-reader in front of _iter_jsonl, so the differential test here is what
-vouches for every chunk that does not parse line by line.
+trace._layout_columns reads a chunk of bytes whose lines all share the
+compact layout of the first, {"k1":v1,...,"km":vm}, with numpy, and
+declines anything else. Whatever it accepts must give the columns and
+name table _iter_jsonl gives, and parsing any input through it must give
+the Trace, or the error at the line, that parsing line by line gives. It
+is the one reader in front of _iter_jsonl, so the differential test here
+is what vouches for every chunk that does not parse line by line.
 """
 
 import io
@@ -139,9 +139,16 @@ def serialized_text(draw):
     return buf.getvalue().encode()
 
 
-def chunk_lines(data: bytes) -> list[str]:
-    """The lines parse_trace reads from data."""
-    return trace._open_lines(data, "jsonl").readlines()
+def chunks_of(data: bytes, lines: int) -> list[bytes]:
+    """The chunks of at most `lines` lines that parse_trace reads from data."""
+    with mock.patch.object(trace, "_JSONL_CHUNK", lines):
+        return list(trace._jsonl_chunks(io.BytesIO(data)))
+
+
+def line_by_line_columns(chunk: bytes):
+    """The columns _iter_jsonl reads from a chunk's lines."""
+    lines = chunk.decode("utf-8", "surrogateescape").split("\n")[:-1]
+    return trace._columns_of(trace._iter_jsonl(lines))
 
 
 def assert_same_columns(got, want):
@@ -159,13 +166,11 @@ def assert_same_columns(got, want):
 @settings(max_examples=600, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.one_of(layout_text(), serialized_text()), chunk=st.integers(1, 7))
 def test_layout_reader_matches_line_by_line(data, chunk):
-    lines = chunk_lines(data)
-    for start in range(0, len(lines), chunk):
-        part = lines[start:start + chunk]
+    for part in chunks_of(data, chunk):
         got = trace._layout_columns(part)
         event("chunk accepted" if got is not None else "chunk declined")
         if got is not None:
-            assert_same_columns(got, trace._columns_of(trace._iter_jsonl(part)))
+            assert_same_columns(got, line_by_line_columns(part))
     with line_by_line():
         want = outcome(data)
     with mock.patch.object(trace, "_JSONL_CHUNK", chunk):
@@ -181,11 +186,11 @@ def test_layout_reader_matches_line_by_line(data, chunk):
 def test_float_mantissas_near_the_fast_path_limit(texts):
     # Past 15 digits a mantissa may exceed 2**53, where mantissa / 10**f
     # rounds twice; those must be converted alone.
-    lines = ['{"job_id":%d,"submit_time":0,"map_task_seconds":%s}\n' % (i, t)
-             for i, t in enumerate(texts)]
-    got = trace._layout_columns(lines)
+    chunk = "".join('{"job_id":%d,"submit_time":0,"map_task_seconds":%s}\n' % (i, t)
+                    for i, t in enumerate(texts)).encode()
+    got = trace._layout_columns(chunk)
     assert got is not None
-    assert_same_columns(got, trace._columns_of(trace._iter_jsonl(lines)))
+    assert_same_columns(got, line_by_line_columns(chunk))
 
 
 # -- pinned cases -------------------------------------------------------------
@@ -223,22 +228,21 @@ def two_lines(key, value):
     if key == "name":
         first = first.replace('"name":1', '"name":"y"')
     second = "{" + ",".join(f'"{k}":{v}' for k, v in {**fields, key: value}.items()) + "}\n"
-    return [first, second]
+    return (first + second).encode()
 
 
 @pytest.mark.parametrize("key, value", ACCEPTED)
 def test_reader_takes_values_in_range(key, value):
-    lines = two_lines(key, value)
-    got = trace._layout_columns(lines)
+    chunk = two_lines(key, value)
+    got = trace._layout_columns(chunk)
     assert got is not None
-    assert_same_columns(got, trace._columns_of(trace._iter_jsonl(lines)))
+    assert_same_columns(got, line_by_line_columns(chunk))
 
 
 @pytest.mark.parametrize("key, value", DECLINED)
 def test_reader_declines_values_it_cannot_vouch_for(key, value):
-    lines = two_lines(key, value)
-    assert trace._layout_columns(lines) is None
-    data = "".join(lines).encode()
+    data = two_lines(key, value)
+    assert trace._layout_columns(data) is None
     with line_by_line():
         want = outcome(data)
     assert_same_outcome(outcome(data), want)
@@ -257,14 +261,17 @@ def test_reader_declines_values_it_cannot_vouch_for(key, value):
     ['{"job_id":1,"submit_time":2,"name":"a\udcff"}\n'],
 ])
 def test_reader_declines_lines_off_the_layout(lines):
-    assert trace._layout_columns(lines) is None
+    # A lone surrogate stands for a byte that is not UTF-8.
+    assert trace._layout_columns("".join(lines).encode("utf-8", "surrogateescape")) is None
 
 
 def test_missing_final_newline_is_read():
-    lines = ['{"job_id":1,"submit_time":2,"name":"a,b:{}"}\n', '{"job_id":2,"submit_time":3,"name":""}']
-    got = trace._layout_columns(lines)
+    data = b'{"job_id":1,"submit_time":2,"name":"a,b:{}"}\n{"job_id":2,"submit_time":3,"name":""}'
+    [chunk] = chunks_of(data, 4096)
+    assert chunk == data + b"\n"
+    got = trace._layout_columns(chunk)
     assert got is not None and got.names == ("a,b:{}", "")
-    assert_same_columns(got, trace._columns_of(trace._iter_jsonl(lines)))
+    assert_same_columns(got, line_by_line_columns(chunk))
 
 
 def test_name_table_keeps_first_appearance_across_chunks():
@@ -291,9 +298,9 @@ def test_mixed_tiers_share_one_name_table():
 
 def test_benchmark_float_texts_are_read_exactly():
     values = [40.0, 4000.0, 4.0e6, 0.1, 1 / 3, 2.0**53 + 2, 1e15 + 0.5, 123.456]
-    lines = [json.dumps({"job_id": i, "submit_time": 0, "map_task_seconds": v},
-                        separators=(",", ":")) + "\n" for i, v in enumerate(values)]
-    got = trace._layout_columns(lines)
+    chunk = "".join(json.dumps({"job_id": i, "submit_time": 0, "map_task_seconds": v},
+                               separators=(",", ":")) + "\n" for i, v in enumerate(values))
+    got = trace._layout_columns(chunk.encode())
     assert got is not None
     assert got.map_task_seconds.tolist() == values
     assert not any(math.copysign(1, v) < 0 for v in got.map_task_seconds.tolist())
@@ -323,9 +330,9 @@ def parse_both_ways(monkeypatch, data: bytes, chunk=4):
     threads = []
     real = trace._layout_columns
 
-    def recording(lines):
+    def recording(chunk):
         threads.append(threading.current_thread())
-        return real(lines)
+        return real(chunk)
 
     monkeypatch.setattr(trace, "_layout_columns", recording)
     pooled, pooled_threads = outcome(data), threads[:]
@@ -409,9 +416,9 @@ def test_every_chunk_is_read_on_the_pool(monkeypatch, count, version):
     threads = []
     real = trace._layout_columns
 
-    def recording(lines):
+    def recording(chunk):
         threads.append(threading.current_thread())
-        return real(lines)
+        return real(chunk)
 
     monkeypatch.setattr(trace, "_layout_columns", recording)
     before = set(threading.enumerate())
