@@ -47,7 +47,6 @@ from .data_access import (
     EmpiricalCDF,
     FileSide,
     FileTable,
-    RankedAccessTable,
     ReaccessStats,
     ZipfFit,
     access_frequency_rank,

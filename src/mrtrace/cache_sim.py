@@ -224,11 +224,9 @@ def simulate_cache(stream: AccessStream, config: CacheConfig) -> CacheReport:
     return _replay(stream, config)
 
 
-def _previous_touch(fid: np.ndarray, order: Optional[np.ndarray] = None) -> np.ndarray:
+def _previous_touch(fid: np.ndarray, order: np.ndarray) -> np.ndarray:
     """Each event's position of the previous event of its file, or -1.
-    ``order`` is the stable argsort of ``fid`` when the caller has it."""
-    if order is None:
-        order = np.argsort(fid, kind="stable")
+    ``order`` is the stable argsort of ``fid``."""
     same = fid[order[1:]] == fid[order[:-1]]
     prev = np.full(len(fid), -1, dtype=np.int64)
     prev[order[1:][same]] = order[:-1][same]

@@ -35,7 +35,6 @@ _LETTERS = re.compile(r"[a-z]+")
 
 @dataclass
 class NameBreakdown:
-    weighting: str  # jobs | io_bytes | task_time
     words: list[str]  # first words at or over the cutoff, by non-increasing fraction
     fractions: list[float]  # one per word
     other_fraction: float
@@ -128,7 +127,7 @@ def name_breakdown(trace: Trace, weighting: str, min_fraction: float = 0.0) -> N
         else:
             words.append(token)
             fractions.append(frac)
-    return NameBreakdown(weighting=weighting, words=words, fractions=fractions, other_fraction=other)
+    return NameBreakdown(words=words, fractions=fractions, other_fraction=other)
 
 
 def _standardization(cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,11 +4,11 @@ storage rule, and re-access temporal locality.
 
 The per-file analyses read one `FileTable`, which `file_table` builds from
 a single sort of every input and output path digest of a trace: per file
-of each side, in rank order, the access counts and the last and largest
-sizes; and the gap of every re-read from the touch of its file before it.
-Build it once for all of them. It holds 32 bytes per file of a side, 40
-where some touch of the side lacks its byte count, but 16 where each file
-is touched once and every touch carries bytes; and 8 per re-read. On the
+of each side, in rank order, the access counts and the largest sizes; and
+the gap of every re-read from the touch of its file before it. Build it
+once for all of them. It holds 24 bytes per file of a side, 32 where some
+touch of the side lacks its byte count, but 16 where each file is touched
+once and every touch carries bytes; and 8 per re-read. On the
 1M-job benchmark input, where every job writes a file of its own, the
 output side takes 16 MB and the re-read gaps 8 MB. The analyses read the
 ranked arrays in place: none copies a column as long as the files.
@@ -54,25 +54,6 @@ class EmpiricalCDF:
 
 
 @dataclass
-class RankedAccessTable:
-    """Files on one side (input or output) ranked by access count.
-
-    digests/counts/sizes are parallel arrays ordered by non-increasing
-    count with digest tie-break; sizes are last observed bytes (NaN when
-    never observed). From access_frequency_rank they are the file table's
-    own read-only arrays.
-    """
-
-    digests: np.ndarray  # uint64
-    counts: np.ndarray  # int64
-    sizes: np.ndarray  # float64, NaN = size never observed
-    side: str
-
-    def __len__(self) -> int:
-        return int(self.counts.size)
-
-
-@dataclass
 class ZipfFit:
     slope: float  # magnitude of the log-log slope
     intercept: float
@@ -90,12 +71,12 @@ class ReaccessStats:
 class FileSide:
     """The files one side (input or output) touches, as read-only parallel
     arrays in rank order: by non-increasing count, ties by ascending
-    digest. Where each file is touched once, counts is one 1 broadcast to
-    the files' length."""
+    digest. Each file has its digest, its access count, the count of its
+    touches that carry bytes, and the largest bytes observed. Where each
+    file is touched once, counts is one 1 broadcast to the files' length."""
 
     digests: np.ndarray  # uint64
     counts: np.ndarray  # int64 jobs touching the file, non-increasing
-    last_sizes: np.ndarray  # float64 bytes of the latest touch carrying them, NaN = never
     sized_counts: np.ndarray  # int64 touches carrying a byte count; counts itself when all do
     max_sizes: np.ndarray  # float64 largest bytes observed, NaN = never
 
@@ -133,8 +114,8 @@ def _file_side(file_id: np.ndarray, job: np.ndarray, digests: np.ndarray,
     job per touch, the digest of each file id, and the side's bytes by job
     row. The caller passes the only reference to file_id and job, which go
     as soon as they are read. Where each file is touched once, as every
-    job's own output file is, the sizes of the touches are both the last
-    and the largest sizes."""
+    job's own output file is, the sizes of the touches are the largest
+    sizes."""
     m = file_id.size
     first = np.ones(m, dtype=bool)
     np.not_equal(file_id[1:], file_id[:-1], out=first[1:])
@@ -146,21 +127,13 @@ def _file_side(file_id: np.ndarray, job: np.ndarray, digests: np.ndarray,
     del job
     has = ~np.isnan(sizes)
     if start is None:  # every count is 1: one value, broadcast, stands for the column
-        side.update(counts=np.broadcast_to(np.int64(1), (m,)), max_sizes=sizes, last_sizes=sizes)
-        if not has.all():
-            side["sized_counts"] = has.astype(np.int64)
+        side.update(counts=np.broadcast_to(np.int64(1), (m,)), max_sizes=sizes)
     else:
         side["counts"] = np.diff(start, append=m)
         side["max_sizes"] = np.fmax.reduceat(sizes, start)  # NaN where no touch has bytes
-        if has.all():  # sized_counts is counts
-            start += side["counts"]
-            start -= 1  # each file's last touch
-            side["last_sizes"] = sizes[start]
-        else:
-            side["sized_counts"] = np.add.reduceat(has, start, dtype=np.int64)
-            last = np.maximum.reduceat(np.where(has, np.arange(m), -1), start)
-            side["last_sizes"] = last_sizes = sizes[last]
-            last_sizes[last < 0] = np.nan
+    if not has.all():  # else sized_counts is counts
+        side["sized_counts"] = (has.astype(np.int64) if start is None
+                                else np.add.reduceat(has, start, dtype=np.int64))
     del start, sizes, has
     # Files are in digest order; unless that is already the rank order,
     # rank them, a column at a time.
@@ -267,20 +240,21 @@ def data_size_cdf(trace: Trace, dimension: str) -> EmpiricalCDF:
     return EmpiricalCDF.from_samples(col if present.all() else col[present])
 
 
-def access_frequency_rank(files: FileTable, side: str) -> RankedAccessTable:
-    """Rank files by how many jobs touch them on the given side.
+def access_frequency_rank(files: FileTable, side: str) -> np.ndarray:
+    """The access counts of the files on the given side, in rank order:
+    the table's own read-only int64 array, non-increasing.
 
     Each job counts as one access of its path. Ties in count are broken
-    by digest value so the ranking is deterministic.
+    by digest value (FileSide.digests) so the ranking is deterministic.
     """
     s = files.side(side)
     if not s.digests.size:
         raise NoData(f"no record carries {side}_path_hash")
-    return RankedAccessTable(digests=s.digests, counts=s.counts, sizes=s.last_sizes, side=side)
+    return s.counts
 
 
-def _log10_counts(table: RankedAccessTable) -> np.ndarray:
-    y = table.counts.astype(np.float64)
+def _log10_counts(counts: np.ndarray) -> np.ndarray:
+    y = counts.astype(np.float64)
     return np.log10(y, out=y)
 
 
@@ -289,15 +263,16 @@ def _log10_ranks(n: int) -> np.ndarray:
     return np.log10(x, out=x)
 
 
-def fit_zipf(table: RankedAccessTable) -> ZipfFit:
-    """Least-squares line through (log10 rank, log10 count) over all entries.
+def fit_zipf(counts: np.ndarray) -> ZipfFit:
+    """Least-squares line through (log10 rank, log10 count) over all ranked
+    counts.
 
-    It holds two arrays as long as the table: the centered logs are made
+    It holds two arrays as long as the counts: the centered logs are made
     in place, and the residuals from the logs made again."""
-    n = len(table)
+    n = counts.size
     if n < 2:
         raise InsufficientData("need at least 2 ranked entries to fit")
-    y = _log10_counts(table)
+    y = _log10_counts(counts)
     if np.all(y == y[0]):  # constant counts: the flat line is an exact fit
         return ZipfFit(slope=0.0, intercept=float(y[0]), r_squared=1.0, n_points=n)
     x = _log10_ranks(n)
@@ -312,23 +287,17 @@ def fit_zipf(table: RankedAccessTable) -> ZipfFit:
     fitted = _log10_ranks(n)
     fitted *= slope
     fitted += intercept
-    resid = np.subtract(_log10_counts(table), fitted, out=fitted)
+    resid = np.subtract(_log10_counts(counts), fitted, out=fitted)
     ss_res = float(resid @ resid)
     r2 = 1.0 - ss_res / syy
     return ZipfFit(slope=abs(slope), intercept=intercept,
                    r_squared=min(max(r2, 0.0), 1.0), n_points=n)
 
 
-def tail_trimmed(table: RankedAccessTable, min_count: int = 2) -> RankedAccessTable:
-    """The table without its low-count tail (default: drop count < 2). Its
-    counts do not increase, so that is the head it keeps, as views."""
-    keep = slice(int(np.count_nonzero(table.counts >= min_count)))
-    return RankedAccessTable(
-        digests=table.digests[keep],
-        counts=table.counts[keep],
-        sizes=table.sizes[keep],
-        side=table.side,
-    )
+def tail_trimmed(counts: np.ndarray, min_count: int = 2) -> np.ndarray:
+    """The ranked counts without their low-count tail (default: drop count
+    < 2). They do not increase, so that is the head they keep, as a view."""
+    return counts[:np.count_nonzero(counts >= min_count)]
 
 
 def _sized_files(files: FileTable, side: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

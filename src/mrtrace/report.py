@@ -347,13 +347,13 @@ class ReportBuilder:
         return out
 
     def _zipf(self, files: da.FileTable, side: str) -> dict:
-        table = da.access_frequency_rank(files, side)
-        self.plots[f"fig2_{side}.tsv"] = _plot_columns(np.arange(1, len(table) + 1), table.counts)
+        counts = da.access_frequency_rank(files, side)
+        self.plots[f"fig2_{side}.tsv"] = _plot_columns(np.arange(1, counts.size + 1), counts)
         out = {"operation": "access_frequency_rank + fit_zipf", "side": side,
-               "n_files": len(table), "n_accesses": int(table.counts.sum())}
-        for label, tbl in (("full", table), ("tail_trimmed", da.tail_trimmed(table))):
+               "n_files": counts.size, "n_accesses": int(counts.sum())}
+        for label, ranked in (("full", counts), ("tail_trimmed", da.tail_trimmed(counts))):
             try:
-                fit = da.fit_zipf(tbl)
+                fit = da.fit_zipf(ranked)
                 out[label] = {
                     "slope": fit.slope,
                     "intercept": fit.intercept,

@@ -1,9 +1,9 @@
 """The data-access analyses as ``mrtrace.data_access`` ran them before they
 read one file table: each call groups its side's digests on its own, with
 ``np.unique``, ``np.maximum.at`` and a three-key ``lexsort`` of every
-touch. Kept unchanged, over a trace, as the oracle for the differential
-tests of ``access_frequency_rank``, ``access_vs_size_curves``,
-``eighty_x_rule`` and ``reaccess_intervals``."""
+touch. Kept, over a trace, as the oracle for the differential tests of
+``access_frequency_rank`` (the ranked digests and counts),
+``access_vs_size_curves``, ``eighty_x_rule`` and ``reaccess_intervals``."""
 
 from __future__ import annotations
 
@@ -12,15 +12,15 @@ import numpy as np
 from mrtrace.data_access import (
     EIGHTY_X_QUANTILE,
     EmpiricalCDF,
-    RankedAccessTable,
     ReaccessStats,
 )
 from mrtrace.errors import NoData
 from mrtrace.trace import Trace
 
 
-def access_frequency_rank(trace: Trace, side: str) -> RankedAccessTable:
-    """Rank files by how many jobs touch them on the given side.
+def access_frequency_rank(trace: Trace, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """The digests and access counts of the files on the given side, ranked
+    by how many jobs touch them.
 
     Each job counts as one access of its path. Ties in count are broken
     by digest value so the ranking is deterministic.
@@ -29,28 +29,9 @@ def access_frequency_rank(trace: Trace, side: str) -> RankedAccessTable:
     hashes, present = cols.hash_column(side)
     if not present.any():
         raise NoData(f"no record carries {side}_path_hash")
-    sizes = cols.bytes_column(side)[present]
-    hashes = hashes[present]
-
-    digests, inverse, counts = np.unique(hashes, return_inverse=True, return_counts=True)
-
-    # Last observed size per digest: records are in submit order, so scan
-    # reversed and keep the first (= most recent) sized occurrence.
-    last_size = np.full(digests.size, np.nan)
-    has_size = ~np.isnan(sizes)
-    if has_size.any():
-        groups_rev = inverse[has_size][::-1]
-        sizes_rev = sizes[has_size][::-1]
-        uniq, first_pos = np.unique(groups_rev, return_index=True)
-        last_size[uniq] = sizes_rev[first_pos]
-
+    digests, counts = np.unique(hashes[present], return_counts=True)
     order = np.lexsort((digests, -counts))
-    return RankedAccessTable(
-        digests=digests[order],
-        counts=counts[order].astype(np.int64),
-        sizes=last_size[order],
-        side=side,
-    )
+    return digests[order], counts[order].astype(np.int64)
 
 
 def _file_sizes(trace: Trace, side: str):

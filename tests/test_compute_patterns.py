@@ -137,7 +137,7 @@ def name_breakdown_by_sort(trace, weighting, min_fraction=0.0):
         else:
             words.append(token)
             fractions.append(frac)
-    return NameBreakdown(weighting=weighting, words=words, fractions=fractions, other_fraction=other)
+    return NameBreakdown(words=words, fractions=fractions, other_fraction=other)
 
 
 NAMED_JOB = st.tuples(st.sampled_from([None, "etl a", "ETL b", "select", "9 lives", "zz", "q r", "x"]),

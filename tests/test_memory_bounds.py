@@ -119,9 +119,9 @@ def output_ranking_multiple() -> float:
     files = data_access.file_table(benchmark_shaped_trace(200_000))
 
     def fits():
-        table = data_access.access_frequency_rank(files, "output")
-        data_access.fit_zipf(table)
-        return data_access.tail_trimmed(table)
+        counts = data_access.access_frequency_rank(files, "output")
+        data_access.fit_zipf(counts)
+        return data_access.tail_trimmed(counts)
 
     _, peak = traced_peak(fits)
     return peak / (len(files.output.counts) * 8)

@@ -63,7 +63,7 @@ def capacities(oracle):
 def check_against_oracle(stream):
     oracle = oracle_of(stream)
     fid, file_size, _, _ = stream._file_index
-    prev = cache_sim._previous_touch(fid)
+    prev = cache_sim._previous_touch(fid, np.argsort(fid, kind="stable"))
     assert cache_sim._stack_distances(prev, file_size[fid]).tolist() == oracle.distances
     got = stream._lru_stack
     for cap in capacities(oracle):
