@@ -27,6 +27,7 @@ from .errors import (
     ScaledValueTooLarge,
     SimTimeOverflow,
     SpanTooLong,
+    SumOverflow,
     TooManyBuckets,
     TooShort,
     UnsortedStream,

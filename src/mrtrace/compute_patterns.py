@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import KTooLarge, NoData
+from .errors import KTooLarge, NoData, SumOverflow
 from .trace import Trace, usable_cores
 
 FEATURE_NAMES = (
@@ -94,7 +94,8 @@ def name_breakdown(trace: Trace, weighting: str, min_fraction: float = 0.0) -> N
         if weighting == "io_bytes":
             w = cols.input_bytes + cols.shuffle_bytes + cols.output_bytes
         else:
-            w = cols.map_task_seconds + cols.reduce_task_seconds
+            with np.errstate(over="ignore"):  # inf, refused below
+                w = cols.map_task_seconds + cols.reduce_task_seconds
         keep = ~np.isnan(w)
         if not keep.all():
             codes, w = codes[keep], w[keep]
@@ -113,6 +114,8 @@ def name_breakdown(trace: Trace, weighting: str, min_fraction: float = 0.0) -> N
     used = np.flatnonzero(first < job_token.size)
     used = used[np.argsort(first[used])]
     total = sum(weights[used].tolist())
+    if np.isinf(total):
+        raise SumOverflow(f"the jobs' {weighting} weights sum past the largest 64-bit float")
     if total <= 0:
         raise NoData(f"no job carries the fields needed for weighting={weighting}")
 

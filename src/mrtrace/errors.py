@@ -86,3 +86,8 @@ class WriteTimeOverflow(MRTraceError):
 
 class SimTimeOverflow(MRTraceError):
     """A simulated time in integer microseconds does not fit a 64-bit integer."""
+
+
+class SumOverflow(MRTraceError):
+    """A sum of task-seconds, of a time series or of the jobs' name
+    weights, does not fit a 64-bit float."""

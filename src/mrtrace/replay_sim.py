@@ -187,10 +187,20 @@ def simulate(trace: Trace, config: SimConfig) -> SimResult:
         )
     tasks = (cols.map_tasks.astype(np.int64).tolist(), cols.reduce_tasks.astype(np.int64).tolist())
     task_seconds = (cols.map_task_seconds.tolist(), cols.reduce_task_seconds.tolist())
-    dur_us = tuple(
-        [round(ts / k * US) if k else 0 for k, ts in zip(tasks[kind], task_seconds[kind])]
-        for kind in (_MAP, _REDUCE)
-    )
+    try:
+        dur_us = tuple(
+            [round(ts / k * US) if k else 0 for k, ts in zip(tasks[kind], task_seconds[kind])]
+            for kind in (_MAP, _REDUCE)
+        )
+    except OverflowError:  # a task time in microseconds rounds to inf
+        kind, i = next((kind, i) for kind in (_MAP, _REDUCE)
+                       for i, (k, ts) in enumerate(zip(tasks[kind], task_seconds[kind]))
+                       if k and ts / k * US > sys.float_info.max)
+        raise SimTimeOverflow(
+            f"job {cols.job_id[i]}: {_PHASE[kind]} task-seconds {task_seconds[kind][i]!r} over "
+            f"{tasks[kind][i]} tasks give a task time in microseconds that does not fit "
+            f"a 64-bit integer"
+        ) from None
     left = (list(tasks[_MAP]), list(tasks[_REDUCE]))  # to dispatch
     unfinished = (list(tasks[_MAP]), list(tasks[_REDUCE]))
     first_start_us: list = [None] * n

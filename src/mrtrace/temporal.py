@@ -15,6 +15,7 @@ from .errors import (
     InvalidBucketWidth,
     MedianZero,
     NoData,
+    SumOverflow,
     TooManyBuckets,
     TooShort,
     ZeroVariance,
@@ -93,6 +94,16 @@ def _bucket_sums(idx: np.ndarray, total: np.ndarray, n: int, missing: str) -> np
     return np.bincount(idx, weights=total, minlength=n)
 
 
+def _finite_total(values: np.ndarray, dimension: str) -> np.ndarray:
+    """values, whose sum, and so each of them, is finite; else SumOverflow.
+    A series mean, as of a correlation or a periodogram, is then finite."""
+    with np.errstate(over="ignore"):
+        total = values.sum()
+    if not np.isfinite(total):
+        raise SumOverflow(f"{dimension}: the jobs' task-seconds sum past the largest 64-bit float")
+    return values
+
+
 def bucket_time_series(trace: Trace, dimension: str, bucket_width: int = HOUR_SECONDS) -> TimeSeries:
     """Per-bucket sums of one workload dimension, keyed by submit time.
 
@@ -121,8 +132,11 @@ def bucket_time_series(trace: Trace, dimension: str, bucket_width: int = HOUR_SE
         total = cols.input_bytes + cols.shuffle_bytes + cols.output_bytes
         values = _bucket_sums(idx, total, n, "no record carries all of input/shuffle/output bytes")
     elif dimension == "compute_time_task_seconds":
-        total = cols.map_task_seconds + cols.reduce_task_seconds
-        values = _bucket_sums(idx, total, n, "no record carries both map and reduce task-seconds")
+        with np.errstate(over="ignore"):  # inf, refused by _finite_total
+            total = cols.map_task_seconds + cols.reduce_task_seconds
+        values = _finite_total(
+            _bucket_sums(idx, total, n, "no record carries both map and reduce task-seconds"),
+            dimension)
     else:
         raise ValueError(f"unknown dimension {dimension!r}")
     return TimeSeries(bucket_width=bucket_width, start=start, values=values, dimension=dimension)
@@ -141,7 +155,8 @@ def _occupancy_jobs(trace: Trace, bucket_width: int, n: int):
     start = trace.span[0]
     for lo in range(0, len(cols), _OCCUPANCY_CHUNK):
         rows = slice(lo, lo + _OCCUPANCY_CHUNK)
-        ts = cols.map_task_seconds[rows] + cols.reduce_task_seconds[rows]
+        with np.errstate(over="ignore"):  # inf, refused by occupancy_series
+            ts = cols.map_task_seconds[rows] + cols.reduce_task_seconds[rows]
         duration = cols.duration[rows]
         keep = ~np.isnan(ts) & ~np.isnan(duration)
         submit = cols.submit_time[rows][keep]
@@ -197,41 +212,43 @@ def occupancy_series(trace: Trace, bucket_width: int = HOUR_SECONDS) -> TimeSeri
     n = _bucket_count(start, cover_end, bucket_width)
     acc = np.zeros(n)
 
-    # Zero-duration jobs land here as a point mass, as do jobs whose float
-    # end rounds back to their submit time.
-    for a, b, w, first, last in _occupancy_jobs(trace, bucket_width, n):
-        single = (first == last) | (b == a)
-        np.add.at(acc, first[single], w[single])
+    # Sums past the float range give inf, which _finite_total refuses.
+    with np.errstate(over="ignore"):
+        # Zero-duration jobs land here as a point mass, as do jobs whose float
+        # end rounds back to their submit time.
+        for a, b, w, first, last in _occupancy_jobs(trace, bucket_width, n):
+            single = (first == last) | (b == a)
+            np.add.at(acc, first[single], w[single])
 
-    wide = not (n * bucket_width < 2**63 and start + n * bucket_width < 2**63)
-    width = float(bucket_width)
-    for a, b, w, first, last in _occupancy_jobs(trace, bucket_width, n):
-        spread = (first != last) & (b != a)
-        a, b, first = a[spread], b[spread], first[spread]
-        rate = w[spread] / (b - a)
-        count = last[spread] - first + 1
-        done = np.cumsum(count)  # the terms through each job
-        for t0 in range(0, int(done[-1]) if done.size else 0, _OCCUPANCY_CHUNK):
-            term = np.arange(t0, min(t0 + _OCCUPANCY_CHUNK, int(done[-1])))
-            job = np.searchsorted(done, term, side="right")
-            bucket = first[job] + term - (done[job] - count[job])
-            del term
-            lo = _edges(bucket, start, bucket_width, wide)
-            hi = _edges(bucket + 1, start, bucket_width, wide)
-            aj, bj = a[job], b[job]
-            # min(b, hi) is hi where b > hi, and max(a, lo) is lo where
-            # a < lo: then both are ints, and their difference the width.
-            full = (bj > hi) & (aj < lo)
-            overlap = np.minimum(bj, hi, out=hi)
-            overlap -= np.maximum(aj, lo, out=lo)
-            overlap[full] = width
-            keep = overlap > 0
-            np.add.at(acc, bucket[keep], rate[job][keep] * overlap[keep])
+        wide = not (n * bucket_width < 2**63 and start + n * bucket_width < 2**63)
+        width = float(bucket_width)
+        for a, b, w, first, last in _occupancy_jobs(trace, bucket_width, n):
+            spread = (first != last) & (b != a)
+            a, b, first = a[spread], b[spread], first[spread]
+            rate = w[spread] / (b - a)
+            count = last[spread] - first + 1
+            done = np.cumsum(count)  # the terms through each job
+            for t0 in range(0, int(done[-1]) if done.size else 0, _OCCUPANCY_CHUNK):
+                term = np.arange(t0, min(t0 + _OCCUPANCY_CHUNK, int(done[-1])))
+                job = np.searchsorted(done, term, side="right")
+                bucket = first[job] + term - (done[job] - count[job])
+                del term
+                lo = _edges(bucket, start, bucket_width, wide)
+                hi = _edges(bucket + 1, start, bucket_width, wide)
+                aj, bj = a[job], b[job]
+                # min(b, hi) is hi where b > hi, and max(a, lo) is lo where
+                # a < lo: then both are ints, and their difference the width.
+                full = (bj > hi) & (aj < lo)
+                overlap = np.minimum(bj, hi, out=hi)
+                overlap -= np.maximum(aj, lo, out=lo)
+                overlap[full] = width
+                keep = overlap > 0
+                np.add.at(acc, bucket[keep], rate[job][keep] * overlap[keep])
 
     return TimeSeries(
         bucket_width=bucket_width,
         start=start,
-        values=acc / bucket_width,
+        values=_finite_total(acc, "occupancy_slots") / bucket_width,
         dimension="occupancy_slots",
     )
 
@@ -281,7 +298,18 @@ def sine_reference(kind: str, buckets: int) -> TimeSeries:
 def _pearson(x: np.ndarray, y: np.ndarray) -> float:
     dx = x - x.mean()
     dy = y - y.mean()
-    den = math.sqrt(float(dx @ dx) * float(dy @ dy))
+    with np.errstate(over="ignore"):
+        sxx, syy = float(dx @ dx), float(dy @ dy)
+    tiny = sys.float_info.min
+    if not (sxx >= tiny and syy >= tiny and tiny <= sxx * syy < math.inf):
+        # Deviations so small or large that these products leave the normal
+        # floats, to round to 0, lose digits or overflow: r is that of the
+        # deviations over their largest magnitudes, whose squares sum to
+        # between 1 and the length.
+        dx /= np.abs(dx).max()
+        dy /= np.abs(dy).max()
+        sxx, syy = float(dx @ dx), float(dy @ dy)
+    den = math.sqrt(sxx * syy)
     r = float(dx @ dy) / den
     return min(1.0, max(-1.0, r))
 

@@ -586,6 +586,10 @@ class TestWorkloadErrors:
         ([full_rec(0, 0, map_tasks=2, map_task_seconds=9.3e12, reduce_tasks=0,
                    reduce_task_seconds=0.0)],
          "total busy slot time 9300000000000000000 us does not fit"),
+        # A task time whose microseconds round to a float's inf.
+        ([full_rec(0, 0), full_rec(3, 1, reduce_tasks=2, reduce_task_seconds=1e303)],
+         "job 3: reduce task-seconds 1e+303 over 2 tasks give a task time in microseconds "
+         "that does not fit"),
     ])
     def test_simulate_time_past_int64_writes_nothing(self, tmp_path, capsys, records, message):
         path = trace_to_jsonl(make_trace(records), tmp_path / "w.jsonl")
@@ -623,3 +627,72 @@ class TestWorkloadErrors:
             f"mrtrace synthesize: {field} of source job 7 scaled by 100000 is {shown}\n"
         )
         assert not out.exists()
+
+
+def _hostile_jobs(value, every_field):
+    """Two jobs holding value where the schema allows it, and, with
+    every_field, also in the count fields, whose limit is 2**53."""
+    counts = value if every_field else min(value, 2**53)
+    ids = min(value, 2**63 - 1) if every_field else 1
+    job = dict(name="etl x", duration=counts, input_bytes=counts, shuffle_bytes=counts,
+               output_bytes=counts, map_task_seconds=float(value),
+               reduce_task_seconds=float(value), map_tasks=1, reduce_tasks=1,
+               input_path_hash=value, output_path_hash=value)
+    return [dict(job, job_id=0, submit_time=0),
+            dict(job, job_id=ids, submit_time=min(value, 2**63 - 1), input_path_hash=1)]
+
+
+def _timed_jobs(first, second, gap=100_000):
+    """Two complete jobs gap seconds apart, with the (map, reduce)
+    task-seconds given."""
+    job = dict(name="etl x", duration=60, input_bytes=10, shuffle_bytes=1, output_bytes=1,
+               map_tasks=1, reduce_tasks=1, input_path_hash=3, output_path_hash=4)
+    return [dict(job, job_id=i, submit_time=i * gap, map_task_seconds=m, reduce_task_seconds=r)
+            for i, (m, r) in enumerate((first, second))]
+
+
+# Small traces at the edges of the schema: task times whose microseconds or
+# sums overflow a float, deviations whose squares underflow or overflow it,
+# and integers at 2**53, 2**63 - 1 and 2**64 - 1. Task counts stay small:
+# simulate's cost grows with the tasks of a job.
+HOSTILE_TRACES = {
+    "task time past float us": _timed_jobs((1e308, 0.0), (1.0, 0.0)),
+    "task-second sums past float": _timed_jobs((1e308, 1e308), (1.0, 1.0), gap=5),
+    "tiny deviations": _timed_jobs((5e-324, 0.0), (1e-300, 0.0)),
+    "huge deviations": _timed_jobs((1e200, 0.0), (3e200, 0.0)),
+    "2**53": _hostile_jobs(2**53, True),
+    "2**63-1 where allowed": _hostile_jobs(2**63 - 1, False),
+    "2**63-1 everywhere": _hostile_jobs(2**63 - 1, True),
+    "2**64-1 where allowed": _hostile_jobs(2**64 - 1, False),
+    "2**64-1 everywhere": _hostile_jobs(2**64 - 1, True),
+}
+
+# Each command with every output it can write; {out} is a directory.
+COMMANDS = [
+    ["analyze", "--out", "{out}/r.json", "--plots", "{out}/plots"],
+    ["burstiness", "--out", "{out}/b.tsv"],
+    ["cluster", "--out", "{out}/c.json", "--table", "{out}/c.txt"],
+    ["names", "--weighting", "task_time", "--out", "{out}/n.tsv"],
+    ["synthesize", "--target-machines", "1", "--out", "{out}/w.jsonl",
+     "--data-plan", "{out}/plan.tsv"],
+    ["simulate", "--nodes", "1", "--out", "{out}/s.json", "--occupancy", "{out}/o.tsv"],
+    ["cachesim", "--capacity", "1000", "--out", "{out}/cache.json"],
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("name", HOSTILE_TRACES)
+def test_hostile_input_exits_cleanly(tmp_path, capsys, name, command):
+    """Every command on every hostile trace exits 0 or 2, with no
+    traceback and no numpy warning, and leaves no output on exit 2."""
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(json.dumps(job) + "\n" for job in HOSTILE_TRACES[name]))
+    out = tmp_path / "out"
+    out.mkdir()
+    trace_arg = ["--workload" if command[0] == "simulate" else "--trace", str(path)]
+    code = main([command[0], *trace_arg, *(a.format(out=out) for a in command[1:])])
+    err = capsys.readouterr().err
+    assert code in (0, 2) and "Traceback" not in err
+    if code == 2:
+        assert [p for p in out.rglob("*") if p.is_file()] == []

@@ -12,6 +12,7 @@ from mrtrace import (
     ClusterModel,
     KTooLarge,
     NoData,
+    SumOverflow,
     elbow_fit,
     first_word,
     fit_best,
@@ -94,6 +95,14 @@ class TestNameBreakdown:
         assert b.words == ["big"]
         assert b.fractions == [pytest.approx(0.9)]
         assert b.other_fraction == pytest.approx(0.1)
+
+    @pytest.mark.filterwarnings("error")
+    def test_task_time_past_the_float_range(self):
+        t = make_trace([rec(0, 0, name="etl a", map_task_seconds=1e308, reduce_task_seconds=1e308),
+                        rec(1, 1, name="etl b", map_task_seconds=1.0, reduce_task_seconds=1.0)])
+        with pytest.raises(SumOverflow, match="task_time"):
+            name_breakdown(t, "task_time")
+        assert name_breakdown(t, "jobs").words == ["etl"]
 
     def test_nameless_trace(self):
         t = make_trace([rec(0, 0), rec(1, 1)])

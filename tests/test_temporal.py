@@ -13,6 +13,7 @@ from mrtrace import (
     InvalidBucketWidth,
     MedianZero,
     NoData,
+    SumOverflow,
     TooManyBuckets,
     TooShort,
     ZeroVariance,
@@ -54,6 +55,20 @@ class TestBucketing:
         assert s.values.tolist() == [2.0] and s.bucket_width == 10**23
         occupancy = occupancy_series(make_trace([full_rec(0, 0), full_rec(1, 7200)]), 10**23)
         assert len(occupancy) == 1 and occupancy.bucket_width == 10**23
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("jobs", [
+        [(0, 1e308, 1e308)],  # one job's sum
+        [(0, 1e308, 0.0), (10, 1e308, 0.0)],  # one bucket's sum
+        [(0, 1e308, 0.0), (7200, 1e308, 0.0)],  # the series' sum
+    ])
+    def test_task_seconds_past_the_float_range(self, jobs):
+        t = make_trace([rec(i, at, duration=60, map_task_seconds=m, reduce_task_seconds=r)
+                        for i, (at, m, r) in enumerate(jobs)])
+        with pytest.raises(SumOverflow, match="^compute_time_task_seconds: "):
+            bucket_time_series(t, "compute_time_task_seconds", 3600)
+        with pytest.raises(SumOverflow, match="^occupancy_slots: "):
+            occupancy_series(t, 3600)
 
     @pytest.mark.parametrize("width, counts", [(2**62, [1.0, 0.0, 1.0]), (2**63, [1.0, 1.0])])
     def test_span_past_int64(self, width, counts):
@@ -323,6 +338,22 @@ class TestCorrelations:
         base = series_correlations(series(jobs), series(data), series(ts_))
         scaled = series_correlations(series(jobs), series([7 * d + 13 for d in data]), series(ts_))
         assert scaled.r_jobs_data == pytest.approx(base.r_jobs_data, abs=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("power", [-600, -540, 540, 600])
+    def test_deviations_whose_squares_leave_the_float_range(self, power):
+        # Scaling by an exact power of two leaves r as it was, but squares
+        # of the deviations underflow to 0 or overflow to inf.
+        rng = random.Random(17)
+        jobs = [rng.randrange(1, 20) for _ in range(100)]
+        data = [rng.randrange(0, 10**6) for _ in range(100)]
+        ts_ = [rng.randrange(0, 5000) for _ in range(100)]
+        scale = 2.0**power
+        corr = series_correlations(series(jobs), series([d * scale for d in data]),
+                                   series([t * scale for t in ts_]))
+        assert corr.r_jobs_data == pytest.approx(pearson_oracle(jobs, data), abs=1e-9)
+        assert corr.r_jobs_compute == pytest.approx(pearson_oracle(jobs, ts_), abs=1e-9)
+        assert corr.r_data_compute == pytest.approx(pearson_oracle(data, ts_), abs=1e-9)
 
     def test_constant_series_rejected(self):
         with pytest.raises(ZeroVariance):
