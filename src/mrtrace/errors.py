@@ -44,7 +44,8 @@ class InvalidBucketWidth(MRTraceError):
 
 
 class MedianZero(MRTraceError):
-    """Series median is zero; ratios are undefined. Coarsen the buckets."""
+    """Series median is zero, or so small that a ratio to it overflows a
+    float; ratios are undefined. Coarsen the buckets."""
 
 
 class ZeroVariance(MRTraceError):

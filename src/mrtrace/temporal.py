@@ -94,14 +94,13 @@ def _bucket_sums(idx: np.ndarray, total: np.ndarray, n: int, missing: str) -> np
     return np.bincount(idx, weights=total, minlength=n)
 
 
-def _finite_total(values: np.ndarray, dimension: str) -> np.ndarray:
-    """values, whose sum, and so each of them, is finite; else SumOverflow.
-    A series mean, as of a correlation or a periodogram, is then finite."""
+def _require_finite_sum(values: np.ndarray, dimension: str) -> None:
+    """SumOverflow unless the sum of a series' values, and so each value,
+    is finite. A series mean, as of a correlation, is then finite too."""
     with np.errstate(over="ignore"):
         total = values.sum()
     if not np.isfinite(total):
         raise SumOverflow(f"{dimension}: the jobs' task-seconds sum past the largest 64-bit float")
-    return values
 
 
 def bucket_time_series(trace: Trace, dimension: str, bucket_width: int = HOUR_SECONDS) -> TimeSeries:
@@ -132,11 +131,10 @@ def bucket_time_series(trace: Trace, dimension: str, bucket_width: int = HOUR_SE
         total = cols.input_bytes + cols.shuffle_bytes + cols.output_bytes
         values = _bucket_sums(idx, total, n, "no record carries all of input/shuffle/output bytes")
     elif dimension == "compute_time_task_seconds":
-        with np.errstate(over="ignore"):  # inf, refused by _finite_total
+        with np.errstate(over="ignore"):  # inf, refused by _require_finite_sum
             total = cols.map_task_seconds + cols.reduce_task_seconds
-        values = _finite_total(
-            _bucket_sums(idx, total, n, "no record carries both map and reduce task-seconds"),
-            dimension)
+        values = _bucket_sums(idx, total, n, "no record carries both map and reduce task-seconds")
+        _require_finite_sum(values, dimension)
     else:
         raise ValueError(f"unknown dimension {dimension!r}")
     return TimeSeries(bucket_width=bucket_width, start=start, values=values, dimension=dimension)
@@ -212,7 +210,7 @@ def occupancy_series(trace: Trace, bucket_width: int = HOUR_SECONDS) -> TimeSeri
     n = _bucket_count(start, cover_end, bucket_width)
     acc = np.zeros(n)
 
-    # Sums past the float range give inf, which _finite_total refuses.
+    # Sums past the float range give inf, which _require_finite_sum refuses.
     with np.errstate(over="ignore"):
         # Zero-duration jobs land here as a point mass, as do jobs whose float
         # end rounds back to their submit time.
@@ -245,10 +243,11 @@ def occupancy_series(trace: Trace, bucket_width: int = HOUR_SECONDS) -> TimeSeri
                 keep = overlap > 0
                 np.add.at(acc, bucket[keep], rate[job][keep] * overlap[keep])
 
+    _require_finite_sum(acc, "occupancy_slots")
     return TimeSeries(
         bucket_width=bucket_width,
         start=start,
-        values=_finite_total(acc, "occupancy_slots") / bucket_width,
+        values=acc / bucket_width,
         dimension="occupancy_slots",
     )
 
@@ -269,7 +268,11 @@ def burstiness_curve(series: TimeSeries, percentile_grid: Optional[Sequence[int]
     median = float(np.percentile(values, 50, method="linear"))
     if median == 0.0:
         raise MedianZero("series median is zero; use a coarser bucket width")
-    ratios = np.percentile(values, grid, method="linear") / median
+    with np.errstate(over="ignore"):
+        ratios = np.percentile(values, grid, method="linear") / median
+    if np.isinf(ratios).any():
+        raise MedianZero(f"series median {median!r} is so small that a ratio to it does not fit "
+                         f"a 64-bit float; use a coarser bucket width")
     return BurstinessCurve(ratios=ratios, percentiles=np.asarray(grid), median=median)
 
 
@@ -328,6 +331,17 @@ def series_correlations(jobs: TimeSeries, data: TimeSeries, compute: TimeSeries)
     )
 
 
+def _one_sided_power(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """The power of each rfft bin of x but the DC bin, which is 0, and its
+    sum; inf where it overflows."""
+    with np.errstate(over="ignore"):
+        power = np.abs(np.fft.rfft(x)) ** 2
+        # One-sided correction: interior bins stand for conjugate pairs.
+        power[1 : (x.size + 1) // 2] *= 2.0
+        power[0] = 0.0
+        return power, power.sum()
+
+
 def periodogram(series: TimeSeries, top_k: int = PERIODOGRAM_TOP_K) -> SpectralPeaks:
     """Strongest periodic components of the mean-removed series.
 
@@ -338,12 +352,12 @@ def periodogram(series: TimeSeries, top_k: int = PERIODOGRAM_TOP_K) -> SpectralP
     if n < 48:
         raise TooShort(f"need >= 48 buckets for spectral analysis, got {n}")
     x = series.values - series.values.mean()
-    spectrum = np.fft.rfft(x)
-    power = np.abs(spectrum) ** 2
-    # One-sided correction: interior bins stand for conjugate pairs.
-    power[1 : (n + 1) // 2] *= 2.0
-    power[0] = 0.0
-    total = power.sum()
+    power, total = _one_sided_power(x)
+    if not sys.float_info.min <= total < math.inf and x.any():
+        # Deviations so small or large that their power leaves the normal
+        # floats: the fractions are those of the deviations over their
+        # largest magnitude.
+        power, total = _one_sided_power(x / np.abs(x).max())
     if total <= 0.0:
         return SpectralPeaks(periods=np.empty(0), fractions=np.empty(0), diurnal=False)
 

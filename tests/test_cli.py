@@ -630,29 +630,31 @@ class TestWorkloadErrors:
 
 
 def _hostile_jobs(value, every_field):
-    """Two jobs holding value where the schema allows it, and, with
-    every_field, also in the count fields, whose limit is 2**53."""
+    """Two jobs holding value, or the most that fits, in job_id,
+    submit_time, the task-seconds and the path hashes; with every_field
+    also in the byte and duration fields, which refuse more than 2**53."""
+    fits = min(value, 2**63 - 1)
     counts = value if every_field else min(value, 2**53)
-    ids = min(value, 2**63 - 1) if every_field else 1
     job = dict(name="etl x", duration=counts, input_bytes=counts, shuffle_bytes=counts,
                output_bytes=counts, map_task_seconds=float(value),
                reduce_task_seconds=float(value), map_tasks=1, reduce_tasks=1,
                input_path_hash=value, output_path_hash=value)
     return [dict(job, job_id=0, submit_time=0),
-            dict(job, job_id=ids, submit_time=min(value, 2**63 - 1), input_path_hash=1)]
+            dict(job, job_id=fits, submit_time=fits, input_path_hash=1)]
 
 
-def _timed_jobs(first, second, gap=100_000):
-    """Two complete jobs gap seconds apart, with the (map, reduce)
-    task-seconds given."""
+def _timed_jobs(*task_seconds, gap=100_000):
+    """Complete jobs gap seconds apart, one per (map, reduce) task-seconds
+    pair given."""
     job = dict(name="etl x", duration=60, input_bytes=10, shuffle_bytes=1, output_bytes=1,
                map_tasks=1, reduce_tasks=1, input_path_hash=3, output_path_hash=4)
     return [dict(job, job_id=i, submit_time=i * gap, map_task_seconds=m, reduce_task_seconds=r)
-            for i, (m, r) in enumerate((first, second))]
+            for i, (m, r) in enumerate(task_seconds)]
 
 
 # Small traces at the edges of the schema: task times whose microseconds or
-# sums overflow a float, deviations whose squares underflow or overflow it,
+# sums overflow a float, deviations whose squares or spectral power
+# underflow or overflow it, a peak whose ratio to the median overflows it,
 # and integers at 2**53, 2**63 - 1 and 2**64 - 1. Task counts stay small:
 # simulate's cost grows with the tasks of a job.
 HOSTILE_TRACES = {
@@ -660,6 +662,8 @@ HOSTILE_TRACES = {
     "task-second sums past float": _timed_jobs((1e308, 1e308), (1.0, 1.0), gap=5),
     "tiny deviations": _timed_jobs((5e-324, 0.0), (1e-300, 0.0)),
     "huge deviations": _timed_jobs((1e200, 0.0), (3e200, 0.0)),
+    "spectral power past float": _timed_jobs(*[(1.0, 0.0)] * 59, (1e200, 0.0), gap=3600),
+    "peak over median past float": _timed_jobs(*[(5e-324, 0.0)] * 59, (1e300, 0.0), gap=3600),
     "2**53": _hostile_jobs(2**53, True),
     "2**63-1 where allowed": _hostile_jobs(2**63 - 1, False),
     "2**63-1 everywhere": _hostile_jobs(2**63 - 1, True),

@@ -254,6 +254,11 @@ class TestBurstiness:
         with pytest.raises(MedianZero):
             burstiness_curve(series([0, 0, 0, 5]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_ratio_past_the_float_range(self):
+        with pytest.raises(MedianZero, match="^series median 5e-324 is so small"):
+            burstiness_curve(series([5e-324, 5e-324, 5e-324, 1e300]))
+
 
 class TestSineReference:
     def test_range_equals_mean(self):
@@ -424,6 +429,19 @@ class TestPeriodogram:
     def test_too_short(self):
         with pytest.raises(TooShort):
             periodogram(series([1.0] * 47))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("power", [-600, -540, 540, 600])
+    def test_deviations_whose_power_leaves_the_float_range(self, power):
+        # Scaling by an exact power of two leaves the power fractions as
+        # they were, but the power underflows to 0 or overflows to inf.
+        t = np.arange(168)
+        vals = np.sin(2 * np.pi * t / 24) + 0.5 * np.sin(2 * np.pi * t / 7) + 3
+        want = periodogram(series(vals), top_k=2)
+        got = periodogram(series(vals * 2.0**power), top_k=2)
+        assert got.periods.tolist() == want.periods.tolist()
+        assert got.fractions == pytest.approx(want.fractions, abs=1e-12)
+        assert got.diurnal == want.diurnal
 
 
 class TestZeroRuns:
